@@ -7,8 +7,9 @@ x = 0 -- and on any horizontal section -- are located by bracketing a
 closed-form coordinate function and bisecting to machine precision, so no
 generic stepping error enters the simulation.  Motion inside
 sliding/escaping segments of the switching line follows the Filippov
-convex combination, integrated with a fixed-step RK4 whose step is a small
-fraction of the segment length.
+convex combination, whose speed along x = 0 is a quadratic over a linear
+polynomial in y; its travel time is integrated in closed form and
+inverted by bisection.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ from .core import PwlSystem
 from .errors import (
     DegenerateLinearPart,
     EventStall,
+    LineOfTangency,
     MaxSegmentsExceeded,
     NonCenterPlus,
     NonPositiveAmplitude,
@@ -32,7 +34,6 @@ from .sigma import (
     Visibility,
     classify_point,
     find_folds,
-    sliding_vector,
 )
 
 TWO_PI = 2.0 * math.pi
@@ -278,8 +279,7 @@ SLIDING = "Sliding"
 class SimOptions:
     max_segments: int = 10_000
     event_tol: float = 1e-12
-    sample_stride: int = 32          # recorded samples per zone arc
-    sliding_step_frac: float = 1e-4  # RK4 step as a fraction of segment length
+    sample_stride: int = 32  # recorded samples per zone arc or sliding segment
 
 
 @dataclass(frozen=True)
@@ -302,6 +302,7 @@ class Trajectory:
     segments: list = field(default_factory=list)   # SegmentInfo
     crossings: list = field(default_factory=list)  # Crossing events on x = 0
     stopped: str = "t_max"                         # why the run ended
+    direction: float = 1.0                         # -1.0 for a backward run
 
     def as_array(self) -> np.ndarray:
         return np.array(self.samples, dtype=float)
@@ -310,11 +311,14 @@ class Trajectory:
         return [s.kind for s in self.segments]
 
     def to_csv(self) -> str:
+        """One row per sample, labelled with the kind of its segment; a
+        sample on a boundary belongs to the segment that ends there."""
         lines = ["t,x,y,segment_kind"]
+        sgn = self.direction
         seg_iter = iter(self.segments)
         seg = next(seg_iter, None)
         for (t, x, y) in self.samples:
-            while seg is not None and t > seg.t_end + 1e-12:
+            while seg is not None and sgn * t > sgn * seg.t_end + 1e-12:
                 seg = next(seg_iter, None)
             kind = seg.kind if seg is not None else ""
             lines.append(f"{t:.17g},{x:.17g},{y:.17g},{kind}")
@@ -343,9 +347,11 @@ def _entry_side(sys: PwlSystem, y: float, direction: float) -> str | None:
 
 
 def _fold_map(sys: PwlSystem) -> dict:
+    """Folds by side; empty when a side is tangent to x = 0 identically or
+    has a degenerate fold, which leaves no sliding segment to follow."""
     try:
         return {f.side: f for f in find_folds(sys)}
-    except Exception:
+    except LineOfTangency:
         return {}
 
 
@@ -368,7 +374,7 @@ def simulate(sys: PwlSystem, start, t_max: float, opts: SimOptions | None = None
              for side in ("plus", "minus")}
     folds = _fold_map(sys)
 
-    traj = Trajectory()
+    traj = Trajectory(direction=direction)
     X = np.asarray(start, dtype=float).copy()
     t_abs = 0.0  # unsigned elapsed time
     traj.samples.append((0.0, float(X[0]), float(X[1])))
@@ -411,7 +417,8 @@ def simulate(sys: PwlSystem, start, t_max: float, opts: SimOptions | None = None
             continue
 
         if mode == "sliding":
-            t_used, X, reason = _slide(sys, X, direction, t_max - t_abs, opts, traj, t_abs)
+            t_used, X, reason = _slide(sys, folds, X, direction, t_max - t_abs, opts,
+                                       traj, t_abs)
             t_abs += t_used
             n_segments += 1
             if reason == "t_max":
@@ -473,70 +480,128 @@ def _record_arc(traj, zone, X, direction, dt, t_abs, side, opts):
                                      t_end=direction * (t_abs + dt)))
 
 
-def _slide(sys, X, direction, t_budget, opts, traj, t_abs):
+class _SlidingSpeed:
+    """Closed-form Filippov speed dy/dt = N(y)/D(y) along x = 0.
+
+    Both zone fields are affine in y on the line: Z(0, y) = (al*y + ga,
+    be*y + de) with al = M[0,1], ga = u[0], be = M[1,1], de = u[1].  The
+    convex combination gives the quadratic
+    N = (al- y + ga-)(be+ y + de+) - (al+ y + ga+)(be- y + de-) = A y^2 + B y + C
+    over the linear D = (al- - al+) y + (ga- - ga+) = p y + q.  D does not
+    vanish on a sliding or escaping segment; a real root of N there is a
+    pseudo-equilibrium.
+    """
+
+    def __init__(self, sys: PwlSystem):
+        (al_p, be_p), (ga_p, de_p) = sys.zone_matrix("plus")[:, 1], sys.zone_offset("plus")
+        (al_m, be_m), (ga_m, de_m) = sys.zone_matrix("minus")[:, 1], sys.zone_offset("minus")
+        self.A = float(al_m * be_p - al_p * be_m)
+        self.B = float(al_m * de_p + ga_m * be_p - al_p * de_m - ga_p * be_m)
+        self.C = float(ga_m * de_p - ga_p * de_m)
+        self.p = float(al_m - al_p)
+        self.q = float(ga_m - ga_p)
+        A, B, C = self.A, self.B, self.C
+        self.disc = B * B - 4.0 * A * C
+        if A == 0.0:
+            self.roots = (-C / B,) if B != 0.0 else ()
+        elif self.disc > 0.0:
+            # cancellation-free pair: s/A and C/s
+            s = -0.5 * (B + math.copysign(math.sqrt(self.disc), B))
+            self.roots = (s / A, C / s)
+        elif self.disc == 0.0:
+            self.roots = (-0.5 * B / A,)
+        else:
+            self.roots = ()
+
+    def numerator(self, y: float) -> float:
+        return (self.A * y + self.B) * y + self.C
+
+    def speed(self, y: float) -> float:
+        return self.numerator(y) / (self.p * y + self.q)
+
+    def time(self, ya: float, yb: float) -> float:
+        """Signed time to slide from ya to yb: the integral of D/N over [ya, yb].
+
+        Partial fractions by the roots of N; every logarithm is a log1p of
+        the relative change, so roots far from a short segment lose no
+        digits.  Requires no root of N in [ya, yb].
+        """
+        A, B, C, p, q = self.A, self.B, self.C, self.p, self.q
+        h = yb - ya
+        if A == 0.0:
+            if B == 0.0:  # constant N
+                return h * (0.5 * p * (ya + yb) + q) / C
+            # D/N = p/B + (p r + q) / (B (y - r))
+            r, = self.roots
+            return (p * h + (p * r + q) * math.log1p(h / (ya - r))) / B
+        if self.disc > 0.0:
+            # D/N = sum over roots of (p r_i + q) / (N'(r_i) (y - r_i))
+            r1, r2 = self.roots
+            return ((p * r1 + q) * math.log1p(h / (ya - r1))
+                    - (p * r2 + q) * math.log1p(h / (ya - r2))) / (A * (r1 - r2))
+        # complex or double roots: D/N = (p/2A) N'/N + (q - p B/2A)/N
+        log_ratio = math.log1p(h * (A * (ya + yb) + B) / self.numerator(ya))
+        polar = A * ya * yb + 0.5 * B * (ya + yb) + C  # N(ya) when yb = ya
+        if self.disc == 0.0:
+            inv_n = h / polar
+        else:
+            w = math.sqrt(-self.disc)
+            sgn = math.copysign(1.0, A)
+            inv_n = 2.0 * sgn * math.atan2(0.5 * w * h, sgn * polar) / w
+        return p / (2.0 * A) * log_ratio + (q - p * B / (2.0 * A)) * inv_n
+
+
+def _slide(sys, folds, X, direction, t_budget, opts, traj, t_abs):
     """Follow the Filippov field along x = 0 until a fold endpoint or t_budget.
 
-    Fixed-step RK4 on dy/dt; the step is opts.sliding_step_frac of the
-    segment length.  Returns (elapsed, new_state, reason).
+    The travel time is the closed form of ``_SlidingSpeed.time``.  A root of
+    N ahead is a pseudo-equilibrium that the motion approaches without
+    reaching; when the budget runs out first, the position at t_budget is
+    bisected on the monotone travel time.  ``opts.sample_stride`` samples
+    are spread evenly along the segment, the last one at the end state.
+    Returns (elapsed, new_state, reason).
     """
-    folds = find_folds(sys)
     if len(folds) != 2:
         return 0.0, X, "stall"
-    lo, hi = sorted(f.y for f in folds)
+    lo, hi = sorted(f.y for f in folds.values())
     seg_len = hi - lo
     if seg_len <= 0:
         return 0.0, X, "stall"
-    h_y = seg_len * opts.sliding_step_frac
-
-    def f(y):
-        return direction * float(sliding_vector(sys, y)[1])
-
-    y = float(X[1])
-    t_used = 0.0
+    law = _SlidingSpeed(sys)
+    y0 = float(X[1])
     t0_signed = direction * t_abs
-    samples = [(t0_signed, 0.0, y)]
-    guard = int(4.0 / opts.sliding_step_frac)  # generous step budget
-    keep_every = max(1, guard // (8 * max(2, opts.sample_stride)))
-    reason = "t_max"
-    for step in range(guard):
-        if t_used >= t_budget:
-            reason = "t_max"
-            break
-        v = f(y)
-        if abs(v) < 1e-15 * max(1.0, seg_len):
-            reason = "stall"
-            break
-        dt = h_y / abs(v)
-        dt = min(dt, t_budget - t_used)
-        k1 = v
-        k2 = f(_clamp(y + 0.5 * dt * k1, lo, hi))
-        k3 = f(_clamp(y + 0.5 * dt * k2, lo, hi))
-        k4 = f(_clamp(y + dt * k3, lo, hi))
-        y_new = y + dt * (k1 + 2 * k2 + 2 * k3 + k4) / 6.0
-        if y_new >= hi or y_new <= lo:
-            target = hi if y_new >= hi else lo
-            # shrink the last step to land exactly on the fold
-            frac = (target - y) / (y_new - y)
-            t_used += dt * frac
-            y = target
-            samples.append((t0_signed + direction * t_used, 0.0, y))
-            reason = "fold"
-            break
-        y = y_new
-        t_used += dt
-        if step % keep_every == 0:
-            samples.append((t0_signed + direction * t_used, 0.0, y))
+    v0 = direction * law.speed(y0)
+    if abs(v0) < 1e-15 * max(1.0, seg_len):
+        y, t_used, reason = y0, 0.0, "stall"
     else:
-        reason = "stall"
+        y_fold = hi if v0 > 0 else lo
+        ahead = [r for r in law.roots if min(y0, y_fold) < r < max(y0, y_fold)]
+        if ahead:
+            y_lim, t_lim = min(ahead, key=lambda r: abs(r - y0)), math.inf
+        else:
+            # a start at or past the fold leaves it at once
+            y_lim, t_lim = y_fold, max(0.0, direction * law.time(y0, y_fold))
+        if t_lim <= t_budget:
+            y, t_used, reason = y_fold, t_lim, "fold"
+        else:
+            def excess(s):
+                y_s = y0 + s * (y_lim - y0)
+                if y_s == y_lim:  # rounded onto a limit the budget does not reach
+                    return math.inf
+                return direction * law.time(y0, y_s) - t_budget
+            s = _refine_crossing(excess, 0.0, 1.0, np.finfo(float).eps)
+            y, t_used, reason = y0 + s * (y_lim - y0), t_budget, "t_max"
 
-    traj.samples.extend(samples[1:])
+    if t_used > 0.0:
+        n = max(2, opts.sample_stride)
+        for k in range(1, n - 1):
+            y_k = y0 + (y - y0) * (k / (n - 1))
+            traj.samples.append((t0_signed + law.time(y0, y_k), 0.0, y_k))
+    if t_used > 0.0 or y != y0:
+        traj.samples.append((t0_signed + direction * t_used, 0.0, y))
     traj.segments.append(SegmentInfo(kind=SLIDING, t_start=t0_signed,
                                      t_end=t0_signed + direction * t_used))
     return t_used, np.array([0.0, y]), reason
-
-
-def _clamp(v, lo, hi):
-    return min(max(v, lo), hi)
 
 
 # ---------------------------------------------------------------------------

@@ -372,19 +372,18 @@ def simulate_sliding_cycle(p: SlidingParams, eps: float | None = None,
     traj = simulate(sys, (0.0, y_f1), t_max, opts)
     kinds = traj.segment_kinds()
     # the loop is superstable (every slide ends at the fold), so closure is
-    # measured as the spread of consecutive landings on the sliding segment
+    # measured as the spread of consecutive landings on the sliding segment:
+    # the last sample at or before each slide's start, in one pass
+    sgn = traj.direction
+    samples = traj.samples
     landings = []
+    k = 0
     for seg in traj.segments:
         if seg.kind != "Sliding":
             continue
-        y_land = None
-        for (t, _x, y) in traj.samples:
-            if t <= seg.t_start + 1e-12:
-                y_land = y
-            else:
-                break
-        if y_land is not None:
-            landings.append(y_land)
+        while k + 1 < len(samples) and sgn * samples[k + 1][0] <= sgn * seg.t_start + 1e-12:
+            k += 1
+        landings.append(samples[k][2])
     closure = abs(landings[1] - landings[0]) if len(landings) >= 2 else math.inf
     return traj, closure, kinds
 

@@ -8,7 +8,7 @@ events are located on the integrator's dense output.
 from __future__ import annotations
 
 import numpy as np
-from scipy.integrate import solve_ivp
+from scipy.integrate import quad, solve_ivp
 
 
 def integrate_zone(M, u, x0, t, rtol=1e-12, atol=1e-14):
@@ -58,3 +58,18 @@ def first_return_displacement(sys, y0, t_guess=120.0):
         X = sol.sol(0.5 * (lo + hi))
         X[0] = 0.0
     return float(X[1]) - float(y0)
+
+
+def sliding_time(sys, ya, yb):
+    """Signed time to slide along x = 0 from (0, ya) to (0, yb).
+
+    Adaptive quadrature of dy / (dy/dt), with dy/dt the y-component of the
+    Filippov convex combination of the two zone fields at (0, y).
+    """
+    def inv_speed(y):
+        fp = sys.zone_matrix("plus") @ (0.0, y) + sys.zone_offset("plus")
+        fm = sys.zone_matrix("minus") @ (0.0, y) + sys.zone_offset("minus")
+        return (fm[0] - fp[0]) / (fm[0] * fp[1] - fp[0] * fm[1])
+
+    value, _err = quad(inv_speed, ya, yb, epsabs=0.0, epsrel=1e-13, limit=200)
+    return value

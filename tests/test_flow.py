@@ -4,10 +4,15 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from oracles import first_return_displacement, integrate_zone
-from pwlcycles.core import canonical_system
+from oracles import first_return_displacement, integrate_zone, sliding_time
+from pwlcycles.core import Mat2, PwlSystem, Vec2, canonical_system
 from pwlcycles.errors import NonCenterPlus, NonPositiveAmplitude, NoReturn
-from pwlcycles.examples import example_one, example_one_params, example_two
+from pwlcycles.examples import (
+    example_one,
+    example_one_params,
+    example_two,
+    type_one_sliding_params,
+)
 from pwlcycles.flow import (
     AffineFlow,
     SimOptions,
@@ -21,6 +26,7 @@ from pwlcycles.flow import (
     simulate,
 )
 from pwlcycles.melnikov import m1
+from pwlcycles.sliding import simulate_sliding_cycle
 
 
 class TestClosedFormFlows:
@@ -195,6 +201,24 @@ class TestSimulate:
         assert_allclose((final[1], final[2]), start, atol=1e-8)
         assert "Sliding" not in fwd.segment_kinds()
 
+    @pytest.mark.parametrize("t_max", [8.0, 40.0])
+    def test_backward_csv_labels_every_row(self, t_max):
+        traj = simulate(example_one(1e-2), (0.0, 1.5), t_max, backward=True)
+        rows = [line.split(",") for line in traj.to_csv().splitlines()[1:]]
+        assert len(rows) == len(traj.samples)
+        seg_iter = iter(traj.segments)
+        seg = next(seg_iter)
+        labels = []
+        for t, _x, _y, kind in rows:
+            # rows run backward in time; a boundary row belongs to the
+            # segment that ends there
+            while float(t) < seg.t_end - 1e-12:
+                seg = next(seg_iter)
+            assert kind == seg.kind
+            if not labels or labels[-1] != kind:
+                labels.append(kind)
+        assert labels == traj.segment_kinds()
+
     def test_displacement_against_independent_integrator(self):
         sys = example_one(1e-3).with_epsilon(1e-3)
         ours = displacement(sys, 1.5)
@@ -303,3 +327,85 @@ class TestEventMachinery:
         state = zone.state(np.array([0.0, 0.4]), t_ev)
         assert state[1] == pytest.approx(0.4, abs=1e-11)
         assert state[0] < -1.0
+
+
+def _decay_system():
+    """Z+h = y - 1 and Z-h = y + 1: the segment (-1, 1) slides with dy/dt = -y."""
+    return PwlSystem((Mat2(1.0, 1.0, 1.0, 0.0), Vec2(-1.0, -1.0)),
+                     (Mat2(1.0, 1.0, -1.0, 0.0), Vec2(1.0, 1.0)))
+
+
+def _slide_system(be_p, de_p, be_m, de_m):
+    """Z+h = y - 1 and Z-h = 2y + 1: the segment (-1/2, 1) slides, and the
+    y-components be*y + de of the two fields set the sliding speed."""
+    return PwlSystem((Mat2(0.0, 1.0, 1.0, be_p), Vec2(-1.0, de_p)),
+                     (Mat2(0.0, 2.0, 1.0, be_m), Vec2(1.0, de_m)))
+
+
+class TestSlidingMotion:
+    def test_pseudo_equilibrium_start_stalls(self):
+        traj = simulate(_decay_system(), (0.0, 0.0), 5.0)
+        assert traj.stopped == "sliding_stall"
+
+    def test_forward_slide_ends_at_time_budget(self):
+        # y(t) = 0.5 e^-t approaches the pseudo-equilibrium y = 0
+        traj = simulate(_decay_system(), (0.0, 0.5), 5.0)
+        assert traj.stopped == "t_max"
+        assert traj.segment_kinds() == ["Sliding"]
+        t, x, y = traj.samples[-1]
+        assert (t, x) == (5.0, 0.0)
+        assert abs(y - 0.5 * math.exp(-5.0)) < 1e-12
+        ts = [s[0] for s in traj.samples]
+        assert ts == sorted(ts)
+        for t_k, _x, y_k in traj.samples:
+            assert abs(y_k - 0.5 * math.exp(-t_k)) < 1e-12
+
+    def test_long_budget_ends_at_pseudo_equilibrium(self):
+        # backward in time the slide approaches the repelling root of
+        # N = 2y^2 + 1.6y - 1.2 until it is within rounding of it
+        sys = _slide_system(1.0, -0.2, 0.0, -1.0)
+        root = (-1.6 + math.sqrt(1.6 ** 2 + 9.6)) / 4.0
+        traj = simulate(sys, (0.0, 0.6), 60.0, backward=True)
+        assert traj.stopped == "t_max"
+        t, _x, y = traj.samples[-1]
+        assert t == -60.0
+        assert abs(y - root) < 1e-14
+
+    def test_backward_slide_reaches_fold(self):
+        traj = simulate(_decay_system(), (0.0, 0.5), 5.0, backward=True)
+        seg, = traj.segments
+        assert seg.kind == "Sliding"
+        assert abs(seg.t_end + math.log(2.0)) < 1e-12
+        assert traj.samples[-1][2] == 1.0
+        assert traj.stopped == "sliding_endpoint"  # the fold at y = 1 is invisible
+
+    @pytest.mark.parametrize("coeffs, start, fold, case", [
+        ((1.0, -0.2, 0.0, -1.0), 0.8, 1.0, "real"),     # N = 2y^2 + 1.6y - 1.2
+        ((1.0, -0.2, 0.0, -1.0), 0.0, -0.5, "real"),
+        ((0.0, 1.0, -1.0, 1.0), -0.4, 1.0, "complex"),  # N = y^2 + 2
+        ((0.5, 1.0, 1.0, 0.3), 0.0, 1.0, "linear"),     # N = 3.2y + 1.3
+    ])
+    def test_slide_time_against_quadrature(self, coeffs, start, fold, case):
+        be_p, de_p, be_m, de_m = coeffs
+        A = 2.0 * be_p - be_m
+        B = 2.0 * de_p + be_p - de_m + be_m
+        disc = B * B - 4.0 * A * (de_p + de_m)
+        assert case == ("linear" if A == 0 else "real" if disc > 0 else "complex")
+        sys = _slide_system(*coeffs)
+        traj = simulate(sys, (0.0, start), 10.0)
+        seg = traj.segments[0]
+        assert seg.kind == "Sliding"
+        end = [s for s in traj.samples if s[0] == seg.t_end][-1]
+        assert end[2] == fold
+        ref = sliding_time(sys, start, fold)
+        assert abs((seg.t_end - seg.t_start) - ref) < 1e-12 * ref
+
+    def test_first_type_one_slide_against_quadrature(self):
+        p = type_one_sliding_params()
+        traj, _closure, _kinds = simulate_sliding_cycle(p, 1e-2)
+        seg = next(s for s in traj.segments if s.kind == "Sliding")
+        y_land = [y for (t, _x, y) in traj.samples if t <= seg.t_start + 1e-12][-1]
+        y_fold = [y for (t, _x, y) in traj.samples if t == seg.t_end][-1]
+        ref = sliding_time(p.to_system(1e-2), y_land, y_fold)
+        assert ref == pytest.approx(0.00470930478175, rel=1e-11)
+        assert abs((seg.t_end - seg.t_start) - ref) < 1e-10 * ref

@@ -4,6 +4,7 @@ from dataclasses import replace
 import pytest
 from numpy.testing import assert_allclose
 
+from pwlcycles.core import PwlSystem
 from pwlcycles.errors import ConstraintViolated
 from pwlcycles.examples import (
     EXAMPLE2_SYSTEM_ROOT,
@@ -186,6 +187,22 @@ class TestSimulatedCycles:
         assert closure < 1e-6 * p.e
         assert kinds[:2] == ["ZoneMinus", "Sliding"]
         assert "ZonePlus" not in kinds
+
+    def test_sliding_motion_is_not_stepped(self, monkeypatch):
+        # a deterministic cost guard: numerical stepping along the segment
+        # rebuilds the zone fields tens of thousands of times per slide
+        calls = 0
+        zone_matrix = PwlSystem.zone_matrix
+
+        def counting(self, *args, **kwargs):
+            nonlocal calls
+            calls += 1
+            return zone_matrix(self, *args, **kwargs)
+
+        monkeypatch.setattr(PwlSystem, "zone_matrix", counting)
+        _traj, _closure, kinds = simulate_sliding_cycle(type_one_sliding_params(), 1e-2)
+        assert kinds.count("Sliding") == 4
+        assert calls < 100 * kinds.count("Sliding")
 
     def test_type_two_loop_uses_both_zones(self):
         base = type_one_sliding_params()

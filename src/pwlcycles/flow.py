@@ -3,9 +3,11 @@
 Each zone of a two-zone piecewise-linear system is an affine ODE
 X' = M X + u whose flow is known in closed form through the 2x2 matrix
 exponential (trace/trace-free splitting).  Events on the switching line
-x = 0 -- and on any horizontal section -- are located by bracketing a
-closed-form coordinate function and bisecting to machine precision, so no
-generic stepping error enters the simulation.  Motion inside
+x = 0 -- and on any horizontal section -- are located on a closed-form
+coordinate function: its critical times, also closed-form, split the time
+interval into monotone pieces, and the first sign change is bisected to
+adjacent doubles, so no event is skipped and no generic stepping error
+enters the simulation.  Motion inside
 sliding/escaping segments of the switching line follows the Filippov
 convex combination, whose speed along x = 0 is a quadratic over a linear
 polynomial in y; its travel time is integrated in closed form and
@@ -144,39 +146,30 @@ class AffineFlow:
         self.w2 = -float(np.linalg.det(self.N))  # N^2 = w2 * I
         self.omega = math.sqrt(abs(self.w2)) if abs(self.w2) > 0 else 0.0
 
-    def _cs(self, t):
-        """Scalar pair (c, s) with e^{Nt} = c I + s N."""
-        t = np.asarray(t, dtype=float)
+    def _cs(self, t, lib=np):
+        """Scalar pair (c, s) with e^{Nt} = c I + s N; ``lib`` is numpy for
+        arrays or math for a float."""
         w2 = self.w2
         if w2 < -1e-14:
             om = self.omega
-            return np.cos(om * t), np.sin(om * t) / om
+            return lib.cos(om * t), lib.sin(om * t) / om
         if w2 > 1e-14:
             om = self.omega
-            return np.cosh(om * t), np.sinh(om * t) / om
+            return lib.cosh(om * t), lib.sinh(om * t) / om
         z = w2 * t * t
         return 1.0 + z / 2.0 + z * z / 24.0, t * (1.0 + z / 6.0 + z * z / 120.0)
 
     def state(self, X0, t):
         """Flow of X0 after time t (t scalar or array; result (2,) or (n, 2))."""
         X0 = np.asarray(X0, dtype=float)
+        t = np.asarray(t, dtype=float)
         d0 = X0 - self.equilibrium
         c, s = self._cs(t)
-        ex = np.exp(self.mu * np.asarray(t, dtype=float))
+        ex = np.exp(self.mu * t)
         comp0 = ex * (c * d0[0] + s * (self.N[0, 0] * d0[0] + self.N[0, 1] * d0[1]))
         comp1 = ex * (c * d0[1] + s * (self.N[1, 0] * d0[0] + self.N[1, 1] * d0[1]))
         out = np.stack([comp0 + self.equilibrium[0], comp1 + self.equilibrium[1]], axis=-1)
         return out
-
-    def velocity(self, X) -> np.ndarray:
-        return self.M @ np.asarray(X, dtype=float) + self.u
-
-    def rotation_period(self) -> float:
-        """2 pi / omega for oscillatory zones, else a fallback time scale."""
-        if self.w2 < -1e-14:
-            return TWO_PI / self.omega
-        rate = max(abs(self.mu), self.omega, 1e-2)
-        return TWO_PI / rate
 
 
 # ---------------------------------------------------------------------------
@@ -184,12 +177,15 @@ class AffineFlow:
 # ---------------------------------------------------------------------------
 
 def _refine_crossing(g, t_lo, t_hi, tol):
-    """Bisection of a bracketed sign change of g down to |t_hi-t_lo| < tol."""
+    """Bisection of a bracketed sign change of g down to |t_hi-t_lo| < tol,
+    or to adjacent doubles, whichever comes first."""
     g_lo = g(t_lo)
     for _ in range(200):
         if t_hi - t_lo < tol:
             break
         t_mid = 0.5 * (t_lo + t_hi)
+        if not t_lo < t_mid < t_hi:
+            break
         g_mid = g(t_mid)
         if g_mid == 0.0:
             return t_mid
@@ -200,69 +196,93 @@ def _refine_crossing(g, t_lo, t_hi, tol):
     return 0.5 * (t_lo + t_hi)
 
 
+class _Coordinate:
+    """One coordinate of a zone flow run forward in tau = |t|, minus a target.
+
+    With m = direction*mu and (c, s) from ``AffineFlow._cs``, both even/odd
+    in t, the coordinate is g(tau) = e^{m tau} (P c(tau) + Q s(tau)) + R with
+    P = (X0 - equilibrium)[k], Q = direction*(N (X0 - equilibrium))[k] and
+    R = equilibrium[k] - target.
+    """
+
+    def __init__(self, zone: AffineFlow, X0, direction: float, component: int,
+                 target: float):
+        d0 = np.asarray(X0, dtype=float) - zone.equilibrium
+        self.zone = zone
+        self.m = direction * zone.mu
+        self.P = float(d0[component])
+        self.Q = direction * float(zone.N[component] @ d0)
+        self.R = float(zone.equilibrium[component]) - target
+
+    def __call__(self, tau):
+        """g at a float tau (math) or an array of them (numpy)."""
+        lib = np if isinstance(tau, np.ndarray) else math
+        c, s = self.zone._cs(tau, lib)
+        return lib.exp(self.m * tau) * (self.P * c + self.Q * s) + self.R
+
+    def critical_times(self, t_end: float) -> np.ndarray:
+        """Sorted zeros of g' in (0, t_end), in closed form per branch of _cs."""
+        zone, m, P, Q = self.zone, self.m, self.P, self.Q
+        w2, om = zone.w2, zone.omega
+        if P == 0.0 and Q == 0.0:  # the coordinate stays at its equilibrium value
+            return np.empty(0)
+        if w2 < -1e-14:
+            # g' e^{-m tau} = (mP + om q) cos(om tau) + (mq - om P) sin(om tau)
+            # with q = Q/om, a single cosine A cos(om tau - phi)
+            q = Q / om
+            phi = math.atan2(m * q - om * P, m * P + om * q)
+            first = (phi + 0.5 * math.pi) % math.pi
+            n = max(0, math.ceil((om * t_end - first) / math.pi))
+            taus = (first + math.pi * np.arange(n)) / om
+        elif w2 > 1e-14:
+            # g' e^{-m tau} = (mP + om q) cosh(om tau) + (mq + om P) sinh(om tau)
+            q = Q / om
+            den = m * q + om * P
+            r = -(m * P + om * q) / den if den != 0.0 else math.inf
+            taus = np.array([math.atanh(r) / om]) if abs(r) < 1.0 else np.empty(0)
+        else:
+            # near-nilpotent: g' e^{-m tau} = mP + Q + mQ tau to first order in w2
+            taus = np.array([-(m * P + Q) / (m * Q)]) if m * Q != 0.0 else np.empty(0)
+        return taus[(taus > 0.0) & (taus < t_end)]
+
+
 def first_component_zero(zone: AffineFlow, X0, direction: float, t_budget: float,
                          component: int = 0, target: float = 0.0,
-                         t_min: float = 0.0, event_tol: float = 1e-12,
                          graze_tol: float | None = None):
-    """First |t| in (t_min, t_budget] with state(X0, direction*t)[component] = target.
+    """First |t| in (0, t_budget] with state(X0, direction*t)[component] = target.
 
     Returns (t_signed, kind) with kind "cross" for a transversal crossing,
-    "graze" when |g| dips below graze_tol at an interior extremum (tangency),
-    or (None, "none").  Sampling is geometric near t_min (events arbitrarily
-    close to the start are possible when starting on the section) and then
-    linear with many samples per rotation, so an oscillatory coordinate
-    cannot skip a sign change unnoticed.
+    "graze" when |g| is below graze_tol at an interior extremum (tangency)
+    with no sign change before it, or (None, "none"); an extremum within
+    rounding of the target is a graze whatever its computed sign.  The
+    closed-form critical times split the interval into monotone pieces, so
+    the first piece whose ends differ in sign holds the first crossing; it
+    is bisected on the closed form down to adjacent doubles.
     """
     X0 = np.asarray(X0, dtype=float)
-
-    def g(t_abs):
-        return zone.state(X0, direction * t_abs)[..., component] - target
-
+    g = _Coordinate(zone, X0, direction, component, target)
     scale = max(1.0, float(np.abs(X0).max()), float(np.abs(zone.equilibrium).max()))
     if graze_tol is None:
         graze_tol = 1e-11 * scale
-    # closed-form values below this are rounding noise with arbitrary sign
-    # (a tangent start leaves the section quadratically, so early samples
-    # sit far below machine precision)
+    # values below this are rounding noise with arbitrary sign; a start on
+    # the section opens a monotone piece, so noise there is no crossing, and
+    # neither is a near-zero extremum right after a tangent start
     noise = 64.0 * np.finfo(float).eps * scale
 
-    period = zone.rotation_period()
-    lin_step = period / 256.0
-    t_start = max(t_min, 1e-13)
-    # geometric ramp from t_start up to one linear step
-    ts = [t_start]
-    while ts[-1] < lin_step:
-        ts.append(ts[-1] * 1.35)
-    t = ts[-1]
-    while t < t_budget:
-        t += lin_step
-        ts.append(t)
-    ts = np.array([t for t in ts if t <= t_budget] + [t_budget])
-    if len(ts) < 2:
-        return None, "none"
-    vals = g(ts)
-
-    solid = np.abs(vals) > noise
-    prev = None  # index of the last solid sample
-    for i in range(len(ts)):
-        if not solid[i]:
-            continue
-        if prev is not None and vals[prev] * vals[i] < 0:
-            tol = event_tol * max(1.0, ts[i])
-            t_ev = _refine_crossing(g, ts[prev], ts[i], tol)
-            return direction * t_ev, "cross"
-        if prev is not None:
-            # same-sign stretch: check for a grazing extremum via the velocity
-            v_i = zone.velocity(zone.state(X0, direction * ts[prev]))[component] * direction
-            v_j = zone.velocity(zone.state(X0, direction * ts[i]))[component] * direction
-            if v_i * v_j < 0 and min(abs(vals[prev]), abs(vals[i])) < 1e6 * graze_tol:
-                def dg(t_abs):
-                    st = zone.state(X0, direction * t_abs)
-                    return zone.velocity(st)[component] * direction
-                t_ext = _refine_crossing(dg, ts[prev], ts[i], event_tol * max(1.0, ts[i]))
-                if abs(g(t_ext)) < graze_tol:
-                    return direction * t_ext, "graze"
-        prev = i
+    ts = np.concatenate(([0.0], g.critical_times(t_budget), [t_budget]))
+    vals = g(ts).tolist()
+    ts = ts.tolist()
+    ref = 0.0  # the first value above the noise floor
+    for i, v in enumerate(vals):
+        if ref == 0.0:
+            if abs(v) > noise:
+                ref = v
+        elif abs(v) <= noise or (ref * v > 0.0 and abs(v) < graze_tol):
+            # an extremum at the target to rounding, or just short of it
+            if i < len(ts) - 1:
+                return direction * ts[i], "graze"
+        elif ref * v < 0.0:
+            return direction * _refine_crossing(g, ts[i - 1], ts[i], 0.0), "cross"
     return None, "none"
 
 
@@ -360,7 +380,8 @@ def simulate(sys: PwlSystem, start, t_max: float, opts: SimOptions | None = None
     """Event-driven trajectory of the Filippov system from ``start``.
 
     Zone arcs use the exact affine flow; crossings of x = 0 are bisected on
-    the closed form down to ``opts.event_tol``.  On the switching line the
+    the closed form down to adjacent doubles, and a start within
+    ``opts.event_tol`` of x = 0 starts on it.  On the switching line the
     point is classified: crossing points pass straight through, sliding and
     escaping points follow the Filippov field until a fold endpoint, and a
     double tangency stops the run.
@@ -443,9 +464,7 @@ def simulate(sys: PwlSystem, start, t_max: float, opts: SimOptions | None = None
         # zone arc
         side = mode
         zone = zones[side]
-        t_ev, ev_kind = first_component_zero(
-            zone, X, direction, t_max - t_abs,
-            component=0, target=0.0, t_min=0.0, event_tol=opts.event_tol)
+        t_ev, ev_kind = first_component_zero(zone, X, direction, t_max - t_abs)
         n_segments += 1
         if t_ev is None:
             _record_arc(traj, zone, X, direction, t_max - t_abs, t_abs, side, opts)

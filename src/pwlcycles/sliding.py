@@ -220,8 +220,13 @@ def fold_positions(p: SlidingParams, eps: float) -> tuple:
 
 def s_maps_simulated(p: SlidingParams, eps: float) -> tuple:
     """Exact section marks (S0, S1, S2, S3) at eps from the closed-form flow."""
+    return _section_marks(p, eps, fold_positions(p, eps))
+
+
+def _section_marks(p: SlidingParams, eps: float, folds: tuple) -> tuple:
+    """``s_maps_simulated`` on the given fold positions (y_f1, y_f2, y_f3)."""
     sys = p.to_system(eps)
-    y_f1, y_f2, y_f3 = fold_positions(p, eps)
+    y_f1, y_f2, y_f3 = folds
     zone = AffineFlow(sys.zone_matrix("minus"), sys.zone_offset("minus"))
     out = []
     for y_start, direction in ((y_f1, -1.0), (y_f1, 1.0), (y_f2, -1.0), (y_f3, -1.0)):
@@ -333,8 +338,8 @@ def detect_sliding_cycle(p: SlidingParams) -> SlidingReport:
             reason = f"c11m + c22m = {tau:.6g} outside the escaping windows (-{T:.6g}, 0) and (-{4 * T:.6g}, -{T:.6g})"
 
     work = p if drift < 0 else _mirror(p)
-    y1, y2, y3 = fold_positions(work, eps)
-    sims = s_maps_simulated(work, eps)
+    y1, y2, y3 = folds = fold_positions(work, eps)
+    sims = _section_marks(work, eps, folds)
     ordering = _ordering_tag(sims)
 
     expected = {

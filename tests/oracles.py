@@ -9,6 +9,8 @@ from __future__ import annotations
 
 import numpy as np
 from scipy.integrate import quad, solve_ivp
+from scipy.linalg import expm
+from scipy.optimize import brentq
 
 
 def integrate_zone(M, u, x0, t, rtol=1e-12, atol=1e-14):
@@ -73,3 +75,22 @@ def sliding_time(sys, ya, yb):
 
     value, _err = quad(inv_speed, ya, yb, epsabs=0.0, epsrel=1e-13, limit=200)
     return value
+
+
+def velocity_zeros(M, u, x0, direction, t_end, component, n=4000):
+    """Times tau in (0, t_end) at which the coordinate of X' = M X + u
+    flowed from x0 over t = direction*tau is stationary.
+
+    The velocity is expm(M t) (M x0 + u), from scipy's matrix exponential;
+    sign changes on a dense grid are refined by brentq.
+    """
+    M = np.asarray(M, dtype=float)
+    v0 = M @ np.asarray(x0, dtype=float) + np.asarray(u, dtype=float)
+
+    def velocity(tau):
+        return (expm(M * (direction * tau)) @ v0)[component]
+
+    taus = np.linspace(0.0, t_end, n)
+    vals = [velocity(tau) for tau in taus]
+    return [brentq(velocity, taus[i], taus[i + 1], xtol=1e-15, rtol=4 * np.finfo(float).eps)
+            for i in range(n - 1) if vals[i] * vals[i + 1] < 0]

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from oracles import first_return_displacement, integrate_zone, sliding_time
+from oracles import first_return_displacement, integrate_zone, sliding_time, velocity_zeros
 from pwlcycles.core import Mat2, PwlSystem, Vec2, canonical_system
 from pwlcycles.errors import NonCenterPlus, NonPositiveAmplitude, NoReturn
 from pwlcycles.examples import (
@@ -307,6 +307,24 @@ class TestMelnikovOracle:
                 ratio = errs[0] / errs[1] if errs[1] > 1e-14 else 2.0
                 assert ratio == pytest.approx(2.0, abs=0.5)
 
+    def test_oracle_does_not_scan_a_grid(self, monkeypatch):
+        # a deterministic cost guard: sampling each rotation on a grid
+        # evaluates the zone flow thousands of times per oracle call
+        calls = 0
+        state = AffineFlow.state
+
+        def counting(self, *args, **kwargs):
+            nonlocal calls
+            calls += 1
+            return state(self, *args, **kwargs)
+
+        monkeypatch.setattr(AffineFlow, "state", counting)
+        melnikov_oracle(example_one(), 3.0, 1e-4)
+        assert calls < 100
+
+
+_UNIT_ROTATION = AffineFlow([[0.0, -1.0], [1.0, 0.0]], [0.0, 0.0])
+
 
 class TestEventMachinery:
     def test_tangent_start_is_not_an_event(self):
@@ -327,6 +345,52 @@ class TestEventMachinery:
         state = zone.state(np.array([0.0, 0.4]), t_ev)
         assert state[1] == pytest.approx(0.4, abs=1e-11)
         assert state[0] < -1.0
+
+    @pytest.mark.parametrize("delta", [2e-5, 4e-5, 6e-5])
+    def test_shallow_dip_crossing(self, delta):
+        # x = cos(phi + t) rises through 1 - delta and falls back within
+        # 2 sqrt(2 delta) of time: a transversal double crossing with a
+        # shallow dip, first crossed at 2 pi - phi - acos(1 - delta)
+        for phi in np.linspace(0.05, 6.0, 41):
+            start = np.array([math.cos(phi), math.sin(phi)])
+            t_ev, kind = first_component_zero(_UNIT_ROTATION, start, 1.0, 7.0,
+                                              target=1.0 - delta)
+            assert kind == "cross"
+            t_ref = 2.0 * math.pi - phi - 2.0 * math.asin(math.sqrt(0.5 * delta))
+            assert abs(t_ev - t_ref) < 1e-12
+
+    @pytest.mark.parametrize("direction", [1.0, -1.0])
+    @pytest.mark.parametrize("phi", [0.3, 2.0, 4.5])
+    def test_graze_at_extremum(self, direction, phi):
+        # x = cos(phi + t) touches 1 at t = -phi (mod 2 pi) without crossing
+        start = np.array([math.cos(phi), math.sin(phi)])
+        t_ev, kind = first_component_zero(_UNIT_ROTATION, start, direction, 7.0, target=1.0)
+        assert kind == "graze"
+        t_ref = 2.0 * math.pi - phi if direction > 0 else phi
+        assert abs(abs(t_ev) - t_ref) < 1e-12
+        assert first_component_zero(_UNIT_ROTATION, start, direction, 7.0,
+                                    target=1.0 + 1e-9) == (None, "none")
+
+
+class TestCriticalTimes:
+    @pytest.mark.parametrize("M, u", [
+        ([[0.15, -1.0], [1.3, 0.05]], [0.3, -0.2]),   # oscillatory, mu = 0.1
+        ([[0.3, 1.0], [0.8, -0.5]], [0.2, 0.1]),      # hyperbolic, mu = -0.1
+        ([[0.5, 1.0], [1e-16, 0.5]], [0.1, -0.3]),    # near-nilpotent, w2 = 1e-16
+    ], ids=["oscillatory", "hyperbolic", "near-nilpotent"])
+    def test_against_velocity_zeros(self, M, u):
+        from pwlcycles.flow import _Coordinate
+        zone = AffineFlow(M, u)
+        for direction in (1.0, -1.0):
+            found = 0
+            for start in ((0.4, 0.7), (-1.0, 0.5), (1.0, -2.0)):
+                for component in (0, 1):
+                    got = _Coordinate(zone, start, direction, component, 0.0).critical_times(12.0)
+                    ref = velocity_zeros(M, u, start, direction, 12.0, component)
+                    assert len(got) == len(ref)
+                    assert_allclose(got, ref, rtol=0.0, atol=1e-12)
+                    found += len(ref)
+            assert found > 0
 
 
 def _decay_system():

@@ -188,6 +188,17 @@ class TestSimulatedCycles:
         assert kinds[:2] == ["ZoneMinus", "Sliding"]
         assert "ZonePlus" not in kinds
 
+    def test_type_one_loop_closes_at_small_eps(self):
+        # each left-zone turn from the visible fold meets x = 0 again in a
+        # shallow dip onto the sliding segment (width 3.5e-3 at eps 5e-3);
+        # missing that return sends the orbit round the left zone again
+        p = type_one_sliding_params()
+        traj, closure, kinds = simulate_sliding_cycle(p, 5e-3)
+        assert closure < 1e-6 * p.e
+        assert kinds[::2] == ["ZoneMinus"] * len(kinds[::2])
+        assert kinds[1::2] == ["Sliding"] * len(kinds[1::2])
+        assert kinds.count("Sliding") >= 2
+
     def test_sliding_motion_is_not_stepped(self, monkeypatch):
         # a deterministic cost guard: numerical stepping along the segment
         # rebuilds the zone fields tens of thousands of times per slide

@@ -386,16 +386,23 @@ def simulate(sys: PwlSystem, start, t_max: float, opts: SimOptions | None = None
     escaping points follow the Filippov field until a fold endpoint, and a
     double tangency stops the run.
     """
+    traj = Trajectory(direction=-1.0 if backward else 1.0)
+    for _ in _run(sys, start, t_max, opts or SimOptions(), traj):
+        pass
+    return traj
+
+
+def _run(sys: PwlSystem, start, t_max: float, opts: SimOptions, traj: Trajectory):
+    """Drive the simulator into ``traj``, yielding each crossing of x = 0 as
+    it is recorded; a caller that stops iterating ends the run there."""
     if t_max <= 0:
         raise ValueError("t_max must be positive")
-    opts = opts or SimOptions()
-    direction = -1.0 if backward else 1.0
+    direction = traj.direction
 
     zones = {side: AffineFlow(sys.zone_matrix(side), sys.zone_offset(side))
              for side in ("plus", "minus")}
     folds = _fold_map(sys)
 
-    traj = Trajectory(direction=direction)
     X = np.asarray(start, dtype=float).copy()
     t_abs = 0.0  # unsigned elapsed time
     traj.samples.append((0.0, float(X[0]), float(X[1])))
@@ -433,7 +440,9 @@ def simulate(sys: PwlSystem, start, t_max: float, opts: SimOptions | None = None
             if side is None:
                 traj.stopped = "inconsistent_crossing"
                 break
-            traj.crossings.append(Crossing(t=direction * t_abs, y=float(X[1]), into=side))
+            crossing = Crossing(t=direction * t_abs, y=float(X[1]), into=side)
+            traj.crossings.append(crossing)
+            yield crossing
             mode = side
             continue
 
@@ -468,15 +477,13 @@ def simulate(sys: PwlSystem, start, t_max: float, opts: SimOptions | None = None
         n_segments += 1
         if t_ev is None:
             _record_arc(traj, zone, X, direction, t_max - t_abs, t_abs, side, opts)
-            X = zone.state(X, direction * (t_max - t_abs))
             t_abs = t_max
             traj.stopped = "t_max"
             break
         dt = abs(t_ev)
         if dt < 1e-14 and ev_kind == "cross":
             raise EventStall("event located at vanishing time offset")
-        _record_arc(traj, zone, X, direction, dt, t_abs, side, opts)
-        X = zone.state(X, direction * dt)
+        X = _record_arc(traj, zone, X, direction, dt, t_abs, side, opts)
         X[0] = 0.0
         t_abs += dt
         mode = "sigma"
@@ -484,10 +491,11 @@ def simulate(sys: PwlSystem, start, t_max: float, opts: SimOptions | None = None
     else:
         if n_segments >= opts.max_segments:
             raise MaxSegmentsExceeded(f"exceeded {opts.max_segments} segments")
-    return traj
 
 
 def _record_arc(traj, zone, X, direction, dt, t_abs, side, opts):
+    """Record the arc's samples and segment; returns its end state, the
+    last sample (``linspace`` ends exactly at dt)."""
     n = max(2, opts.sample_stride)
     ts = np.linspace(0.0, dt, n)
     states = zone.state(X, direction * ts)
@@ -497,6 +505,7 @@ def _record_arc(traj, zone, X, direction, dt, t_abs, side, opts):
     traj.segments.append(SegmentInfo(kind=_zone_name(side),
                                      t_start=direction * t_abs,
                                      t_end=direction * (t_abs + dt)))
+    return states[-1]
 
 
 class _SlidingSpeed:
@@ -635,16 +644,7 @@ def displacement(sys: PwlSystem, y0: float, opts: SimOptions | None = None) -> f
     """
     if y0 <= 0:
         raise NonPositiveAmplitude("displacement needs y0 > 0")
-    xi_guess = _xi_of(sys)
-    t_max = 3.0 * (TWO_PI + math.pi / xi_guess)
-    try:
-        traj = simulate(sys, (0.0, y0), t_max, opts or SimOptions(max_segments=64))
-    except MaxSegmentsExceeded as exc:
-        raise NoReturn(f"segment budget exhausted before the return: {exc}") from exc
-    for ev in traj.crossings[1:] if _starts_on_sigma(traj) else traj.crossings:
-        if ev.y > 0:
-            return float(ev.y - y0)
-    raise NoReturn(f"no return to x=0, y>0 within t={t_max}")
+    return float(_first_return(sys, y0, opts) - y0)
 
 
 def melnikov_oracle(sys: PwlSystem, y0: float, eps: float) -> float:
@@ -656,9 +656,25 @@ def melnikov_oracle(sys: PwlSystem, y0: float, eps: float) -> float:
     return -displacement(sys.with_epsilon(eps), y0) / eps
 
 
-def _starts_on_sigma(traj: Trajectory) -> bool:
-    t0, x0, _ = traj.samples[0]
-    return abs(x0) < 1e-12
+def _first_return(sys: PwlSystem, y0: float, opts: SimOptions | None = None,
+                  backward: bool = False) -> float:
+    """y of the first return from (0, y0), y0 != 0, to the half-line of
+    x = 0 that holds it.
+
+    The simulation stops at that crossing; the crossing at the start does
+    not count.  Raises ``NoReturn`` when the run ends first, within
+    t_max = 3(2 pi + pi/xi) or ``opts.max_segments``.
+    """
+    t_max = 3.0 * (TWO_PI + math.pi / _xi_of(sys))
+    traj = Trajectory(direction=-1.0 if backward else 1.0)
+    try:
+        for ev in _run(sys, (0.0, y0), t_max, opts or SimOptions(max_segments=64), traj):
+            if ev.t != 0.0 and (ev.y > 0) == (y0 > 0):
+                return ev.y
+    except MaxSegmentsExceeded as exc:
+        raise NoReturn(f"segment budget exhausted before the return: {exc}") from exc
+    half = "y>0" if y0 > 0 else "y<0"
+    raise NoReturn(f"no return to x=0, {half} within t={t_max} ({traj.stopped})")
 
 
 def _xi_of(sys: PwlSystem) -> float:

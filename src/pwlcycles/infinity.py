@@ -17,6 +17,12 @@ displacement per revolution is
     -(pi/2) * eps * r * ((b11m + b22m) + (b11p + b22p)/xi),
 
 so infinity attracts exactly when xi*(b11m+b22m) + b11p + b22p > 0.
+
+The angular return map is exact: the inversion keeps polar angles, so a
+revolution of the angular system is a planar first return to x = 0,
+which the event-driven simulator follows on the closed-form zone flows.
+The fixed-step RK4 of dr/dtheta that it replaced stays in the test suite
+as an independent reference.
 """
 
 from __future__ import annotations
@@ -28,9 +34,8 @@ import numpy as np
 
 from .core import PwlSystem
 from .errors import OriginUndefined, ThetaDotVanishes
-from .melnikov import MelnikovParams, Stability, infinity_sign_expression
-
-SIGN_TOL = 1e-12
+from .flow import _entry_side, _first_return
+from .melnikov import SIGN_TOL, MelnikovParams, Stability, infinity_sign_expression
 
 
 def bendixson_map(x: float, y: float) -> tuple[float, float]:
@@ -92,113 +97,26 @@ def polar_bendixson_rhs(sys: PwlSystem, r: float, theta: float,
     return float(dr), float(dth)
 
 
-def _drdtheta(sys: PwlSystem, r: float, theta: float, side: str | None = None) -> float:
-    dr, dth = polar_bendixson_rhs(sys, r, theta, side)
-    return dr / dth
-
-
-def poincare_displacement(sys: PwlSystem, r0: float, n_steps: int = 8192) -> float:
+def poincare_displacement(sys: PwlSystem, r0: float) -> float:
     """Radial displacement of the angular return map starting at r0.
 
-    Integrates dr/dtheta over one revolution from theta = -pi/2, split at
-    the zone boundaries theta = +-pi/2 so each RK4 half sees a smooth
-    right-hand side (the zone is pinned per half; a boundary stage must
-    not round into the wrong one).  At the unperturbed system the
-    displacement vanishes identically (every planar orbit is closed).
+    The inversion keeps polar angles and maps radius r to 1/r, so one
+    revolution from theta = -pi/2 is the planar first return from
+    (0, -1/r0) to {x = 0, y < 0}, run so that theta increases: forward
+    when the flow from there enters x > 0, backward otherwise.  The exact
+    simulator follows it.  At the unperturbed system the displacement
+    vanishes identically (every planar orbit is closed).
     """
-    r = float(r0)
-    for t0, t1, side in ((-math.pi / 2, math.pi / 2, "plus"),
-                         (math.pi / 2, 3 * math.pi / 2, "minus")):
-        h = (t1 - t0) / n_steps
-        th = t0
-        for _ in range(n_steps):
-            k1 = _drdtheta(sys, r, th, side)
-            k2 = _drdtheta(sys, r + 0.5 * h * k1, th + 0.5 * h, side)
-            k3 = _drdtheta(sys, r + 0.5 * h * k2, th + 0.5 * h, side)
-            k4 = _drdtheta(sys, r + h * k3, th + h, side)
-            r += h * (k1 + 2 * k2 + 2 * k3 + k4) / 6.0
-            th += h
-    return r - r0
+    if r0 <= 0:
+        raise ValueError("polar radius must be positive")
+    y0 = -1.0 / r0
+    backward = _entry_side(sys, y0, 1.0) == "minus"
+    return 1.0 / abs(_first_return(sys, y0, backward=backward)) - r0
 
 
 # ---------------------------------------------------------------------------
-# first-order radial corrections near r = 0 (variational system)
+# first-order radial correction near r = 0 (variational system)
 # ---------------------------------------------------------------------------
-
-def _zone_pq(M, c: float, s: float) -> tuple[float, float]:
-    """P = (row2.(c,s)) c - (row1.(c,s)) s and Q = (row1.(c,s)) c + (row2.(c,s)) s."""
-    f = M[0, 0] * c + M[0, 1] * s
-    g = M[1, 0] * c + M[1, 1] * s
-    return g * c - f * s, f * c + g * s
-
-
-def radial_variational_rhs(sys: PwlSystem, theta: float) -> tuple[float, float]:
-    """(h, k) with drho0/dtheta = h*rho0 and drho1/dtheta = h*rho1 + k*rho0.
-
-    These are the r -> 0 limits of the angular system expanded to first
-    order in the perturbation size: with P0, Q0 from the order-0 zone
-    matrix and P1, Q1 from the order-1 matrix,
-    h = -Q0/P0 and k = -(Q1*P0 - Q0*P1)/P0^2.
-    """
-    c, s = math.cos(theta), math.sin(theta)
-    side = "plus" if c >= 0 else "minus"
-    (a0, _), (b1, _), _ = sys.orders(side)
-    P0, Q0 = _zone_pq(a0.array, c, s)
-    P1, Q1 = _zone_pq(b1.array, c, s)
-    if abs(P0) < 1e-14:
-        raise ThetaDotVanishes(f"angular speed degenerate at theta={theta}")
-    return -Q0 / P0, -(Q1 * P0 - Q0 * P1) / (P0 * P0)
-
-
-def integrate_radial_correction(sys: PwlSystem, theta0: float, theta1: float,
-                                rho0: float, n_steps: int = 20000) -> tuple[float, float]:
-    """(rho0(theta1), rho1(theta1)) of the variational pair started at
-    (rho0, 0) at theta0; RK4 with fixed step."""
-    y = np.array([rho0, 0.0])
-    h = (theta1 - theta0) / n_steps
-    th = theta0
-
-    def rhs(th_, y_):
-        hh, kk = radial_variational_rhs(sys, th_)
-        return np.array([hh * y_[0], hh * y_[1] + kk * y_[0]])
-
-    for _ in range(n_steps):
-        k1 = rhs(th, y)
-        k2 = rhs(th + 0.5 * h, y + 0.5 * h * k1)
-        k3 = rhs(th + 0.5 * h, y + 0.5 * h * k2)
-        k4 = rhs(th + h, y + h * k3)
-        y = y + h * (k1 + 2 * k2 + 2 * k3 + k4) / 6.0
-        th += h
-    return float(y[0]), float(y[1])
-
-
-def right_radial_correction(sys: PwlSystem, rho0: float, theta) -> np.ndarray:
-    """Reference closed form of the right-zone first-order radial correction
-    (theta in (-pi/2, pi/2), vanishing at -pi/2).
-
-    Kept verbatim as a fixture: as written it is the NEGATIVE of the
-    forward variational correction (``integrate_radial_correction``
-    confirms; the endpoint value of the true correction at pi/2 is
-    -(pi/2)*(b11p+b22p)/xi * rho0, which the final displacement
-    coefficient and the nonlinear angular return map both corroborate).
-    """
-    (a0, _) = sys.order0_plus
-    (b1, _) = sys.order1_plus
-    a, b, c = a0.m11, a0.m12, a0.m21
-    xi = math.sqrt(-(a * a + b * c))
-    sp = b1.m11 + b1.m22
-    c2, d1 = b1.m12, b1.m21
-    th = np.asarray(theta, dtype=float)
-    s2, co2 = np.sin(2 * th), np.cos(2 * th)
-    root = np.sqrt(-2.0 * a * s2 + (b + c) * co2 - b + c)
-    pref = -rho0 / (4.0 * b * xi * math.sqrt(-2.0 * b) * root)
-    atan_term = np.arctan(a / xi + b * np.tan(th) / xi)
-    val = (2.0 * b * sp * atan_term * (-2.0 * a * s2 + (b + c) * co2 - b + c)
-           + 2.0 * s2 * (math.pi * a * b * sp + 2.0 * a * c2 * xi + b * xi * (b1.m22 - b1.m11))
-           - co2 * (math.pi * b * (b + c) * sp + 2.0 * xi * (c * c2 - b * d1))
-           + math.pi * b * (b - c) * sp + 2.0 * b * d1 * xi - 2.0 * c * c2 * xi)
-    return pref * val
-
 
 def left_radial_correction(sys: PwlSystem, rho0: float, theta) -> np.ndarray:
     """Closed form of the left-zone first-order radial correction started

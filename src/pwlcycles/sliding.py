@@ -36,6 +36,7 @@ from .core import PwlSystem, canonical_system
 from .errors import BoundViolated, ConstraintViolated, EventStall
 from .flow import AffineFlow, SimOptions, first_component_zero, simulate
 from .melnikov import (
+    SIGN_TOL,
     MelnikovParams,
     RootFindOptions,
     Stability,
@@ -43,8 +44,6 @@ from .melnikov import (
     m1_constrained,
 )
 from .sigma import find_folds
-
-SIGN_TOL = 1e-12
 
 
 class CycleKind(Enum):

@@ -5,6 +5,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from oracles import first_return_displacement, integrate_zone, sliding_time, velocity_zeros
+from pwlcycles import flow
 from pwlcycles.core import Mat2, PwlSystem, Vec2, canonical_system
 from pwlcycles.errors import NonCenterPlus, NonPositiveAmplitude, NoReturn
 from pwlcycles.examples import (
@@ -321,6 +322,39 @@ class TestMelnikovOracle:
         monkeypatch.setattr(AffineFlow, "state", counting)
         melnikov_oracle(example_one(), 3.0, 1e-4)
         assert calls < 100
+
+    def test_oracle_stops_at_the_return(self, monkeypatch):
+        # a deterministic cost guard: the return from y0 = 3 comes after two
+        # zone arcs, at t = 28.5 of a t_max = 113 budget; running on to
+        # t_max made 8 arcs and 16 AffineFlow.state calls
+        arcs = calls = 0
+        locate, state = flow.first_component_zero, AffineFlow.state
+
+        def counting_locate(*args, **kwargs):
+            nonlocal arcs
+            arcs += 1
+            return locate(*args, **kwargs)
+
+        def counting_state(self, *args, **kwargs):
+            nonlocal calls
+            calls += 1
+            return state(self, *args, **kwargs)
+
+        monkeypatch.setattr(flow, "first_component_zero", counting_locate)
+        monkeypatch.setattr(AffineFlow, "state", counting_state)
+        melnikov_oracle(example_one(), 3.0, 1e-4)
+        assert arcs <= 3
+        assert calls <= 4
+
+    @pytest.mark.parametrize("y0", [0.8, 3.0, 4.5])
+    def test_early_stop_keeps_the_full_run_return(self, y0):
+        # the first return read off a run to the old t_max budget is the
+        # value the stopping run returns, to the bit
+        sys = example_one().with_epsilon(1e-4)
+        t_max = 3.0 * (2.0 * math.pi + math.pi / example_one_params().xi)
+        traj = simulate(sys, (0.0, y0), t_max, SimOptions(max_segments=64))
+        y_ret = next(ev.y for ev in traj.crossings[1:] if ev.y > 0)
+        assert displacement(sys, y0) == y_ret - y0
 
 
 _UNIT_ROTATION = AffineFlow([[0.0, -1.0], [1.0, 0.0]], [0.0, 0.0])

@@ -1,22 +1,27 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from pwlcycles.core import canonical_system
+from oracles import (
+    integrate_radial_correction,
+    poincare_displacement_rk4,
+    right_radial_correction,
+)
+from pwlcycles import infinity
+from pwlcycles.core import Mat2, PwlSystem, Vec2, canonical_system
 from pwlcycles.errors import OriginUndefined
 from pwlcycles.examples import example_one, example_one_params
 from pwlcycles.flow import displacement, simulate
 from pwlcycles.infinity import (
     bendixson_map,
     infinity_stability,
-    integrate_radial_correction,
     left_radial_correction,
     poincare_displacement,
     polar_bendixson_rhs,
-    right_radial_correction,
 )
 from pwlcycles.melnikov import MelnikovParams, Stability
 
@@ -101,20 +106,85 @@ class TestPolarSystem:
         sys = example_one()
         for r0 in (1e-3, 1e-2, 0.05):
             # rounding accumulation only; far below the O(eps*r0) signal
-            assert abs(poincare_displacement(sys, r0, n_steps=4096)) < 1e-9 * r0
+            assert abs(poincare_displacement(sys, r0)) < 1e-9 * r0
 
     def test_displacement_coefficient_converges(self):
         sys = example_one()
         p = example_one_params()
         coef = infinity_stability(p).coefficient
         r0 = 1e-2
-        got = poincare_displacement(sys.with_epsilon(1e-4), r0, n_steps=4096)
+        got = poincare_displacement(sys.with_epsilon(1e-4), r0)
         assert got / (1e-4 * r0) == pytest.approx(coef, rel=0.05)
 
     def test_displacement_sign_matches_report(self):
         sys = example_one()
-        got = poincare_displacement(sys.with_epsilon(1e-3), 1e-2, n_steps=4096)
+        got = poincare_displacement(sys.with_epsilon(1e-3), 1e-2)
         assert got < 0  # r shrinks toward the orbit at infinity: attracting
+
+
+def _draw_system(rng):
+    """Normal form with random first- and second-order perturbations."""
+    xi = rng.uniform(0.2, 2.0)
+    a = rng.uniform(-1.0, 1.0)
+    b = -rng.uniform(0.2, 3.0)
+    c = -(xi * xi + a * a) / b
+    off = rng.uniform(-0.5, 0.5, 4)
+    return canonical_system(
+        a, b, c, rng.uniform(0.1, 3.0), rng.uniform(0.1, 3.0),
+        B_minus=[[rng.uniform(-2.0, 2.0), off[0]], [off[1], rng.uniform(-2.0, 2.0)]],
+        v_minus=[rng.uniform(-3.0, 3.0), rng.uniform(-1.0, 1.0)],
+        B_plus=[[rng.uniform(-2.0, 2.0), off[2]], [off[3], rng.uniform(-2.0, 2.0)]],
+        v_plus=[rng.uniform(-3.0, 3.0), rng.uniform(-1.0, 1.0)],
+        C_minus=rng.uniform(-0.1, 0.1, (2, 2)),
+        w_minus=[0.0, rng.uniform(-0.1, 0.1)])
+
+
+def _time_reversed(sys):
+    """The system with every zone field negated: the same orbits, run backward."""
+    def neg(pair):
+        m, u = pair
+        return (Mat2(-m.m11, -m.m12, -m.m21, -m.m22), Vec2(-u.x, -u.y))
+
+    return PwlSystem(*(neg(getattr(sys, f"order{k}_{side}"))
+                       for k in range(3) for side in ("plus", "minus")),
+                     epsilon=sys.epsilon)
+
+
+class TestExactAngularMap:
+    # the RK4 reference with 2048 steps per half stays within 1e-10 * r0
+    # of the exact map on these systems; 1e-9 * r0 leaves a tenfold margin
+    @pytest.mark.parametrize("eps", [0.0, 1e-4, 1e-3, 1e-2])
+    def test_example_one_against_rk4(self, eps):
+        sys = example_one().with_epsilon(eps)
+        r0 = 1e-2
+        assert abs(poincare_displacement(sys, r0)
+                   - poincare_displacement_rk4(sys, r0, n_steps=2048)) < 1e-9 * r0
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_seeded_systems_against_rk4(self, seed):
+        sys = _draw_system(np.random.default_rng([seed, 5])).with_epsilon(1e-2)
+        r0 = 1e-2
+        assert abs(poincare_displacement(sys, r0)
+                   - poincare_displacement_rk4(sys, r0, n_steps=2048)) < 1e-9 * r0
+
+    def test_backward_when_the_flow_enters_the_left_zone(self):
+        # reversing time enters x < 0 from (0, -1/r0) and leaves dr/dtheta
+        # unchanged, so the map, run backward, is that of the original
+        sys = example_one().with_epsilon(1e-2)
+        rev = _time_reversed(sys)
+        r0 = 1e-2
+        got = poincare_displacement(rev, r0)
+        assert abs(got - poincare_displacement(sys, r0)) < 1e-12 * r0
+        assert abs(got - poincare_displacement_rk4(rev, r0, n_steps=2048)) < 1e-9 * r0
+
+    def test_no_polar_field_evaluation(self, monkeypatch):
+        # a deterministic cost guard: the exact map never steps the polar
+        # system
+        def refuse(*args, **kwargs):
+            raise AssertionError("polar_bendixson_rhs called")
+
+        monkeypatch.setattr(infinity, "polar_bendixson_rhs", refuse)
+        assert poincare_displacement(example_one().with_epsilon(1e-2), 1e-2) < 0
 
 
 class TestRadialCorrections:

@@ -29,14 +29,11 @@ from .ect import (
     wronskian,
 )
 from .flow import (
-    HalfReturn,
     SimOptions,
     Trajectory,
     displacement,
     flow_minus,
     flow_plus,
-    half_return_minus,
-    half_return_plus,
     half_return_time_minus,
     half_return_time_plus,
     melnikov_oracle,

@@ -14,9 +14,7 @@ not bound.  See the README for the measured numbers.
 from __future__ import annotations
 
 import math
-import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -73,13 +71,6 @@ class CriterionResult:
         self.details.append((bool(ok), text))
         if not ok:
             self.passed = False
-
-
-def _threads() -> int:
-    try:
-        return max(1, int(os.environ.get("PWLF_THREADS", "1")))
-    except ValueError:
-        return 1
 
 
 def criterion_1() -> CriterionResult:
@@ -215,20 +206,9 @@ def criterion_5() -> CriterionResult:
         for p in (_random_params(rng) for _ in range(200))
     ]
 
-    def count_general(p):
-        return len(find_roots(lambda y: m1(p, y), domain))
-
-    def count_constrained(q):
-        return len(find_roots(lambda y: m1_constrained(q, y), domain))
-
-    workers = _threads()
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            general = list(pool.map(count_general, draws))
-            constrained = list(pool.map(count_constrained, constrained_draws))
-    else:
-        general = [count_general(p) for p in draws]
-        constrained = [count_constrained(q) for q in constrained_draws]
+    general = [len(find_roots(lambda y: m1(p, y), domain)) for p in draws]
+    constrained = [len(find_roots(lambda y: m1_constrained(q, y), domain))
+                   for q in constrained_draws]
     res.add(max(general) <= 3,
             f"general case: max {max(general)} roots over 200 draws (bound 3)")
     res.add(max(constrained) <= 1,

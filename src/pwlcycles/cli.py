@@ -10,8 +10,7 @@ Subcommands:
     verify-examples  run the built-in acceptance battery
 
 Exit codes: 0 success, 1 input validation failure, 2 a violated bound or
-failed built-in check.  The environment variable PWLF_THREADS caps sweep
-parallelism (default 1; outputs are ordered deterministically regardless).
+failed built-in check.
 """
 
 from __future__ import annotations
@@ -20,7 +19,7 @@ import argparse
 import json
 import os
 import sys as _sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -170,14 +169,7 @@ def cmd_sliding(cfg: AnalysisConfig) -> int:
     taus = np.linspace(-5.0 * T, 5.0 * T, 41)
     lines = ["tau,ordering,cycle"]
     for tau in taus:
-        p = SlidingParams(
-            a=base.a, b=base.b, d=base.d, e=base.e, xi=base.xi,
-            b11m=base.b11m, b22m=base.b22m, b21m=base.b21m,
-            v1m=base.v1m, v2m=base.v2m, v1p=base.v1p,
-            c11m=float(tau) - base.c22m, c22m=base.c22m,
-            c21m=base.c21m, w2m=base.w2m, epsilon=base.epsilon,
-            b11p=base.b11p, b22p=base.b22p)
-        rep = detect_sliding_cycle(p)
+        rep = detect_sliding_cycle(replace(base, c11m=float(tau) - base.c22m))
         lines.append(f"{tau:.17g},{rep.ordering.replace(' ', '')},{rep.cycle.value}")
     _write(cfg, "sweep.csv", "\n".join(lines) + "\n")
     print(f"swept {len(taus)} values of the second-order left trace "

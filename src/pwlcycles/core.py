@@ -31,6 +31,7 @@ from .errors import (
     HypothesisViolation,
     NonCenterMinus,
     NotTraceFree,
+    PwlError,
     SwitchingLineNotPreserved,
 )
 
@@ -128,14 +129,14 @@ class PwlSystem:
             return (self.order0_minus, self.order1_minus, self.order2_minus)
         raise ValueError("side must be 'plus' or 'minus'")
 
-    def zone_matrix(self, side: str, epsilon: float | None = None) -> np.ndarray:
+    def zone_matrix(self, side: str) -> np.ndarray:
         """A + eps*B + eps^2*C for the requested side."""
-        eps = self.epsilon if epsilon is None else epsilon
+        eps = self.epsilon
         (a, _), (b, _), (c, _) = self.orders(side)
         return a.array + eps * b.array + eps * eps * c.array
 
-    def zone_offset(self, side: str, epsilon: float | None = None) -> np.ndarray:
-        eps = self.epsilon if epsilon is None else epsilon
+    def zone_offset(self, side: str) -> np.ndarray:
+        eps = self.epsilon
         (_, u), (_, v), (_, w) = self.orders(side)
         return u.array + eps * v.array + eps * eps * w.array
 
@@ -251,21 +252,12 @@ class CanonicalParams:
     e: float
     xi: float
 
-    def validate(self) -> None:
-        if not (self.b < 0 and self.c > 0 and self.d > 0 and self.e > 0):
-            raise ValueError("sign constraints b<0, c>0, d>0, e>0 violated")
-        disc = self.a * self.a + self.b * self.c
-        if disc >= 0:
-            raise ValueError("a^2 + b*c must be negative")
-        if not math.isclose(self.xi * self.xi, -disc, rel_tol=1e-12, abs_tol=0.0):
-            raise ValueError("xi^2 != -(a^2 + b*c)")
-
 
 @dataclass(frozen=True)
 class ChangeOfVariables:
     """Affine change ``Y = linear @ X + offset`` with time rescaling
     ``t_new = time_scale * t_old``.  Maps original coordinates to normal
-    coordinates; ``invert`` goes back."""
+    coordinates."""
 
     linear: tuple[tuple[float, float], tuple[float, float]]
     offset: tuple[float, float]
@@ -277,9 +269,6 @@ class ChangeOfVariables:
 
     def apply(self, point) -> np.ndarray:
         return self.matrix @ np.asarray(point, dtype=float) + np.array(self.offset)
-
-    def invert(self, point) -> np.ndarray:
-        return np.linalg.solve(self.matrix, np.asarray(point, dtype=float) - np.array(self.offset))
 
     def map_time(self, t: float) -> float:
         return self.time_scale * t
@@ -337,19 +326,32 @@ def _margin(*values: float) -> float:
     return SIGN_MARGIN * max(1.0, *(abs(v) for v in values))
 
 
-def _center_data(m: Mat2) -> tuple[bool, float]:
-    """(is_center, m11 of the trace-free representative).
+def _require_positive(value: float, margin: float, inside: str,
+                      violation: type[PwlError], beyond: str) -> None:
+    """Strict test ``value > 0``: ``BoundaryCase(inside)`` when value is
+    inside the margin, ``violation(beyond)`` when it is below it."""
+    if value <= margin:
+        if abs(value) <= margin:
+            raise BoundaryCase(inside)
+        raise violation(beyond)
 
-    A linear piece is a center iff its trace vanishes and the trace-free
-    representative has m11^2 + m12*m21 < 0.  Tiny traces are symmetrized
-    away; larger ones structurally rule out a center.
+
+def _center_data(m: Mat2) -> tuple[float, float, float] | None:
+    """(m11, m11^2 + m12*m21, the sign margin of that discriminant) of the
+    trace-free representative, or None when the trace is structurally
+    nonzero.  A linear piece is a center iff its trace vanishes and the
+    discriminant is negative; tiny traces are symmetrized away.
     """
     scale = max(1.0, abs(m.m11), abs(m.m12), abs(m.m21), abs(m.m22))
     if abs(m.trace) > 1e-9 * scale:
-        return (False, 0.5 * (m.m11 - m.m22))
+        return None
     m11 = 0.5 * (m.m11 - m.m22)
-    disc = m11 * m11 + m.m12 * m.m21
-    return (disc < -_margin(m11 * m11, m.m12 * m.m21), m11)
+    return m11, m11 * m11 + m.m12 * m.m21, _margin(m11 * m11, m.m12 * m.m21)
+
+
+def _is_center(m: Mat2) -> bool:
+    data = _center_data(m)
+    return data is not None and data[1] < -data[2]
 
 
 def _singular_point(m: Mat2, u: Vec2) -> np.ndarray:
@@ -364,12 +366,11 @@ def _tangency_shift(sys: PwlSystem) -> float:
 
     The reduction needs u1 = 0 on both sides; that is possible exactly when
     -u1^-/m12^- = -u1^+/m12^+ (the one-sided tangency points coincide, which
-    is forced by the global-center hypothesis).
+    is forced by the global-center hypothesis).  The caller has checked
+    that the left m12 does not vanish.
     """
     (mm, um) = sys.order0_minus
     (mp, up) = sys.order0_plus
-    if abs(mm.m12) < _margin(mm.m11, mm.m21, mm.m22):
-        raise SwitchingLineNotPreserved("left-zone m12 vanishes")
     km = um.x / mm.m12
     if abs(up.x) < 1e-14 and abs(um.x) < 1e-14:
         return 0.0
@@ -383,18 +384,17 @@ def _tangency_shift(sys: PwlSystem) -> float:
 
 
 def _raw_change(sys: PwlSystem) -> ChangeOfVariables:
+    """The affine change and time rescale taking the left piece to the unit
+    rotation with offset (0, e); raises when the left piece is no center."""
     (mm, _) = sys.order0_minus
     if abs(mm.m12) < _margin(mm.m11, mm.m21, mm.m22):
         raise SwitchingLineNotPreserved("left-zone m12 vanishes")
-    scale = max(1.0, abs(mm.m11), abs(mm.m12), abs(mm.m21), abs(mm.m22))
-    if abs(mm.trace) > 1e-9 * scale:
+    data = _center_data(mm)
+    if data is None:
         raise NotTraceFree("left zone matrix has nonzero trace; cannot be a center")
-    _, m11 = _center_data(mm)
-    disc = m11 * m11 + mm.m12 * mm.m21
-    if disc >= -_margin(m11 * m11, mm.m12 * mm.m21):
-        if abs(disc) <= _margin(m11 * m11, mm.m12 * mm.m21):
-            raise BoundaryCase("left-zone discriminant is numerically zero")
-        raise NonCenterMinus("left zone has no center")
+    m11, disc, margin = data
+    _require_positive(-disc, margin, "left-zone discriminant is numerically zero",
+                      NonCenterMinus, "left zone has no center")
     rho = math.sqrt(-disc)
     kappa = _tangency_shift(sys)
     # Compose y -> y + kappa, then (x, y) -> (x, -m11*x - m12*y), then
@@ -408,6 +408,30 @@ def _raw_change(sys: PwlSystem) -> ChangeOfVariables:
     )
 
 
+def _normal_form(sys: PwlSystem, change: ChangeOfVariables) -> CanonicalParams:
+    """Read (a, b, c, d, e, xi) off the system pushed through ``change``
+    and check the strict sign constraints of the normal form."""
+    reduced = change.push_system(sys)
+    (ap_m, ap_u) = reduced.order0_plus
+    (_, am_u) = reduced.order0_minus
+    data = _center_data(ap_m)
+    if data is None:
+        raise NotTraceFree("right zone matrix has nonzero trace; cannot be a center")
+    # the left side is now the unit rotation with offset (0, e)
+    a, disc, _ = data
+    b, c, d, e = ap_m.m12, ap_m.m21, ap_u.y, am_u.y
+    margin = _margin(a, b, c, d, e)
+    checks = {"b < 0": -b, "c > 0": c, "d > 0": d, "e > 0": e, "a^2 + b*c < 0": -disc}
+    for label, val in checks.items():
+        _require_positive(val, margin, f"constraint {label} is inside the sign margin",
+                          HypothesisViolation, f"constraint {label} fails after reduction")
+    return CanonicalParams(a=a, b=b, c=c, d=d, e=e, xi=math.sqrt(-disc))
+
+
+_REDUCTION_ERRORS = (SwitchingLineNotPreserved, NonCenterMinus, BoundaryCase,
+                     HypothesisViolation, NotTraceFree)
+
+
 def check_hypotheses(sys: PwlSystem) -> HypothesisReport:
     """Check the structural center hypotheses on the order-0 system.
 
@@ -419,42 +443,30 @@ def check_hypotheses(sys: PwlSystem) -> HypothesisReport:
     (mm, um) = sys.order0_minus
     (mp, up) = sys.order0_plus
 
-    minus_center, _ = _center_data(mm)
-    plus_center, _ = _center_data(mp)
-
+    minus_center = _is_center(mm)
     p_minus = _singular_point(mm, um)
     p_plus = _singular_point(mp, up)
-
     h1 = bool(minus_center and p_minus[0] <= _margin(p_minus[0]))
-    h2 = bool(plus_center and p_plus[0] <= _margin(p_plus[0]))
+    h2 = bool(_is_center(mp) and p_plus[0] <= _margin(p_plus[0]))
 
     h3 = False
-    reported_minus, reported_plus = p_minus, p_plus
+    change = None
     if minus_center:
         try:
-            _, change = canonicalize(sys)
-        except (SwitchingLineNotPreserved, NonCenterMinus, BoundaryCase,
-                HypothesisViolation, NotTraceFree):
-            h3 = False
-            try:
-                change = _raw_change(sys)
-            except (SwitchingLineNotPreserved, NotTraceFree, NonCenterMinus,
-                    BoundaryCase, HypothesisViolation):
-                change = None
-        else:
-            h3 = True
-        if change is not None:
-            # normal-coordinate singular points: (-e, 0) and d/(a^2+bc)*(-b, a)
-            reported_minus = change.apply(p_minus)
-            reported_plus = change.apply(p_plus)
-    if h3 and not (h1 and h2):
-        h3 = False
+            change = _raw_change(sys)
+            _normal_form(sys, change)
+            h3 = h1 and h2
+        except _REDUCTION_ERRORS:
+            pass
+    if change is not None:
+        # normal-coordinate singular points: (-e, 0) and d/(a^2+bc)*(-b, a)
+        p_minus, p_plus = change.apply(p_minus), change.apply(p_plus)
     return HypothesisReport(
         h1_real_center=h1,
         h2_virtual_center=h2,
         h3_global_center=h3,
-        singular_minus=Vec2.from_array(reported_minus),
-        singular_plus=Vec2.from_array(reported_plus),
+        singular_minus=Vec2.from_array(p_minus),
+        singular_plus=Vec2.from_array(p_plus),
     )
 
 
@@ -467,29 +479,4 @@ def canonicalize(sys: PwlSystem) -> tuple[CanonicalParams, ChangeOfVariables]:
     strict sign constraints falls inside the numerical margin.
     """
     change = _raw_change(sys)
-    reduced = change.push_system(sys)
-    (ap_m, ap_u) = reduced.order0_plus
-    (_, am_u) = reduced.order0_minus
-
-    scale_p = max(1.0, abs(ap_m.m11), abs(ap_m.m12), abs(ap_m.m21), abs(ap_m.m22))
-    if abs(ap_m.trace) > 1e-9 * scale_p:
-        raise NotTraceFree("right zone matrix has nonzero trace; cannot be a center")
-
-    # left side must now be the unit rotation with offset (0, e)
-    a = 0.5 * (ap_m.m11 - ap_m.m22)
-    b = ap_m.m12
-    c = ap_m.m21
-    d = ap_u.y
-    e = am_u.y
-
-    checks = {"b < 0": -b, "c > 0": c, "d > 0": d, "e > 0": e,
-              "a^2 + b*c < 0": -(a * a + b * c)}
-    for label, val in checks.items():
-        if val <= _margin(a, b, c, d, e):
-            if abs(val) <= _margin(a, b, c, d, e):
-                raise BoundaryCase(f"constraint {label} is inside the sign margin")
-            raise HypothesisViolation(f"constraint {label} fails after reduction")
-    xi = math.sqrt(-(a * a + b * c))
-    params = CanonicalParams(a=a, b=b, c=c, d=d, e=e, xi=xi)
-    params.validate()
-    return params, change
+    return _normal_form(sys, change), change

@@ -31,21 +31,23 @@ _STENCILS = {
 # rounding noise (error ~ eps/h^k)
 _FD_STEP = {k: float(np.finfo(float).eps ** (1.0 / (4 + k))) for k in _STENCILS}
 
+PUNCTURE_RADIUS = 1e-6  # scan grids skip points this close to a puncture
+
 
 @dataclass(frozen=True)
 class FunctionFamily:
     """Ordered scalar functions on an open interval.
 
     ``derivatives[i][k-1]`` is the k-th derivative of member i when
-    analytic derivatives are supplied; otherwise central differences with
-    step 1e-5 * max(1, |s0|) are used.  ``punctures`` are isolated points
-    excluded from scan grids (removable factors of closed forms).
+    analytic derivatives are supplied; otherwise fourth-order central
+    differences with step ``_FD_STEP[k] * max(1, |s0|)`` are used.
+    ``punctures`` are isolated points excluded from scan grids (removable
+    factors of closed forms).
     """
 
     members: tuple
     interval: tuple
     derivatives: tuple | None = None
-    derivative_order_available: int = 3
     punctures: tuple = ()
 
     def deriv(self, i: int, k: int, s0: float) -> float:
@@ -101,8 +103,7 @@ class WronskianProfile:
         return "\n".join(lines) + "\n"
 
 
-def check_ect(fam: FunctionFamily, interval=None, grid_size: int = 1024,
-              puncture_radius: float = 1e-6):
+def check_ect(fam: FunctionFamily, interval=None, grid_size: int = 1024):
     """Scan all leading Wronskians on a grid and classify the family.
 
     ECT: every order is bounded away from zero (min |Wk| > 1e-8 * scale).
@@ -119,7 +120,7 @@ def check_ect(fam: FunctionFamily, interval=None, grid_size: int = 1024,
     else:
         grid = np.geomspace(lo * (1 + 1e-12), hi * (1 - 1e-12), grid_size)
     for p in fam.punctures:
-        grid = grid[np.abs(grid - p) > puncture_radius]
+        grid = grid[np.abs(grid - p) > PUNCTURE_RADIUS]
     orders = len(fam.members)
     values = np.empty((orders, len(grid)))
     for k in range(orders):
@@ -209,7 +210,6 @@ def amplitude_family(beta: float, interval=(1e-2, 1e2)) -> FunctionFamily:
         members=(f0, f1, f2, f3),
         interval=interval,
         derivatives=(d_f0, d_f1, d_f2, d_f3),
-        derivative_order_available=3,
         punctures=(1.0, 1.0 / beta),
     )
 
@@ -232,7 +232,6 @@ def constrained_family(interval=(1e-2, 1e2)) -> FunctionFamily:
         members=(f0, f1),
         interval=interval,
         derivatives=(d_f0, d_f1),
-        derivative_order_available=3,
         punctures=(1.0,),
     )
 

@@ -36,6 +36,7 @@ from .sigma import (
     Visibility,
     classify_point,
     find_folds,
+    normal_components,
 )
 
 TWO_PI = 2.0 * math.pi
@@ -324,9 +325,6 @@ class Trajectory:
     stopped: str = "t_max"                         # why the run ended
     direction: float = 1.0                         # -1.0 for a backward run
 
-    def as_array(self) -> np.ndarray:
-        return np.array(self.samples, dtype=float)
-
     def segment_kinds(self) -> list:
         return [s.kind for s in self.segments]
 
@@ -351,8 +349,7 @@ def _zone_name(side: str) -> str:
 
 def _entry_side(sys: PwlSystem, y: float, direction: float) -> str | None:
     """Zone entered from (0, y) moving with time direction +-1."""
-    zp = sys.zone_matrix("plus")[0, 1] * y + sys.zone_offset("plus")[0]
-    zm = sys.zone_matrix("minus")[0, 1] * y + sys.zone_offset("minus")[0]
+    zp, zm = normal_components(sys, y)
     if direction > 0:
         if zp > 0 and zm > 0:
             return "plus"
@@ -678,31 +675,7 @@ def _first_return(sys: PwlSystem, y0: float, opts: SimOptions | None = None,
 
 
 def _xi_of(sys: PwlSystem) -> float:
-    m = sys.zone_matrix("plus", 0.0)
-    disc = 0.25 * (m[0, 0] - m[1, 1]) ** 2 + m[0, 1] * m[1, 0]
+    m, _ = sys.order0_plus
+    disc = 0.25 * (m.m11 - m.m22) ** 2 + m.m12 * m.m21
     return math.sqrt(-disc) if disc < 0 else 1.0
 
-
-@dataclass(frozen=True)
-class HalfReturn:
-    """One half-turn through a zone: y_in on the section, y_out at return,
-    and the signed flight time (positive left-zone, negative right-zone)."""
-
-    y_in: float
-    y_out: float
-    time: float
-
-
-def half_return_minus(e: float, y0: float) -> HalfReturn:
-    """Left-zone half turn from (0, y0), y0 > 0; lands at (0, -y0)."""
-    t = half_return_time_minus(e, y0)
-    _, y_out = flow_minus(e, y0, t)
-    return HalfReturn(y_in=y0, y_out=float(y_out), time=t)
-
-
-def half_return_plus(a: float, b: float, c: float, d: float, y1: float) -> HalfReturn:
-    """Right-zone half turn from (0, |y1|) flowed backward; lands at
-    (0, -|y1|) with negative flight time."""
-    t = half_return_time_plus(a, b, c, d, y1)
-    _, y_out = flow_plus(a, b, c, d, abs(y1), t)
-    return HalfReturn(y_in=abs(y1), y_out=float(y_out), time=t)

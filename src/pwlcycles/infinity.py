@@ -35,7 +35,7 @@ import numpy as np
 from .core import PwlSystem
 from .errors import OriginUndefined, ThetaDotVanishes
 from .flow import _entry_side, _first_return
-from .melnikov import SIGN_TOL, MelnikovParams, Stability, infinity_sign_expression
+from .melnikov import MelnikovParams, Stability, infinity_sign, stability_from_sign
 
 
 def bendixson_map(x: float, y: float) -> tuple[float, float]:
@@ -63,16 +63,7 @@ def infinity_stability(p: MelnikovParams) -> InfinityReport:
     xi*(b11m+b22m) + b11p+b22p > 0.
     """
     coef = -(math.pi / 2.0) * (p.trace_minus + p.trace_plus / p.xi)
-    expr = infinity_sign_expression(p)
-    scale = max(1.0, abs(p.xi) * (abs(p.b11m) + abs(p.b22m)),
-                abs(p.b11p) + abs(p.b22p))
-    if expr > SIGN_TOL * scale:
-        stab = Stability.STABLE
-    elif expr < -SIGN_TOL * scale:
-        stab = Stability.UNSTABLE
-    else:
-        stab = Stability.UNDETERMINED
-    return InfinityReport(coefficient=coef, stability=stab)
+    return InfinityReport(coefficient=coef, stability=stability_from_sign(infinity_sign(p)))
 
 
 def polar_bendixson_rhs(sys: PwlSystem, r: float, theta: float,

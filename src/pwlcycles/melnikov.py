@@ -35,6 +35,29 @@ class RootFlag(Enum):
     SUSPECT = "Suspect"
 
 
+def scaled_sign(value: float, *terms: float) -> int:
+    """Sign of ``value`` as -1, 0 or 1, where 0 means
+    |value| <= SIGN_TOL * max(1, |terms|): the tie of a sign decision whose
+    quantity is built from ``terms``."""
+    tol = SIGN_TOL * max([1.0, *(abs(t) for t in terms)])
+    if value > tol:
+        return 1
+    if value < -tol:
+        return -1
+    return 0
+
+
+def stability_from_sign(sign: int) -> Stability:
+    """1 is stable, -1 unstable and 0 undetermined."""
+    return (Stability.UNSTABLE, Stability.UNDETERMINED, Stability.STABLE)[sign + 1]
+
+
+def _require_finite(params) -> None:
+    for name, value in vars(params).items():
+        if not math.isfinite(value):
+            raise ValueError(f"{type(params).__name__}.{name} must be finite")
+
+
 @dataclass(frozen=True)
 class MelnikovParams:
     """Normal-form scalars plus the first-order entries entering M1."""
@@ -51,6 +74,7 @@ class MelnikovParams:
     v1p: float
 
     def __post_init__(self):
+        _require_finite(self)
         if not (self.b < 0 and self.d > 0 and self.e > 0 and self.xi > 0):
             raise ValueError("need b < 0, d > 0, e > 0, xi > 0")
 
@@ -65,8 +89,7 @@ class MelnikovParams:
     @property
     def constrained(self) -> bool:
         """Whether the first-order left trace vanishes (b11m = -b22m)."""
-        scale = max(1.0, abs(self.b11m), abs(self.b22m))
-        return abs(self.trace_minus) <= SIGN_TOL * scale
+        return scaled_sign(self.trace_minus, self.b11m, self.b22m) == 0
 
     @staticmethod
     def from_system(sys: PwlSystem) -> "MelnikovParams":
@@ -126,8 +149,7 @@ def m1_constrained(p: MelnikovParams, y0):
              - (b11p + b22p) (d^2 + xi^2 y0^2) arccos(2 d^2/(d^2+xi^2 y0^2) - 1)
                / (2 y0 xi^3).
     """
-    scale = max(1.0, abs(p.b11m), abs(p.b22m))
-    if abs(p.trace_minus) > SIGN_TOL * scale:
+    if not p.constrained:
         raise ConstraintViolated("m1_constrained needs b11m = -b22m")
     y0 = np.asarray(y0, dtype=float)
     if np.any(y0 <= 0):
@@ -296,6 +318,13 @@ def infinity_sign_expression(p: MelnikovParams) -> float:
     return p.xi * p.trace_minus + p.trace_plus
 
 
+def infinity_sign(p: MelnikovParams) -> int:
+    """Scaled sign of ``infinity_sign_expression``: 1 when infinity
+    attracts and the highest-amplitude cycle repels."""
+    return scaled_sign(infinity_sign_expression(p),
+                       p.xi * (abs(p.b11m) + abs(p.b22m)), abs(p.b11p) + abs(p.b22p))
+
+
 def classify_stability(p: MelnikovParams, roots) -> MelnikovReport:
     """Stability labels for the found roots plus the periodic orbit at infinity.
 
@@ -306,55 +335,24 @@ def classify_stability(p: MelnikovParams, roots) -> MelnikovReport:
     sign(b*v1m + v1p) when the left trace vanishes; M1 > 0 below a cycle
     makes it unstable.  Interior roots alternate.
     """
-    sgn_inf = infinity_sign_expression(p)
-    scale = max(1.0, abs(p.xi) * (abs(p.b11m) + abs(p.b22m)), abs(p.b11p) + abs(p.b22p))
-    if sgn_inf > SIGN_TOL * scale:
-        highest, inf_stab = Stability.UNSTABLE, Stability.STABLE
-    elif sgn_inf < -SIGN_TOL * scale:
-        highest, inf_stab = Stability.STABLE, Stability.UNSTABLE
-    else:
-        highest = inf_stab = Stability.UNDETERMINED
-
-    sm = p.trace_minus
-    sm_scale = max(1.0, abs(p.b11m), abs(p.b22m))
-    tie = p.b * p.v1m + p.v1p
-    if sm < -SIGN_TOL * sm_scale:
-        lowest = Stability.UNSTABLE       # M1 > 0 near 0+
-    elif sm > SIGN_TOL * sm_scale:
-        lowest = Stability.STABLE
-    elif tie > SIGN_TOL * max(1.0, abs(p.b * p.v1m), abs(p.v1p)):
-        lowest = Stability.STABLE
-    elif tie < -SIGN_TOL * max(1.0, abs(p.b * p.v1m), abs(p.v1p)):
-        lowest = Stability.UNSTABLE
-    else:
-        lowest = Stability.UNDETERMINED
-
+    sgn_inf = infinity_sign(p)
+    # the lowest cycle is stable when M1 < 0 near 0+
+    sgn_low = (scaled_sign(p.trace_minus, p.b11m, p.b22m)
+               or scaled_sign(p.b * p.v1m + p.v1p, p.b * p.v1m, p.v1p))
     ordered = sorted(roots, key=lambda r: r[0])
     n = len(ordered)
-    labels = [Stability.UNDETERMINED] * n
-    if n:
-        if highest is not Stability.UNDETERMINED:
-            labels[-1] = highest
-            for k in range(n - 2, -1, -1):
-                labels[k] = _flip(labels[k + 1])
-        elif lowest is not Stability.UNDETERMINED:
-            labels[0] = lowest
-            for k in range(1, n):
-                labels[k] = _flip(labels[k - 1])
+    # a cycle's sign is the highest one's (the negated infinity sign) or the
+    # lowest one's, flipped once per root in between
+    if sgn_inf:
+        labels = [stability_from_sign(-sgn_inf * (-1) ** (n - 1 - k)) for k in range(n)]
+    else:
+        labels = [stability_from_sign(sgn_low * (-1) ** k) for k in range(n)]
 
     bound = 1 if p.constrained else 3
     infos = tuple(RootInfo(y0=r, flag=fl, stability=lab)
                   for (r, fl), lab in zip(ordered, labels))
-    return MelnikovReport(roots=infos, infinity_stability=inf_stab,
+    return MelnikovReport(roots=infos, infinity_stability=stability_from_sign(sgn_inf),
                           root_count_bound=bound)
-
-
-def _flip(s: Stability) -> Stability:
-    if s is Stability.STABLE:
-        return Stability.UNSTABLE
-    if s is Stability.UNSTABLE:
-        return Stability.STABLE
-    return s
 
 
 def analyze(p: MelnikovParams, domain=(1e-3, 1e3),

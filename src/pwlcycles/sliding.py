@@ -40,8 +40,11 @@ from .melnikov import (
     MelnikovParams,
     RootFindOptions,
     Stability,
+    _require_finite,
     find_roots,
     m1_constrained,
+    scaled_sign,
+    stability_from_sign,
 )
 from .sigma import find_folds
 
@@ -82,6 +85,7 @@ class SlidingParams:
     b22p: float = 0.0
 
     def __post_init__(self):
+        _require_finite(self)
         if not (self.b < 0 and self.d > 0 and self.e > 0 and self.xi > 0):
             raise ValueError("need b < 0, d > 0, e > 0, xi > 0")
 
@@ -92,8 +96,7 @@ class SlidingParams:
 
     @property
     def trace_constrained(self) -> bool:
-        scale = max(1.0, abs(self.b11m), abs(self.b22m))
-        return abs(self.b11m + self.b22m) <= SIGN_TOL * scale
+        return scaled_sign(self.b11m + self.b22m, self.b11m, self.b22m) == 0
 
     @property
     def tau(self) -> float:
@@ -310,7 +313,6 @@ def detect_sliding_cycle(p: SlidingParams) -> SlidingReport:
             ordering_consistent=True, reason=reason)
 
     drift = p.drift
-    drift_scale = max(1.0, abs(p.b * p.v1m), abs(p.v1p))
     tau = p.tau
     margin = SIGN_TOL * max(1.0, abs(tau), T)
 
@@ -319,7 +321,7 @@ def detect_sliding_cycle(p: SlidingParams) -> SlidingReport:
     reason = ""
     if p.d + p.b * p.e <= 0:
         reason = "d + b*e <= 0: the sliding direction condition fails"
-    elif abs(drift) <= SIGN_TOL * drift_scale:
+    elif scaled_sign(drift, p.b * p.v1m, p.v1p) == 0:
         reason = "b*v1m + v1p = 0: fold points collide at first order"
     elif drift < 0:
         if margin < tau < T - margin:
@@ -427,13 +429,7 @@ def simultaneity_report(p: SlidingParams, domain=(1e-1, 1e2),
         raise BoundViolated(
             f"constrained Melnikov function produced {len(roots)} roots; at most one is possible")
     sliding = detect_sliding_cycle(p)
-    q = p.v1m + p.v1p / p.b
-    if q > SIGN_TOL * max(1.0, abs(p.v1m), abs(p.v1p / p.b)):
-        stab = Stability.UNSTABLE
-    elif q < -SIGN_TOL * max(1.0, abs(p.v1m), abs(p.v1p / p.b)):
-        stab = Stability.STABLE
-    else:
-        stab = Stability.UNDETERMINED
+    stab = stability_from_sign(-scaled_sign(p.v1m + p.v1p / p.b, p.v1m, p.v1p / p.b))
     has_sliding = sliding.cycle is not CycleKind.NONE
     has_crossing = len(roots) == 1
     if has_sliding and has_crossing:

@@ -163,25 +163,21 @@ def radial_variational_rhs(sys: PwlSystem, theta: float) -> tuple[float, float]:
 
 
 def integrate_radial_correction(sys: PwlSystem, theta0: float, theta1: float,
-                                rho0: float, n_steps: int = 20000) -> tuple[float, float]:
+                                rho0: float) -> tuple[float, float]:
     """(rho0(theta1), rho1(theta1)) of the variational pair started at
-    (rho0, 0) at theta0; RK4 with fixed step."""
-    y = np.array([rho0, 0.0])
-    h = (theta1 - theta0) / n_steps
-    th = theta0
+    (rho0, 0) at theta0.
 
-    def rhs(th_, y_):
-        hh, kk = radial_variational_rhs(sys, th_)
-        return np.array([hh * y_[0], hh * y_[1] + kk * y_[0]])
+    The pair is linear, so rho0(theta1) = rho0 * exp(int h) and, since
+    (rho1/rho0)' = k, rho1(theta1) = rho0(theta1) * int k, both integrals
+    over [theta0, theta1] by adaptive quadrature of the right-hand side.
+    """
+    def integral(i):
+        value, _err = quad(lambda th: radial_variational_rhs(sys, th)[i], theta0, theta1,
+                           epsabs=1e-13, epsrel=1e-12, limit=200)
+        return value
 
-    for _ in range(n_steps):
-        k1 = rhs(th, y)
-        k2 = rhs(th + 0.5 * h, y + 0.5 * h * k1)
-        k3 = rhs(th + 0.5 * h, y + 0.5 * h * k2)
-        k4 = rhs(th + h, y + h * k3)
-        y = y + h * (k1 + 2 * k2 + 2 * k3 + k4) / 6.0
-        th += h
-    return float(y[0]), float(y[1])
+    r0 = rho0 * math.exp(integral(0))
+    return r0, r0 * integral(1)
 
 
 def right_radial_correction(sys: PwlSystem, rho0: float, theta) -> np.ndarray:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from pwlcycles import core
 from pwlcycles.core import (
     Mat2,
     PwlSystem,
@@ -56,6 +57,30 @@ class TestCheckHypotheses:
         assert rep.h1_real_center
         assert not rep.h2_virtual_center
         assert not rep.h3_global_center
+
+    def test_failed_reduction_runs_once(self, monkeypatch):
+        # a deterministic cost guard: a reduction that fails on the right
+        # piece still places the singular points without being redone
+        calls = 0
+        raw_change = core._raw_change
+
+        def counting(sys):
+            nonlocal calls
+            calls += 1
+            return raw_change(sys)
+
+        monkeypatch.setattr(core, "_raw_change", counting)
+        saddle = Mat2(0.0, 1.0, 1.0, 0.0)
+        sys = PwlSystem(order0_plus=(saddle, Vec2(0.0, 1.0)),
+                        order0_minus=(Mat2(0.0, -1.0, 1.0, 0.0), Vec2(0.0, 1.0)))
+        with pytest.raises(HypothesisViolation):
+            canonicalize(sys)
+        calls = 0
+        rep = check_hypotheses(sys)
+        assert not rep.h3_global_center
+        assert_allclose([rep.singular_minus.x, rep.singular_minus.y], [-1.0, 0.0],
+                        atol=1e-12)
+        assert calls == 1
 
     def test_h3_implies_h1_and_h2(self):
         rng = np.random.default_rng(3)

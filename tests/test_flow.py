@@ -131,26 +131,25 @@ class TestHalfReturnTimes:
             half_return_time_minus(1.0, 0.0)
 
     def test_half_return_records_land_on_section(self):
-        from pwlcycles.flow import half_return_minus, half_return_plus
         rng = np.random.default_rng(21)
         for _ in range(20):
             e = rng.uniform(0.2, 2.0)
             y0 = rng.uniform(0.1, 5.0)
-            hr = half_return_minus(e, y0)
-            assert hr.time > 0
-            x, y = flow_minus(e, hr.y_in, hr.time)
-            assert abs(float(x)) < 1e-10 and abs(float(y) - hr.y_out) < 1e-10
-            assert hr.y_out == pytest.approx(-y0, rel=1e-9)
+            t = half_return_time_minus(e, y0)
+            assert t > 0
+            x, y = flow_minus(e, y0, t)
+            assert abs(float(x)) < 1e-10
+            assert float(y) == pytest.approx(-y0, rel=1e-9)
             a = rng.uniform(-1, 1)
             b = -rng.uniform(0.3, 2.0)
             xi = rng.uniform(0.3, 1.5)
             c = (a * a + xi * xi) / (-b)
             d = rng.uniform(0.2, 2.0)
-            hp = half_return_plus(a, b, c, d, y0)
-            assert hp.time < 0
-            xp, yp = flow_plus(a, b, c, d, hp.y_in, hp.time)
-            assert abs(float(xp)) < 1e-10 and abs(float(yp) - hp.y_out) < 1e-10
-            assert hp.y_out == pytest.approx(-y0, rel=1e-9)
+            s = half_return_time_plus(a, b, c, d, y0)
+            assert s < 0
+            xp, yp = flow_plus(a, b, c, d, y0, s)
+            assert abs(float(xp)) < 1e-10
+            assert float(yp) == pytest.approx(-y0, rel=1e-9)
 
     def test_residuals_over_amplitude_decades(self):
         # unit-frequency right zone: strict 1e-12 across six decades

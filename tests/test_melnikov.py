@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from pwlcycles.examples import (
     example_two_nominal_m1,
 )
 from pwlcycles.melnikov import (
+    SIGN_TOL,
     MelnikovParams,
     MelnikovReport,
     ReducedParams,
@@ -26,6 +28,8 @@ from pwlcycles.melnikov import (
     m1_constrained,
     m1_reduced,
     reduced_limit_at_zero,
+    scaled_sign,
+    stability_from_sign,
 )
 
 
@@ -78,6 +82,14 @@ class TestM1:
         with pytest.raises(ValueError):
             MelnikovParams(b=1.0, d=1.0, e=1.0, xi=1.0, b11m=0, b22m=0,
                            v1m=0, b11p=0, b22p=0, v1p=0)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_fields(self, bad):
+        # a NaN trace would otherwise read as unconstrained while
+        # m1_constrained accepted it
+        for name in ("b11m", "v1p", "xi"):
+            with pytest.raises(ValueError, match=f"{name} must be finite"):
+                replace(example_two_params(), **{name: bad})
 
 
 class TestReduced:
@@ -177,6 +189,28 @@ class TestFindRoots:
 
     def test_empty_result_allowed(self):
         assert find_roots(lambda y: y + 1.0, (0.5, 2.0)) == []
+
+
+class TestScaledSign:
+    def test_tie_boundary(self):
+        up, down = np.nextafter(SIGN_TOL, math.inf), np.nextafter(-SIGN_TOL, -math.inf)
+        assert [scaled_sign(v) for v in (0.0, SIGN_TOL, -SIGN_TOL, up, down)] == \
+            [0, 0, 0, 1, -1]
+
+    def test_scale_comes_from_terms(self):
+        tol = SIGN_TOL * 4.0
+        assert scaled_sign(tol, 4.0, 0.5) == 0
+        assert scaled_sign(-tol, -4.0) == 0       # terms count by magnitude
+        assert scaled_sign(np.nextafter(tol, math.inf), 4.0) == 1
+        assert scaled_sign(np.nextafter(-tol, -math.inf), 0.5, -4.0) == -1
+        assert scaled_sign(2.0 * SIGN_TOL) == 1
+        assert scaled_sign(2.0 * SIGN_TOL, 4.0) == 0
+        # terms below 1 never shrink the tolerance
+        assert scaled_sign(SIGN_TOL, 1e-3) == 0
+
+    def test_stability_mapping(self):
+        assert [stability_from_sign(s) for s in (1, 0, -1)] == \
+            [Stability.STABLE, Stability.UNDETERMINED, Stability.UNSTABLE]
 
 
 class TestStability:

@@ -25,6 +25,13 @@ from pwlcycles.sliding import (
 )
 
 
+class TestParams:
+    @pytest.mark.parametrize("name", ["b22m", "v1m", "c11m", "epsilon"])
+    def test_rejects_non_finite_fields(self, name):
+        with pytest.raises(ValueError, match=f"SlidingParams.{name} must be finite"):
+            replace(example_two_sliding_params(), **{name: math.nan})
+
+
 class TestThresholds:
     def test_threshold_formula(self):
         p = example_two_sliding_params()

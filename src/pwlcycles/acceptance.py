@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import ect
-from .core import PwlSystem, canonical_system, canonicalize
+from .core import ChangeOfVariables, PwlSystem, canonical_system, canonicalize
 from .errors import BoundViolated
 from .examples import (
     EXAMPLE1_NOMINAL_ROOTS,
@@ -374,24 +374,12 @@ def _decanonicalize(canon: PwlSystem, rng) -> PwlSystem:
     t22 = float(rng.uniform(0.4, 2.0)) * (1.0 if rng.uniform() < 0.5 else -1.0)
     ty = float(rng.uniform(-1.0, 1.0))
     sigma = float(rng.uniform(0.5, 2.0))
-    T = np.array([[t11, 0.0], [t21, t22]])
-    Tinv = np.linalg.inv(T)
-    t0 = np.array([0.0, ty])
-
-    from .core import Mat2, Vec2
-
-    def pull(pairs):
-        out = []
-        for m, u in pairs:
-            m_raw = sigma * Tinv @ m.array @ T
-            u_raw = sigma * Tinv @ (u.array + m.array @ t0)
-            out.append((Mat2.from_array(m_raw), Vec2.from_array(u_raw)))
-        return out
-
-    plus = pull(canon.orders("plus"))
-    minus = pull(canon.orders("minus"))
-    return PwlSystem(plus[0], minus[0], plus[1], minus[1], plus[2], minus[2],
-                     epsilon=canon.epsilon)
+    # push through the inverse of Y = T X + (0, ty), t' = sigma t
+    tinv = np.linalg.inv(np.array([[t11, 0.0], [t21, t22]]))
+    inverse = ChangeOfVariables(linear=tuple(map(tuple, tinv.tolist())),
+                                offset=tuple((-tinv @ np.array([0.0, ty])).tolist()),
+                                time_scale=1.0 / sigma)
+    return inverse.push_system(canon)
 
 
 ALL_CRITERIA = (criterion_1, criterion_2, criterion_3, criterion_4,

@@ -22,6 +22,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -129,23 +130,33 @@ class PwlSystem:
             return (self.order0_minus, self.order1_minus, self.order2_minus)
         raise ValueError("side must be 'plus' or 'minus'")
 
-    def zone_matrix(self, side: str) -> np.ndarray:
-        """A + eps*B + eps^2*C for the requested side."""
-        eps = self.epsilon
-        (a, _), (b, _), (c, _) = self.orders(side)
-        return a.array + eps * b.array + eps * eps * c.array
+    def zone(self, side: str) -> tuple[np.ndarray, np.ndarray]:
+        """(A + eps*B + eps^2*C, u + eps*v + eps^2*w) for the requested side,
+        read-only and resolved once per instance."""
+        if side not in ("plus", "minus"):
+            raise ValueError("side must be 'plus' or 'minus'")
+        return self._zones[side]
 
-    def zone_offset(self, side: str) -> np.ndarray:
+    @cached_property
+    def _zones(self) -> dict:
         eps = self.epsilon
-        (_, u), (_, v), (_, w) = self.orders(side)
-        return u.array + eps * v.array + eps * eps * w.array
+        zones = {}
+        for side in ("plus", "minus"):
+            (a, u), (b, v), (c, w) = self.orders(side)
+            m = a.array + eps * b.array + eps * eps * c.array
+            off = u.array + eps * v.array + eps * eps * w.array
+            m.setflags(write=False)
+            off.setflags(write=False)
+            zones[side] = (m, off)
+        return zones
 
     def field(self, point, side: str | None = None) -> np.ndarray:
         """Vector field at ``point``; zone chosen by sign(x) unless forced."""
         p = np.asarray(point, dtype=float)
         if side is None:
             side = "plus" if p[0] >= 0.0 else "minus"
-        return self.zone_matrix(side) @ p + self.zone_offset(side)
+        m, u = self.zone(side)
+        return m @ p + u
 
     def with_epsilon(self, eps: float) -> "PwlSystem":
         return PwlSystem(
@@ -190,6 +201,8 @@ class PwlSystem:
             if not isinstance(off, (list, tuple)) or len(off) != 2:
                 raise ValueError(f"'{order}.{side}.offset' must be a 2-element array")
             try:
+                if any(isinstance(x, (bool, str)) for x in (*mat, *off)):
+                    raise TypeError("booleans and strings are not numbers")
                 m = Mat2(*(float(x) for x in mat))
                 u = Vec2(*(float(x) for x in off))
             except (TypeError, ValueError) as exc:
@@ -199,7 +212,7 @@ class PwlSystem:
         if not isinstance(data, dict):
             raise ValueError("top-level JSON value must be an object")
         eps = data.get("epsilon", 0.0)
-        if not isinstance(eps, (int, float)):
+        if isinstance(eps, bool) or not isinstance(eps, (int, float)):
             raise ValueError("'epsilon' must be a number")
         return PwlSystem(
             order0_plus=pair("order0", "plus"),
@@ -280,28 +293,23 @@ class ChangeOfVariables:
                 and abs(self.time_scale - 1.0) < 1e-12)
 
     def push_system(self, sys: PwlSystem) -> PwlSystem:
-        """Transform every perturbation order into the new coordinates.
+        """Transform every perturbation order into the new coordinates."""
+        p0, p1, p2, m0, m1, m2 = self._push_pairs(sys.orders("plus") + sys.orders("minus"))
+        return PwlSystem(p0, m0, p1, m1, p2, m2, epsilon=sys.epsilon)
 
-        For Y = Q X + q, tau = rho t the pair (M, u) becomes
-        (Q M Q^-1 / rho, Q (u - M Q^-1 q) / rho).
-        """
+    def _push_pairs(self, pairs) -> list[ZonePair]:
+        """For Y = Q X + q, tau = rho t each pair (M, u) becomes
+        (Q M Q^-1 / rho, Q (u - M Q^-1 q) / rho)."""
         q = np.array(self.offset)
         qm = self.matrix
         qinv = np.linalg.inv(qm)
         rho = self.time_scale
-
-        def push(pairs):
-            out = []
-            for m, u in pairs:
-                mm = qm @ m.array @ qinv / rho
-                uu = qm @ (u.array - m.array @ (qinv @ q)) / rho
-                out.append((Mat2.from_array(mm), Vec2.from_array(uu)))
-            return out
-
-        plus = push(sys.orders("plus"))
-        minus = push(sys.orders("minus"))
-        return PwlSystem(plus[0], minus[0], plus[1], minus[1], plus[2], minus[2],
-                         epsilon=sys.epsilon)
+        out = []
+        for m, u in pairs:
+            mm = qm @ m.array @ qinv / rho
+            uu = qm @ (u.array - m.array @ (qinv @ q)) / rho
+            out.append((Mat2.from_array(mm), Vec2.from_array(uu)))
+        return out
 
 
 @dataclass(frozen=True)
@@ -409,11 +417,9 @@ def _raw_change(sys: PwlSystem) -> ChangeOfVariables:
 
 
 def _normal_form(sys: PwlSystem, change: ChangeOfVariables) -> CanonicalParams:
-    """Read (a, b, c, d, e, xi) off the system pushed through ``change``
-    and check the strict sign constraints of the normal form."""
-    reduced = change.push_system(sys)
-    (ap_m, ap_u) = reduced.order0_plus
-    (_, am_u) = reduced.order0_minus
+    """Read (a, b, c, d, e, xi) off the order-0 pairs pushed through
+    ``change`` and check the strict sign constraints of the normal form."""
+    (ap_m, ap_u), (_, am_u) = change._push_pairs((sys.order0_plus, sys.order0_minus))
     data = _center_data(ap_m)
     if data is None:
         raise NotTraceFree("right zone matrix has nonzero trace; cannot be a center")

@@ -396,8 +396,7 @@ def _run(sys: PwlSystem, start, t_max: float, opts: SimOptions, traj: Trajectory
         raise ValueError("t_max must be positive")
     direction = traj.direction
 
-    zones = {side: AffineFlow(sys.zone_matrix(side), sys.zone_offset(side))
-             for side in ("plus", "minus")}
+    zones = {side: AffineFlow(*sys.zone(side)) for side in ("plus", "minus")}
     folds = _fold_map(sys)
 
     X = np.asarray(start, dtype=float).copy()
@@ -518,8 +517,8 @@ class _SlidingSpeed:
     """
 
     def __init__(self, sys: PwlSystem):
-        (al_p, be_p), (ga_p, de_p) = sys.zone_matrix("plus")[:, 1], sys.zone_offset("plus")
-        (al_m, be_m), (ga_m, de_m) = sys.zone_matrix("minus")[:, 1], sys.zone_offset("minus")
+        (mp_, (ga_p, de_p)), (mm, (ga_m, de_m)) = sys.zone("plus"), sys.zone("minus")
+        (al_p, be_p), (al_m, be_m) = mp_[:, 1], mm[:, 1]
         self.A = float(al_m * be_p - al_p * be_m)
         self.B = float(al_m * de_p + ga_m * be_p - al_p * de_m - ga_p * be_m)
         self.C = float(ga_m * de_p - ga_p * de_m)

@@ -43,14 +43,12 @@ class FoldPoint:
 
 def normal_components(sys: PwlSystem, y: float) -> tuple[float, float]:
     """(Z+ h, Z- h) at (0, y)."""
-    zp = sys.zone_matrix("plus")[0, 1] * y + sys.zone_offset("plus")[0]
-    zm = sys.zone_matrix("minus")[0, 1] * y + sys.zone_offset("minus")[0]
-    return float(zp), float(zm)
+    (mp_, up), (mm, um) = sys.zone("plus"), sys.zone("minus")
+    return float(mp_[0, 1] * y + up[0]), float(mm[0, 1] * y + um[0])
 
 
 def _lie_scale(sys: PwlSystem, y: float) -> float:
-    mp_ = sys.zone_matrix("plus")
-    mm = sys.zone_matrix("minus")
+    (mp_, _), (mm, _) = sys.zone("plus"), sys.zone("minus")
     return max(1.0, abs(y)) * max(1.0, abs(mp_[0, 1]), abs(mm[0, 1]))
 
 
@@ -109,8 +107,7 @@ def find_folds(sys: PwlSystem) -> list[FoldPoint]:
     """
     folds: list[FoldPoint] = []
     for side in ("minus", "plus"):
-        m = sys.zone_matrix(side)
-        u = sys.zone_offset(side)
+        m, u = sys.zone(side)
         alpha, gamma = m[0, 1], u[0]
         scale = max(1.0, abs(alpha), abs(gamma))
         if abs(alpha) < 1e-14 * scale:

@@ -206,14 +206,18 @@ def fold_positions(p: SlidingParams, eps: float) -> tuple:
     by flowing backward from (0, y_f1) through the right zone (the short
     arc around the invisible fold) to its other intersection with x = 0.
     """
-    sys = p.to_system(eps)
+    return _fold_positions(p.to_system(eps), p.xi)
+
+
+def _fold_positions(sys: PwlSystem, xi: float) -> tuple:
+    """``fold_positions`` of the built system, whose right zone turns at xi."""
     folds = {f.side: f for f in find_folds(sys)}
     y_f1 = folds["minus"].y
     y_f2 = folds["plus"].y
-    zone = AffineFlow(sys.zone_matrix("plus"), sys.zone_offset("plus"))
+    zone = AffineFlow(*sys.zone("plus"))
     t_ev, kind = first_component_zero(
         zone, np.array([0.0, y_f1]), direction=-1.0,
-        t_budget=2.0 * math.pi / p.xi, component=0, target=0.0)
+        t_budget=2.0 * math.pi / xi, component=0, target=0.0)
     if t_ev is None or kind != "cross":
         raise EventStall("right-zone arc from the visible fold found no return")
     y_f3 = float(zone.state(np.array([0.0, y_f1]), t_ev)[1])
@@ -222,14 +226,14 @@ def fold_positions(p: SlidingParams, eps: float) -> tuple:
 
 def s_maps_simulated(p: SlidingParams, eps: float) -> tuple:
     """Exact section marks (S0, S1, S2, S3) at eps from the closed-form flow."""
-    return _section_marks(p, eps, fold_positions(p, eps))
-
-
-def _section_marks(p: SlidingParams, eps: float, folds: tuple) -> tuple:
-    """``s_maps_simulated`` on the given fold positions (y_f1, y_f2, y_f3)."""
     sys = p.to_system(eps)
+    return _section_marks(sys, _fold_positions(sys, p.xi))
+
+
+def _section_marks(sys: PwlSystem, folds: tuple) -> tuple:
+    """``s_maps_simulated`` of the built system on its folds (y_f1, y_f2, y_f3)."""
     y_f1, y_f2, y_f3 = folds
-    zone = AffineFlow(sys.zone_matrix("minus"), sys.zone_offset("minus"))
+    zone = AffineFlow(*sys.zone("minus"))
     out = []
     for y_start, direction in ((y_f1, -1.0), (y_f1, 1.0), (y_f2, -1.0), (y_f3, -1.0)):
         X0 = np.array([0.0, y_start])
@@ -339,8 +343,9 @@ def detect_sliding_cycle(p: SlidingParams) -> SlidingReport:
             reason = f"c11m + c22m = {tau:.6g} outside the escaping windows (-{T:.6g}, 0) and (-{4 * T:.6g}, -{T:.6g})"
 
     work = p if drift < 0 else _mirror(p)
-    y1, y2, y3 = folds = fold_positions(work, eps)
-    sims = _section_marks(work, eps, folds)
+    sys = work.to_system(eps)
+    y1, y2, y3 = folds = _fold_positions(sys, work.xi)
+    sims = _section_marks(sys, folds)
     ordering = _ordering_tag(sims)
 
     expected = {
@@ -372,7 +377,7 @@ def simulate_sliding_cycle(p: SlidingParams, eps: float | None = None,
     eps = p.epsilon if eps is None else eps
     work = p if p.drift < 0 else _mirror(p)
     sys = work.to_system(eps)
-    y_f1, _, _ = fold_positions(work, eps)
+    y_f1, _, _ = _fold_positions(sys, work.xi)
     t_max = 3.0 * (2.0 * math.pi + math.pi / p.xi)
     opts = opts or SimOptions(max_segments=64)
     traj = simulate(sys, (0.0, y_f1), t_max, opts)

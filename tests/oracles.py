@@ -43,8 +43,7 @@ def first_return_displacement(sys, y0, t_guess=120.0):
     """
     X = np.array([0.0, float(y0)])
     for side in ("minus", "plus"):
-        M = sys.zone_matrix(side)
-        u = sys.zone_offset(side)
+        M, u = sys.zone(side)
 
         def rhs(_t, X_):
             return M @ X_ + u
@@ -76,9 +75,11 @@ def sliding_time(sys, ya, yb):
     Adaptive quadrature of dy / (dy/dt), with dy/dt the y-component of the
     Filippov convex combination of the two zone fields at (0, y).
     """
+    (mp, up), (mm, um) = sys.zone("plus"), sys.zone("minus")
+
     def inv_speed(y):
-        fp = sys.zone_matrix("plus") @ (0.0, y) + sys.zone_offset("plus")
-        fm = sys.zone_matrix("minus") @ (0.0, y) + sys.zone_offset("minus")
+        fp = mp @ (0.0, y) + up
+        fm = mm @ (0.0, y) + um
         return (fm[0] - fp[0]) / (fm[0] * fp[1] - fp[0] * fm[1])
 
     value, _err = quad(inv_speed, ya, yb, epsabs=0.0, epsrel=1e-13, limit=200)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from pwlcycles.cli import main
+from pwlcycles.core import ChangeOfVariables
 from pwlcycles.examples import EXAMPLE1_M1_ROOTS, example_one, example_two
 
 
@@ -55,6 +56,52 @@ class TestAnalyze:
 
     def test_bad_grid_rejected(self, ex1_path):
         assert main(["analyze", ex1_path, "--grid", "10"]) == 1
+
+    @pytest.mark.parametrize("key, value", [
+        ("epsilon", True),
+        ("matrix", ["0.1", True, 1, -0.1]),
+        ("matrix", [0.1, True, 1, -0.1]),
+        ("offset", [0.0, "1"]),
+    ], ids=["epsilon-bool", "matrix-str", "matrix-bool", "offset-str"])
+    def test_booleans_and_strings_are_not_numbers(self, tmp_path, capsys, key, value):
+        data = example_one().to_dict()
+        if key == "epsilon":
+            data["epsilon"] = value
+        else:
+            data["order0"]["plus"][key] = value
+        bad = tmp_path / "bad3.json"
+        bad.write_text(json.dumps(data))
+        assert main(["analyze", str(bad)]) == 1
+        err = capsys.readouterr().err
+        if key == "epsilon":
+            assert "'epsilon' must be a number" in err
+        else:
+            assert "non-numeric entry in 'order0.plus'" in err
+
+    def test_json_integers_are_numbers(self, tmp_path):
+        data = example_two(0.01).to_dict()
+        data["order0"]["minus"]["matrix"] = [0, -1, 1, 0]
+        data["epsilon"] = 0
+        p = tmp_path / "ints.json"
+        p.write_text(json.dumps(data))
+        assert main(["analyze", str(p), "-o", str(tmp_path / "ints")]) == 0
+        report = json.loads((tmp_path / "ints" / "report.json").read_text())
+        assert report["epsilon"] == 0.0 and report["hypotheses"]["h3_global_center"]
+
+    def test_one_push_per_analysis(self, ex1_path, tmp_path, monkeypatch):
+        # a deterministic cost guard: the reduction pushes only the order-0
+        # pairs it reads, so the full system is pushed once, for the report
+        calls = 0
+        push = ChangeOfVariables.push_system
+
+        def counting(self, *args, **kwargs):
+            nonlocal calls
+            calls += 1
+            return push(self, *args, **kwargs)
+
+        monkeypatch.setattr(ChangeOfVariables, "push_system", counting)
+        assert main(["analyze", ex1_path, "-o", str(tmp_path / "out")]) == 0
+        assert calls == 1
 
 
 class TestMelnikovCommand:

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -127,9 +128,9 @@ class TestCanonicalize:
         assert_allclose(params.e, 2.0, rtol=1e-12)
         # conjugacy spot check: map sampled flow points through the change
         from pwlcycles.flow import AffineFlow
-        raw_flow = AffineFlow(sys.zone_matrix("minus"), sys.zone_offset("minus"))
+        raw_flow = AffineFlow(*sys.zone("minus"))
         canon = canonical_system(params.a, params.b, params.c, params.d, params.e)
-        can_flow = AffineFlow(canon.zone_matrix("minus"), canon.zone_offset("minus"))
+        can_flow = AffineFlow(*canon.zone("minus"))
         x0 = np.array([-0.7, 0.3])
         for t in np.linspace(0.05, 0.6, 10):
             lhs = change.apply(raw_flow.state(x0, t))
@@ -198,6 +199,53 @@ class TestCanonicalize:
         assert params.e > 0 and params.d > 0
         # the common tangency point (0, u1/m12 flipped in sign) maps to the origin
         assert_allclose(change.apply((0.0, -0.4)), [0.0, 0.0], atol=1e-12)
+
+
+class TestZone:
+    SYS = canonical_system(1.0, -1.0, 1.01, 0.1, 0.55,
+                           B_minus=[[-1.0, 0.3], [0.7, -1.0]], v_minus=[-2.65, 0.4],
+                           B_plus=[[0.21, -0.5], [0.2, 0.1]], v_plus=[0.3, -0.2],
+                           C_minus=[[0.6, 0.1], [-0.3, 0.9]], w_minus=[0.05, 0.7],
+                           C_plus=[[-0.4, 0.2], [0.8, 0.3]], w_plus=[-0.6, 0.25],
+                           epsilon=0.37)
+
+    @staticmethod
+    def expected(sys, side):
+        eps = sys.epsilon
+        (a, u), (b, v), (c, w) = sys.orders(side)
+        return (a.array + eps * b.array + eps * eps * c.array,
+                u.array + eps * v.array + eps * eps * w.array)
+
+    @pytest.mark.parametrize("side", ["plus", "minus"])
+    def test_read_only(self, side):
+        m, u = self.SYS.zone(side)
+        with pytest.raises(ValueError):
+            m[0, 0] = 1.0
+        with pytest.raises(ValueError):
+            u[1] = 1.0
+
+    @pytest.mark.parametrize("side", ["plus", "minus"])
+    def test_bitwise_equal_to_the_orders(self, side):
+        for got, want in zip(self.SYS.zone(side), self.expected(self.SYS, side)):
+            assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("side", ["plus", "minus"])
+    def test_copies_resolve_at_their_own_eps(self, side):
+        self.SYS.zone(side)
+        for copy in (self.SYS.with_epsilon(0.02), dataclasses.replace(self.SYS, epsilon=1.5)):
+            for got, want in zip(copy.zone(side), self.expected(copy, side)):
+                assert got.tobytes() == want.tobytes()
+
+    def test_resolution_keeps_equality_and_hash(self):
+        a = canonical_system(1.0, -1.0, 1.01, 0.1, 0.55, v_minus=[0.3, 0.1], epsilon=0.1)
+        b = canonical_system(1.0, -1.0, 1.01, 0.1, 0.55, v_minus=[0.3, 0.1], epsilon=0.1)
+        a.zone("plus")
+        assert a == b and hash(a) == hash(b)
+        assert a.field((0.5, 0.2)).tolist() == b.field((0.5, 0.2)).tolist()
+
+    def test_rejects_unknown_side(self):
+        with pytest.raises(ValueError, match="side"):
+            self.SYS.zone("left")
 
 
 class TestJsonSchema:

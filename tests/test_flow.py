@@ -322,6 +322,24 @@ class TestMelnikovOracle:
         melnikov_oracle(example_one(), 3.0, 1e-4)
         assert calls < 100
 
+    def test_oracle_resolves_each_zone_once(self, monkeypatch):
+        # a deterministic cost guard: the six (matrix, offset) pairs are
+        # converted to arrays once per system; rebuilding the zone fields on
+        # every read made 114 conversions per oracle call
+        calls = 0
+
+        def counting(prop):
+            def get(self):
+                nonlocal calls
+                calls += 1
+                return prop.fget(self)
+            return property(get)
+
+        monkeypatch.setattr(Mat2, "array", counting(Mat2.array))
+        monkeypatch.setattr(Vec2, "array", counting(Vec2.array))
+        melnikov_oracle(example_one(), 3.0, 1e-4)
+        assert calls <= 12
+
     def test_oracle_stops_at_the_return(self, monkeypatch):
         # a deterministic cost guard: the return from y0 = 3 comes after two
         # zone arcs, at t = 28.5 of a t_max = 113 budget; running on to
@@ -364,14 +382,14 @@ class TestEventMachinery:
         # from the visible fold the orbit leaves quadratically; the first
         # located event is the genuine far-side return
         sys = example_two(0.01)
-        zone = AffineFlow(sys.zone_matrix("minus"), sys.zone_offset("minus"))
+        zone = AffineFlow(*sys.zone("minus"))
         t_ev, kind = first_component_zero(zone, np.array([0.0, 0.002]), 1.0, 10.0)
         assert kind == "cross"
         assert t_ev > 6.0
 
     def test_section_event_on_y_component(self):
         sys = canonical_system(1.0, -1.0, 1.01, 0.1, 0.55)
-        zone = AffineFlow(sys.zone_matrix("minus"), sys.zone_offset("minus"))
+        zone = AffineFlow(*sys.zone("minus"))
         t_ev, kind = first_component_zero(zone, np.array([0.0, 0.4]), 1.0, 10.0,
                                           component=1, target=0.4)
         assert kind == "cross"

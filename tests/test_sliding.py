@@ -14,6 +14,7 @@ from pwlcycles.examples import (
 from pwlcycles.melnikov import Stability
 from pwlcycles.sliding import (
     CycleKind,
+    SlidingParams,
     detect_sliding_cycle,
     fold_positions,
     s_maps,
@@ -208,19 +209,37 @@ class TestSimulatedCycles:
 
     def test_sliding_motion_is_not_stepped(self, monkeypatch):
         # a deterministic cost guard: numerical stepping along the segment
-        # rebuilds the zone fields tens of thousands of times per slide
+        # reads the zone fields tens of thousands of times per slide
         calls = 0
-        zone_matrix = PwlSystem.zone_matrix
+        zone = PwlSystem.zone
 
         def counting(self, *args, **kwargs):
             nonlocal calls
             calls += 1
-            return zone_matrix(self, *args, **kwargs)
+            return zone(self, *args, **kwargs)
 
-        monkeypatch.setattr(PwlSystem, "zone_matrix", counting)
+        monkeypatch.setattr(PwlSystem, "zone", counting)
         _traj, _closure, kinds = simulate_sliding_cycle(type_one_sliding_params(), 1e-2)
         assert kinds.count("Sliding") == 4
         assert calls < 100 * kinds.count("Sliding")
+
+    @pytest.mark.parametrize("entry", [detect_sliding_cycle,
+                                       lambda p: simulate_sliding_cycle(p, 1e-2)],
+                             ids=["detect", "loop"])
+    def test_one_system_per_call(self, monkeypatch, entry):
+        # a deterministic cost guard: the fold positions, the section marks
+        # and the loop all read the one system built at eps
+        calls = 0
+        to_system = SlidingParams.to_system
+
+        def counting(self, *args, **kwargs):
+            nonlocal calls
+            calls += 1
+            return to_system(self, *args, **kwargs)
+
+        monkeypatch.setattr(SlidingParams, "to_system", counting)
+        entry(type_one_sliding_params())
+        assert calls == 1
 
     def test_type_two_loop_uses_both_zones(self):
         base = type_one_sliding_params()

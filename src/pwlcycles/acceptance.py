@@ -227,22 +227,15 @@ def criterion_6() -> CriterionResult:
     slope_ok = True
     for beta in (0.5, 2.0):
         fam = ect.amplitude_family(beta)
-        closed = (lambda s: ect.amplitude_w0(beta, s),
-                  lambda s: ect.amplitude_w1(beta, s),
-                  lambda s: ect.amplitude_w2(beta, s),
-                  lambda s: ect.amplitude_w3(beta, s))
-        for _ in range(50):
-            s0 = float(np.exp(rng.uniform(np.log(0.02), np.log(50.0))))
-            if min(abs(s0 - 1.0), abs(s0 - 1.0 / beta)) < 1e-3:
-                s0 += 2e-3
-            for k in range(4):
-                num = ect.wronskian(fam, k, s0)
-                ref = float(closed[k](s0))
-                err = abs(num - ref) / max(abs(ref), 1e-30)
-                worst = max(worst, err)
-            slope = float(ect.amplitude_w3_tilde_slope(beta, s0))
-            want = math.copysign(1.0, beta ** 3 * (beta * beta - 1.0))
-            slope_ok &= (math.copysign(1.0, slope) == want)
+        s0 = np.exp(rng.uniform(np.log(0.02), np.log(50.0), 50))
+        s0[np.minimum(abs(s0 - 1.0), abs(s0 - 1.0 / beta)) < 1e-3] += 2e-3
+        for k, w in enumerate((ect.amplitude_w0, ect.amplitude_w1,
+                               ect.amplitude_w2, ect.amplitude_w3)):
+            ref = w(beta, s0)
+            err = np.abs(ect.wronskian(fam, k, s0) - ref) / np.maximum(np.abs(ref), 1e-30)
+            worst = max(worst, float(err.max()))
+        want = math.copysign(1.0, beta ** 3 * (beta * beta - 1.0))
+        slope_ok &= bool(np.all(np.sign(ect.amplitude_w3_tilde_slope(beta, s0)) == want))
     res.add(worst < 1e-8, f"max relative determinant error {worst:.3e} (required < 1e-8)")
     res.add(slope_ok, "slope of the reduced third Wronskian has sign(beta^3(beta^2-1)) everywhere")
     res.runtime = time.time() - t0

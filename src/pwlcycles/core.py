@@ -191,9 +191,13 @@ class PwlSystem:
                 if order == "order0":
                     raise ValueError("missing required key 'order0'")
                 return (Mat2.zero(), Vec2.zero())
+            if not isinstance(block, dict):
+                raise ValueError(f"'{order}' must be an object")
             if side not in block:
                 raise ValueError(f"missing key '{order}.{side}'")
             entry = block[side]
+            if not isinstance(entry, dict):
+                raise ValueError(f"'{order}.{side}' must be an object")
             mat = entry.get("matrix")
             off = entry.get("offset")
             if not isinstance(mat, (list, tuple)) or len(mat) != 4:

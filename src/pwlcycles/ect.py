@@ -10,7 +10,6 @@ verdicts say so.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -38,9 +37,11 @@ PUNCTURE_RADIUS = 1e-6  # scan grids skip points this close to a puncture
 class FunctionFamily:
     """Ordered scalar functions on an open interval.
 
-    ``derivatives[i][k-1]`` is the k-th derivative of member i when
-    analytic derivatives are supplied; otherwise fourth-order central
-    differences with step ``_FD_STEP[k] * max(1, |s0|)`` are used.
+    Members and derivatives take a float array and return an array of its
+    shape, or a scalar (``lambda s: 1.0``), which is broadcast.
+    ``derivatives[i][k-1]`` is the k-th derivative of member i when analytic
+    derivatives are supplied; otherwise fourth-order central differences
+    with step ``_FD_STEP[k] * max(1, |s0|)`` per point are used.
     ``punctures`` are isolated points excluded from scan grids (removable
     factors of closed forms).
     """
@@ -50,34 +51,46 @@ class FunctionFamily:
     derivatives: tuple | None = None
     punctures: tuple = ()
 
-    def deriv(self, i: int, k: int, s0: float) -> float:
+    def deriv(self, i: int, k: int, s0):
+        """k-th derivative of member i at a float s0, or over an array of points."""
         if k == 0:
-            return float(self.members[i](s0))
-        if self.derivatives is not None and k <= len(self.derivatives[i]):
-            return float(self.derivatives[i][k - 1](s0))
-        if k not in _STENCILS:
+            val = self.members[i](s0)
+        elif self.derivatives is not None and k <= len(self.derivatives[i]):
+            val = self.derivatives[i][k - 1](s0)
+        elif k not in _STENCILS:
             raise DerivativeUnavailable(f"no stencil for derivative order {k}")
-        h = _FD_STEP[k] * max(1.0, abs(s0))
-        offs, coefs = _STENCILS[k]
-        acc = 0.0
-        for o, c in zip(offs, coefs):
-            acc += c * float(self.members[i](s0 + o * h))
-        return acc / h ** k
+        else:
+            h = _FD_STEP[k] * np.maximum(1.0, np.abs(s0))
+            offs, coefs = _STENCILS[k]
+            val = sum(c * np.asarray(self.members[i](s0 + o * h), dtype=float)
+                      for o, c in zip(offs, coefs)) / h ** k
+        val = np.asarray(val, dtype=float)
+        if val.shape != np.shape(s0):
+            val = np.broadcast_to(val, np.shape(s0))
+        return val if val.shape else float(val)
 
 
-def wronskian(fam: FunctionFamily, order: int, s0: float) -> float:
-    """Determinant of the (order+1)x(order+1) derivative matrix at s0."""
+def _matrices(fam: FunctionFamily, n: int, s) -> np.ndarray:
+    """Derivative matrices [d^k g_i](s) for k, i < n, stacked over the points of s."""
+    mat = np.empty(np.shape(s) + (n, n))
+    for k in range(n):
+        for i in range(n):
+            mat[..., k, i] = fam.deriv(i, k, s)
+    return mat
+
+
+def wronskian(fam: FunctionFamily, order: int, s0):
+    """Determinant of the (order+1)x(order+1) derivative matrix at s0, a
+    float (giving a float) or an array of points (giving an array)."""
     if order >= len(fam.members):
         raise ValueError("order must be < number of members")
     lo, hi = fam.interval
-    if not (lo < s0 < hi):
-        raise ValueError(f"s0={s0} outside the family interval {fam.interval}")
-    n = order + 1
-    mat = np.empty((n, n))
-    for k in range(n):
-        for i in range(n):
-            mat[k, i] = fam.deriv(i, k, s0)
-    return float(np.linalg.det(mat))
+    s = np.asarray(s0, dtype=float)
+    outside = s[~((lo < s) & (s < hi))]
+    if outside.size:
+        raise ValueError(f"s0={outside.flat[0]} outside the family interval {fam.interval}")
+    det = np.linalg.det(_matrices(fam, order + 1, s if s.shape else float(s)))
+    return det if s.shape else float(det)
 
 
 class EctVerdict(Enum):
@@ -122,12 +135,13 @@ def check_ect(fam: FunctionFamily, interval=None, grid_size: int = 1024):
     for p in fam.punctures:
         grid = grid[np.abs(grid - p) > PUNCTURE_RADIUS]
     orders = len(fam.members)
-    values = np.empty((orders, len(grid)))
-    for k in range(orders):
-        for j, s0 in enumerate(grid):
-            values[k, j] = wronskian(fam, k, float(s0))
+    mats = _matrices(fam, orders, grid)
+    values = np.stack([np.linalg.det(mats[:, :k + 1, :k + 1]) for k in range(orders)])
 
     profile = WronskianProfile(grid=grid, values=values)
+    raw = np.sign(values)
+    order, j = np.nonzero(raw[:, :-1] * raw[:, 1:] < 0)
+    zeros = _bisect(fam, order, grid[j], grid[j + 1], values[order, j] > 0)
     bounded = []
     for k in range(orders):
         v = values[k]
@@ -138,19 +152,7 @@ def check_ect(fam: FunctionFamily, interval=None, grid_size: int = 1024):
         nz = sgn[sgn != 0.0]
         changes = int(np.sum(nz[:-1] * nz[1:] < 0)) if len(nz) > 1 else 0
         profile.sign_changes.append(changes)
-        cand = []
-        raw_sign = np.sign(v)
-        for j in np.where(raw_sign[:-1] * raw_sign[1:] < 0)[0]:
-            a, b = float(grid[j]), float(grid[j + 1])
-            fa = v[j]
-            for _ in range(80):
-                mid = 0.5 * (a + b)
-                fm = wronskian(fam, k, mid)
-                if (fm > 0) == (fa > 0):
-                    a, fa = mid, fm
-                else:
-                    b = mid
-            cand.append(0.5 * (a + b))
+        cand = zeros[order == k].tolist()
         profile.zero_candidates.append(cand)
         bounded.append(float(np.abs(v).min()) > 1e-8 * scale and changes == 0
                        and not cand)
@@ -161,12 +163,46 @@ def check_ect(fam: FunctionFamily, interval=None, grid_size: int = 1024):
             and len(profile.zero_candidates[-1]) == 1:
         z = profile.zero_candidates[-1][0]
         h = 1e-6 * max(1.0, abs(z))
-        slope = (wronskian(fam, orders - 1, z + h)
-                 - wronskian(fam, orders - 1, z - h)) / (2 * h)
+        w_lo, w_hi = wronskian(fam, orders - 1, np.array([z - h, z + h]))
+        slope = (w_hi - w_lo) / (2 * h)
         vscale = max(float(np.abs(values[-1]).max()), 1e-300)
         if abs(slope) > 1e-8 * vscale:
             return profile, EctVerdict.ET_WITH_ACCURACY
     return profile, EctVerdict.INCONCLUSIVE
+
+
+_BISECT_STEPS = 80  # halvings of each Wronskian bracket, _BISECT_DEPTH per round
+_BISECT_DEPTH = 5
+
+
+def _bisect(fam: FunctionFamily, order, a, b, positive) -> np.ndarray:
+    """Bisected zeros of W_order in the brackets [a, b], with ``positive`` the
+    sign of W at a.  A round evaluates the midpoint tree of the next depth
+    steps, built as bisection builds it, and walks it: the result is plain
+    bisection's.  A midpoint rounding onto an end cannot move, so rounds stop
+    once all do."""
+    steps = [2 ** d for d in range(_BISECT_DEPTH, -1, -1)]  # leaves, ..., 2, 1
+    rows = np.arange(len(a))
+    n = int(order.max(initial=0)) + 1
+    groups = [(k, order == k) for k in np.unique(order)]
+    for _ in range(_BISECT_STEPS // _BISECT_DEPTH):
+        mid = 0.5 * (a + b)
+        if np.all((mid == a) | (mid == b)):
+            break
+        pts = np.empty((len(a), steps[0] + 1))
+        pts[:, 0], pts[:, -1] = a, b
+        for step in steps[:-1]:
+            pts[:, step // 2::step] = 0.5 * (pts[:, :-step:step] + pts[:, step::step])
+        mats = _matrices(fam, n, pts[:, 1:-1])
+        w = np.empty(mats.shape[:2])
+        for k, sel in groups:
+            w[sel] = np.linalg.det(mats[sel, :, :k + 1, :k + 1])
+        right = (w > 0) == positive[:, None]  # W has its sign at a: step right
+        lo = np.zeros(len(a), dtype=int)
+        for step in steps[1:]:
+            lo = lo + step * right[rows, lo + step - 1]
+        a, b = pts[rows, lo], pts[rows, lo + 1]
+    return 0.5 * (a + b)
 
 
 # ---------------------------------------------------------------------------
@@ -174,7 +210,7 @@ def check_ect(fam: FunctionFamily, interval=None, grid_size: int = 1024):
 # ---------------------------------------------------------------------------
 
 def _acos_u(u):
-    return math.acos(2.0 / u - 1.0)
+    return np.arccos(2.0 / u - 1.0)
 
 
 def amplitude_family(beta: float, interval=(1e-2, 1e2)) -> FunctionFamily:
@@ -218,7 +254,7 @@ def constrained_family(interval=(1e-2, 1e2)) -> FunctionFamily:
     """(s0, (s0^2+1)*arccos(1 - 2/(s0^2+1))): spans the constrained-case
     rescaled Melnikov combination up to an affine substitution."""
     def a_(u):
-        return math.acos(1.0 - 2.0 / u)
+        return np.arccos(1.0 - 2.0 / u)
 
     f0 = lambda s: s
     f1 = lambda s: (s * s + 1.0) * a_(s * s + 1.0)

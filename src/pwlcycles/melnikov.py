@@ -113,20 +113,32 @@ class MelnikovParams:
         )
 
 
+def _positive(x, message: str):
+    """``x`` as a float if it is a number or 0-d, else as a float array;
+    ValueError(message) unless every entry is > 0 (NaN passes)."""
+    scalar = isinstance(x, (int, float)) or np.ndim(x) == 0
+    x = float(x) if scalar else np.asarray(x, dtype=float)
+    if (x <= 0) if scalar else np.any(x <= 0):
+        raise ValueError(message)
+    return x
+
+
 def _acos(arg):
-    """arccos with clamping restricted to a 1e-14 neighborhood of +-1."""
-    arg = np.asarray(arg, dtype=float)
-    over = (arg > 1.0 + ARCCOS_CLAMP) | (arg < -1.0 - ARCCOS_CLAMP)
-    if np.any(over):
+    """arccos with clamping restricted to a 1e-14 neighborhood of +-1:
+    ``math.acos`` for a float, ``np.arccos`` for an array."""
+    if isinstance(arg, np.ndarray):
+        if np.any(np.abs(arg) > 1.0 + ARCCOS_CLAMP):
+            raise MelnikovDomainError("arccos argument outside [-1, 1] beyond tolerance")
+        return np.arccos(np.clip(arg, -1.0, 1.0))
+    if abs(arg) > 1.0 + ARCCOS_CLAMP:
         raise MelnikovDomainError("arccos argument outside [-1, 1] beyond tolerance")
-    return np.arccos(np.clip(arg, -1.0, 1.0))
+    return math.acos(min(max(arg, -1.0), 1.0))
 
 
 def m1(p: MelnikovParams, y0):
-    """First-order Melnikov function at amplitude y0 > 0."""
-    y0 = np.asarray(y0, dtype=float)
-    if np.any(y0 <= 0):
-        raise ValueError("m1 needs y0 > 0")
+    """First-order Melnikov function at amplitude y0 > 0: a float (``math``)
+    for a number, an array (numpy) for an array; NaN amplitudes give NaN."""
+    y0 = _positive(y0, "m1 needs y0 > 0")
     e, d, b, xi = p.e, p.d, p.b, p.xi
     sm, sp = p.trace_minus, p.trace_plus
     left_arg = 2.0 * e * e / (e * e + y0 * y0) - 1.0
@@ -135,15 +147,14 @@ def m1(p: MelnikovParams, y0):
     acr = _acos(right_arg)
     inner = (-2.0 * b * d * y0 * xi * sp - 4.0 * p.v1p * y0 * xi ** 3
              + b * sp * (d * d + y0 * y0 * xi * xi) * acr)
-    val = (4.0 * p.v1m * y0
-           - 2.0 * sm * (math.pi * (e * e + y0 * y0) + e * y0)
-           + sm * (e * e + y0 * y0) * acl
-           - inner / (b * xi ** 3)) / (2.0 * y0)
-    return val if val.shape else float(val)
+    return (4.0 * p.v1m * y0
+            - 2.0 * sm * (math.pi * (e * e + y0 * y0) + e * y0)
+            + sm * (e * e + y0 * y0) * acl
+            - inner / (b * xi ** 3)) / (2.0 * y0)
 
 
 def m1_constrained(p: MelnikovParams, y0):
-    """M1 specialized to b11m = -b22m (vanishing first-order left trace).
+    """M1 specialized to b11m = -b22m (vanishing first-order left trace); y0 as in m1.
 
     M1(y0) = 2 v1m + 2 v1p / b + d (b11p + b22p) / xi^2
              - (b11p + b22p) (d^2 + xi^2 y0^2) arccos(2 d^2/(d^2+xi^2 y0^2) - 1)
@@ -151,14 +162,11 @@ def m1_constrained(p: MelnikovParams, y0):
     """
     if not p.constrained:
         raise ConstraintViolated("m1_constrained needs b11m = -b22m")
-    y0 = np.asarray(y0, dtype=float)
-    if np.any(y0 <= 0):
-        raise ValueError("m1_constrained needs y0 > 0")
+    y0 = _positive(y0, "m1_constrained needs y0 > 0")
     d, b, xi, sp = p.d, p.b, p.xi, p.trace_plus
     acr = _acos(2.0 * d * d / (d * d + xi * xi * y0 * y0) - 1.0)
-    val = (2.0 * p.v1m + 2.0 * p.v1p / b + d * sp / (xi * xi)
-           - sp * (d * d + xi * xi * y0 * y0) * acr / (2.0 * y0 * xi ** 3))
-    return val if val.shape else float(val)
+    return (2.0 * p.v1m + 2.0 * p.v1p / b + d * sp / (xi * xi)
+            - sp * (d * d + xi * xi * y0 * y0) * acr / (2.0 * y0 * xi ** 3))
 
 
 @dataclass(frozen=True)
@@ -202,15 +210,12 @@ class ReducedParams:
 
 def m1_reduced(red: ReducedParams, s0):
     """The rescaled combination mtilde1(s0); zeros coincide with M1's."""
-    s0 = np.asarray(s0, dtype=float)
-    if np.any(s0 <= 0):
-        raise ValueError("m1_reduced needs s0 > 0")
+    s0 = _positive(s0, "m1_reduced needs s0 > 0")
     ub = red.beta * red.beta * s0 * s0 + 1.0
     u = s0 * s0 + 1.0
-    val = (red.K0 * s0
-           + red.K1 * ub * (_acos(2.0 / ub - 1.0) - 2.0 * math.pi)
-           + red.K2 * u * _acos(2.0 / u - 1.0))
-    return val if val.shape else float(val)
+    return (red.K0 * s0
+            + red.K1 * ub * (_acos(2.0 / ub - 1.0) - 2.0 * math.pi)
+            + red.K2 * u * _acos(2.0 / u - 1.0))
 
 
 def reduced_limit_at_zero(red: ReducedParams) -> float:
@@ -231,13 +236,15 @@ class RootFindOptions:
 
 
 def _feval(f, x: float) -> float:
-    return float(np.ravel(f(x))[0])
+    v = f(x)  # a float as it is, an array's first entry as a float
+    return v if isinstance(v, float) else float(np.ravel(v)[0])
 
 
 def find_roots(f, domain, opts: RootFindOptions | None = None):
     """Sign-change bracketing on a log-spaced grid, refined by bisection.
 
-    ``f`` must accept numpy arrays.  Returns a list of (root, RootFlag);
+    ``f`` is called once on the grid array, then on Python floats, for which
+    it may return a float or a one-entry array.  Returns a list of (root, RootFlag);
     roots whose central-difference slope is below ``suspect_rel`` times the
     grid scale are flagged SUSPECT (possible multiplicity).
     """
@@ -252,7 +259,7 @@ def find_roots(f, domain, opts: RootFindOptions | None = None):
     sign = np.sign(vals)
     idx = np.where(sign[:-1] * sign[1:] < 0)[0]
     for i in idx:
-        a, b_ = ys[i], ys[i + 1]
+        a, b_ = float(ys[i]), float(ys[i + 1])
         fa = float(vals[i])
         for _ in range(200):
             if b_ - a < opts.refine_tol * max(1.0, b_):

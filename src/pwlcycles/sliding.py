@@ -377,7 +377,7 @@ def simulate_sliding_cycle(p: SlidingParams, eps: float | None = None,
     eps = p.epsilon if eps is None else eps
     work = p if p.drift < 0 else _mirror(p)
     sys = work.to_system(eps)
-    y_f1, _, _ = _fold_positions(sys, work.xi)
+    y_f1 = {f.side: f.y for f in find_folds(sys)}["minus"]
     t_max = 3.0 * (2.0 * math.pi + math.pi / p.xi)
     opts = opts or SimOptions(max_segments=64)
     traj = simulate(sys, (0.0, y_f1), t_max, opts)

@@ -78,6 +78,19 @@ class TestAnalyze:
         else:
             assert "non-numeric entry in 'order0.plus'" in err
 
+    @pytest.mark.parametrize("order0, key", [
+        ("plus minus", "'order0' must be an object"),
+        ({"plus": [1, 2], "minus": {"matrix": [0, -1, 1, 0], "offset": [0, 1]}},
+         "'order0.plus' must be an object"),
+    ], ids=["block-str", "entry-list"])
+    def test_non_object_entries_exit_one(self, tmp_path, capsys, order0, key):
+        bad = tmp_path / "bad4.json"
+        bad.write_text(json.dumps({"order0": order0}))
+        assert main(["analyze", str(bad)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and key in err
+        assert "Traceback" not in err
+
     def test_json_integers_are_numbers(self, tmp_path):
         data = example_two(0.01).to_dict()
         data["order0"]["minus"]["matrix"] = [0, -1, 1, 0]

@@ -17,6 +17,7 @@ from pwlcycles.ect import (
     constrained_w1_tilde_slope,
     wronskian,
 )
+from pwlcycles.ect import _BISECT_DEPTH, _BISECT_STEPS
 from pwlcycles.melnikov import ReducedParams, m1_reduced
 from pwlcycles.examples import example_one_params
 
@@ -133,6 +134,98 @@ class TestCheckEct:
         profile, _ = check_ect(fam, grid_size=256)
         csv = profile.to_csv()
         assert csv.splitlines()[0] == "s0,W0,W1,W2,W3"
+
+
+class TestGridPath:
+    """Members, derivatives and Wronskians over a whole grid at once."""
+
+    @staticmethod
+    def families():
+        fam = amplitude_family(2.0)
+        bare = FunctionFamily(members=fam.members, interval=fam.interval,
+                              punctures=fam.punctures)
+        return {"analytic": fam, "stencil": bare, "constrained": constrained_family()}
+
+    @pytest.mark.parametrize("name", ["analytic", "stencil", "constrained"])
+    def test_grid_matches_points(self, name):
+        fam = self.families()[name]
+        grid = np.geomspace(0.02, 50.0, 301)
+        grid = grid[np.min([np.abs(grid - p) for p in fam.punctures], axis=0) > 1e-3]
+        for k in range(len(fam.members)):
+            on_grid = wronskian(fam, k, grid)
+            assert on_grid.shape == grid.shape
+            points = [wronskian(fam, k, float(s)) for s in grid]
+            assert all(type(w) is float for w in points)
+            assert_allclose(on_grid, points, rtol=1e-12, atol=0)
+
+    def test_scalar_returns_are_broadcast(self):
+        fam = FunctionFamily(members=(lambda s: 1.0, lambda s: s), interval=(0.1, 10.0),
+                             derivatives=((lambda s: 0.0,), (lambda s: 1.0,)))
+        grid = np.linspace(0.5, 5.0, 7)
+        assert_allclose(fam.deriv(0, 0, grid), np.ones(7))
+        assert_allclose(fam.deriv(1, 1, grid), np.ones(7))
+        assert fam.deriv(0, 0, 2.0) == 1.0 and type(fam.deriv(0, 0, 2.0)) is float
+        assert_allclose(wronskian(fam, 1, grid), np.ones(7))
+
+    def test_grid_outside_interval_rejected(self):
+        fam = amplitude_family(2.0)
+        with pytest.raises(ValueError, match="outside the family interval"):
+            wronskian(fam, 1, np.array([0.5, 200.0]))
+
+    @pytest.mark.parametrize("name", ["analytic", "stencil", "cubic"])
+    def test_refinement_is_plain_bisection(self, name):
+        # reference: the per-bracket scalar bisection, 80 halvings keeping the
+        # end whose sign W has at the bracket's left end
+        fam = self.families().get(name) or FunctionFamily(
+            members=(lambda s: 1.0, lambda s: s, lambda s: s ** 3), interval=(-1.0, 1.0))
+        profile, _ = check_ect(fam, grid_size=512)
+        want = []
+        for k, v in enumerate(profile.values):
+            cand = []
+            for j in np.where(np.sign(v[:-1]) * np.sign(v[1:]) < 0)[0]:
+                a, b = float(profile.grid[j]), float(profile.grid[j + 1])
+                for _ in range(80):
+                    mid = 0.5 * (a + b)
+                    if (wronskian(fam, k, mid) > 0) == (v[j] > 0):
+                        a = mid
+                    else:
+                        b = mid
+                cand.append(0.5 * (a + b))
+            want.append(cand)
+        assert profile.zero_candidates == want
+        assert sum(map(len, want)) >= 1
+
+    @pytest.mark.parametrize("name", ["analytic", "stencil"])
+    def test_scan_calls_each_function_a_few_times(self, name):
+        # a deterministic cost guard: the scan evaluates every member and
+        # derivative once over the grid, and the refinement once per round
+        # for all brackets together; a per-point scan made 1024 calls each
+        fam = self.families()[name]
+        calls = {}
+
+        def counted(key, g):
+            def h(s):
+                calls[key] = calls.get(key, 0) + 1
+                return g(s)
+            return h
+
+        wrapped = FunctionFamily(
+            members=tuple(counted(f"g{i}", g) for i, g in enumerate(fam.members)),
+            interval=fam.interval,
+            derivatives=None if fam.derivatives is None else tuple(
+                tuple(counted(f"d{k + 1}g{i}", g) for k, g in enumerate(ds))
+                for i, ds in enumerate(fam.derivatives)),
+            punctures=fam.punctures)
+        profile, verdict = check_ect(wrapped)
+        ref_profile, ref_verdict = check_ect(fam)
+        assert verdict is ref_verdict
+        assert profile.sign_changes == ref_profile.sign_changes
+        # one matrix for the grid, one per refinement round and one for the
+        # slope test; a stencil evaluates a member 1 + 4 + 5 + 6 times per matrix
+        per_matrix = 1 if fam.derivatives is not None else 16
+        matrices = 1 + _BISECT_STEPS // _BISECT_DEPTH + 1
+        assert len(calls) == (16 if fam.derivatives is not None else 4)
+        assert max(calls.values()) <= per_matrix * matrices
 
 
 class TestBoundRealization:

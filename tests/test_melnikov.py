@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from pwlcycles.errors import ConstraintViolated
+from pwlcycles.errors import ConstraintViolated, MelnikovDomainError
 from pwlcycles.examples import (
     EXAMPLE1_M1_ROOTS,
     EXAMPLE2_NOMINAL_ROOT,
@@ -16,9 +16,11 @@ from pwlcycles.examples import (
 )
 from pwlcycles.melnikov import (
     SIGN_TOL,
+    _acos,
     MelnikovParams,
     MelnikovReport,
     ReducedParams,
+    RootFindOptions,
     RootFlag,
     Stability,
     classify_stability,
@@ -90,6 +92,87 @@ class TestM1:
         for name in ("b11m", "v1p", "xi"):
             with pytest.raises(ValueError, match=f"{name} must be finite"):
                 replace(example_two_params(), **{name: bad})
+
+
+class TestFloatAndArrayPaths:
+    """``m1`` and ``m1_constrained`` run one formula on ``math`` for a number
+    and on numpy for an array; ``find_roots`` refines on the float path."""
+
+    VARIANTS = [(m1, False), (m1_constrained, True)]
+
+    @pytest.mark.parametrize("f, constrained", VARIANTS, ids=["m1", "constrained"])
+    def test_values_agree(self, f, constrained):
+        # near a root the value cancels, so the tolerance is relative to the
+        # sampled scale: arccos differs in the last ulp between the paths
+        rng = np.random.default_rng(31)
+        ys = np.geomspace(1e-3, 1e3, 257)
+        for _ in range(50):
+            p = random_params(rng, constrained)
+            arr = f(p, ys)
+            flt = [f(p, float(y)) for y in ys]
+            assert all(type(v) is float for v in flt)
+            assert_allclose(flt, arr, rtol=1e-15, atol=1e-15 * np.abs(arr).max())
+
+    @pytest.mark.parametrize("f, constrained", VARIANTS, ids=["m1", "constrained"])
+    def test_same_errors(self, f, constrained):
+        p = example_two_params() if constrained else example_one_params()
+        for bad in (0.0, -1.0):
+            with pytest.raises(ValueError, match="needs y0 > 0"):
+                f(p, bad)
+            with pytest.raises(ValueError, match="needs y0 > 0"):
+                f(p, np.array([1.0, bad]))
+
+    def test_arccos_clamp_on_both_paths(self):
+        # the M1 arguments stay in [-1, 1] up to rounding; past the 1e-14
+        # clamp both paths refuse rather than return NaN
+        for arg in (1.0 + 1e-13, -1.0 - 1e-13):
+            with pytest.raises(MelnikovDomainError):
+                _acos(arg)
+            with pytest.raises(MelnikovDomainError):
+                _acos(np.array([0.0, arg]))
+        assert _acos(1.0 + 1e-15) == 0.0 and _acos(np.array([1.0 + 1e-15]))[0] == 0.0
+        assert _acos(-1.0 - 1e-15) == math.pi
+
+    @pytest.mark.parametrize("f, constrained", VARIANTS, ids=["m1", "constrained"])
+    def test_nan_amplitude_gives_nan(self, f, constrained):
+        # NaN passes the y0 > 0 check on both paths and comes out as NaN
+        p = example_two_params() if constrained else example_one_params()
+        assert math.isnan(f(p, math.nan))
+        out = f(p, np.array([math.nan, 1.0]))
+        assert math.isnan(out[0]) and out[1] == pytest.approx(f(p, 1.0), rel=1e-15)
+
+    @pytest.mark.parametrize("f, constrained", VARIANTS, ids=["m1", "constrained"])
+    def test_find_roots_matches_the_array_path(self, f, constrained):
+        # differential check over seeded draws: refinement on floats finds
+        # the same roots and flags as refinement through one-entry arrays
+        rng = np.random.default_rng(8 + constrained)
+        found = 0
+        for _ in range(1000):
+            p = random_params(rng, constrained)
+            flt = find_roots(lambda y: f(p, y), (1e-3, 1e3))
+            arr = find_roots(lambda y: f(p, np.atleast_1d(y)), (1e-3, 1e3))
+            assert flt == arr
+            found += len(flt)
+        assert found > 300
+
+    def test_refinement_calls_f_on_floats(self):
+        # a deterministic cost guard: the grid is the only array call; every
+        # bisection and slope evaluation gets a Python float
+        p = example_one_params()
+        kinds = []
+
+        def f(y):
+            kinds.append(type(y))
+            return m1(p, y)
+
+        roots = find_roots(f, (1e-2, 1e2))
+        assert len(roots) == 3
+        assert kinds[0] is np.ndarray
+        assert set(kinds[1:]) == {float}
+
+    def test_array_returns_are_unwrapped(self):
+        roots = find_roots(lambda y: np.atleast_1d(y) - 5.0, (1.0, 10.0))
+        assert roots == find_roots(lambda y: y - 5.0, (1.0, 10.0))
 
 
 class TestReduced:

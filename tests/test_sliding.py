@@ -4,8 +4,10 @@ from dataclasses import replace
 import pytest
 from numpy.testing import assert_allclose
 
+from pwlcycles import sliding
 from pwlcycles.core import PwlSystem
 from pwlcycles.errors import ConstraintViolated
+from pwlcycles.flow import SimOptions, simulate
 from pwlcycles.examples import (
     EXAMPLE2_SYSTEM_ROOT,
     example_two_sliding_params,
@@ -240,6 +242,32 @@ class TestSimulatedCycles:
         monkeypatch.setattr(SlidingParams, "to_system", counting)
         entry(type_one_sliding_params())
         assert calls == 1
+
+    @pytest.mark.parametrize("eps", [5e-3, 1e-2])
+    def test_loop_starts_at_the_visible_fold_only(self, monkeypatch, eps):
+        # the loop reads only the left fold: no right-zone event search for
+        # the third fold position, and the same loop as one started from
+        # the first of ``_fold_positions``
+        p = type_one_sliding_params()
+        sys = p.to_system(eps)
+        y_f1 = sliding._fold_positions(sys, p.xi)[0]
+        t_max = 3.0 * (2.0 * math.pi + math.pi / p.xi)
+        want = simulate(sys, (0.0, y_f1), t_max, SimOptions(max_segments=64))
+        calls = 0
+        locate = sliding.first_component_zero
+
+        def counting(*args, **kwargs):
+            nonlocal calls
+            calls += 1
+            return locate(*args, **kwargs)
+
+        monkeypatch.setattr(sliding, "first_component_zero", counting)
+        traj, closure, kinds = simulate_sliding_cycle(p, eps)
+        assert calls == 0
+        assert traj.to_csv() == want.to_csv()
+        assert kinds == want.segment_kinds()
+        assert kinds == ["ZoneMinus", "Sliding"] * 4 + ["ZoneMinus"]
+        assert closure == 0.0
 
     def test_type_two_loop_uses_both_zones(self):
         base = type_one_sliding_params()

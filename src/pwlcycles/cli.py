@@ -112,7 +112,7 @@ def cmd_analyze(cfg: AnalysisConfig) -> int:
         _write(cfg, "report.json", json.dumps(report, indent=2) + "\n")
         print(json.dumps(report, indent=2))
         return 0
-    params, change = canonicalize(sys_in)
+    params, change = hyp.reduction
     canon = change.push_system(sys_in).with_epsilon(eps)
     report["canonical"] = {"a": params.a, "b": params.b, "c": params.c,
                            "d": params.d, "e": params.e, "xi": params.xi,

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -139,12 +139,16 @@ class PwlSystem:
 
     @cached_property
     def _zones(self) -> dict:
-        eps = self.epsilon
+        eps = float(self.epsilon)
+        eps2 = eps * eps
         zones = {}
         for side in ("plus", "minus"):
             (a, u), (b, v), (c, w) = self.orders(side)
-            m = a.array + eps * b.array + eps * eps * c.array
-            off = u.array + eps * v.array + eps * eps * w.array
+            # entry by entry, rounded as the array expression A + eps*B + eps^2*C
+            m = np.array([
+                [a.m11 + eps * b.m11 + eps2 * c.m11, a.m12 + eps * b.m12 + eps2 * c.m12],
+                [a.m21 + eps * b.m21 + eps2 * c.m21, a.m22 + eps * b.m22 + eps2 * c.m22]])
+            off = np.array([u.x + eps * v.x + eps2 * w.x, u.y + eps * v.y + eps2 * w.y])
             m.setflags(write=False)
             off.setflags(write=False)
             zones[side] = (m, off)
@@ -303,16 +307,23 @@ class ChangeOfVariables:
 
     def _push_pairs(self, pairs) -> list[ZonePair]:
         """For Y = Q X + q, tau = rho t each pair (M, u) becomes
-        (Q M Q^-1 / rho, Q (u - M Q^-1 q) / rho)."""
-        q = np.array(self.offset)
-        qm = self.matrix
-        qinv = np.linalg.inv(qm)
+        (Q M Q^-1 / rho, Q (u - M Q^-1 q) / rho), in float arithmetic with
+        Q^-1 the adjugate over the determinant."""
+        (q11, q12), (q21, q22) = self.linear
+        det = q11 * q22 - q12 * q21
+        i11, i12, i21, i22 = q22 / det, -q12 / det, -q21 / det, q11 / det
+        s1, s2 = self.offset
+        p1, p2 = i11 * s1 + i12 * s2, i21 * s1 + i22 * s2  # Q^-1 q
         rho = self.time_scale
         out = []
         for m, u in pairs:
-            mm = qm @ m.array @ qinv / rho
-            uu = qm @ (u.array - m.array @ (qinv @ q)) / rho
-            out.append((Mat2.from_array(mm), Vec2.from_array(uu)))
+            r11, r12 = q11 * m.m11 + q12 * m.m21, q11 * m.m12 + q12 * m.m22  # Q M
+            r21, r22 = q21 * m.m11 + q22 * m.m21, q21 * m.m12 + q22 * m.m22
+            w1 = u.x - (m.m11 * p1 + m.m12 * p2)
+            w2 = u.y - (m.m21 * p1 + m.m22 * p2)
+            out.append((Mat2((r11 * i11 + r12 * i21) / rho, (r11 * i12 + r12 * i22) / rho,
+                             (r21 * i11 + r22 * i21) / rho, (r21 * i12 + r22 * i22) / rho),
+                        Vec2((q11 * w1 + q12 * w2) / rho, (q21 * w1 + q22 * w2) / rho)))
         return out
 
 
@@ -324,7 +335,8 @@ class HypothesisReport:
     h2: the right piece is a linear center with a virtual singular point;
     h3: the sign constraints of the normal form all hold.
     Singular points are reported in normal coordinates when the reduction
-    exists, otherwise in the original ones.
+    exists, otherwise in the original ones.  ``reduction`` is the
+    ``canonicalize`` result when the normal form exists, else None.
     """
 
     h1_real_center: bool
@@ -332,6 +344,8 @@ class HypothesisReport:
     h3_global_center: bool
     singular_minus: Vec2
     singular_plus: Vec2
+    reduction: tuple[CanonicalParams, ChangeOfVariables] | None = field(
+        default=None, compare=False, repr=False)
 
 
 def _margin(*values: float) -> float:
@@ -366,11 +380,13 @@ def _is_center(m: Mat2) -> bool:
     return data is not None and data[1] < -data[2]
 
 
-def _singular_point(m: Mat2, u: Vec2) -> np.ndarray:
+def _singular_point(m: Mat2, u: Vec2) -> tuple[float, float]:
     det = m.det
     if abs(det) < _margin(m.m11 * m.m22, m.m12 * m.m21):
         raise DegenerateLinearPart("zone matrix is singular; no isolated singular point")
-    return np.linalg.solve(m.array, -u.array)
+    # LAPACK's solve: the reported points keep its rounding
+    return tuple(np.linalg.solve(np.array([[m.m11, m.m12], [m.m21, m.m22]], dtype=float),
+                                 -np.array([u.x, u.y], dtype=float)).tolist())
 
 
 def _tangency_shift(sys: PwlSystem) -> float:
@@ -410,14 +426,9 @@ def _raw_change(sys: PwlSystem) -> ChangeOfVariables:
     rho = math.sqrt(-disc)
     kappa = _tangency_shift(sys)
     # Compose y -> y + kappa, then (x, y) -> (x, -m11*x - m12*y), then
-    # (x, y, t) -> (rho*x, y, rho*t) into a single affine map.
-    q = np.array([[rho, 0.0], [-m11, -mm.m12]])
-    offset = q @ np.array([0.0, kappa])
-    return ChangeOfVariables(
-        linear=((q[0, 0], q[0, 1]), (q[1, 0], q[1, 1])),
-        offset=(float(offset[0]), float(offset[1])),
-        time_scale=rho,
-    )
+    # (x, y, t) -> (rho*x, y, rho*t) into a single affine map Y = Q X + Q (0, kappa).
+    return ChangeOfVariables(linear=((rho, 0.0), (-m11, -mm.m12)),
+                             offset=(0.0, -mm.m12 * kappa), time_scale=rho)
 
 
 def _normal_form(sys: PwlSystem, change: ChangeOfVariables) -> CanonicalParams:
@@ -460,23 +471,27 @@ def check_hypotheses(sys: PwlSystem) -> HypothesisReport:
     h2 = bool(_is_center(mp) and p_plus[0] <= _margin(p_plus[0]))
 
     h3 = False
-    change = None
+    change = reduction = None
     if minus_center:
         try:
             change = _raw_change(sys)
-            _normal_form(sys, change)
+            reduction = (_normal_form(sys, change), change)
             h3 = h1 and h2
         except _REDUCTION_ERRORS:
             pass
     if change is not None:
         # normal-coordinate singular points: (-e, 0) and d/(a^2+bc)*(-b, a)
-        p_minus, p_plus = change.apply(p_minus), change.apply(p_plus)
+        (l11, l12), (l21, l22) = change.linear
+        o1, o2 = change.offset
+        p_minus, p_plus = [(l11 * x + l12 * y + o1, l21 * x + l22 * y + o2)
+                           for x, y in (p_minus, p_plus)]
     return HypothesisReport(
         h1_real_center=h1,
         h2_virtual_center=h2,
         h3_global_center=h3,
-        singular_minus=Vec2.from_array(p_minus),
-        singular_plus=Vec2.from_array(p_plus),
+        singular_minus=Vec2(*p_minus),
+        singular_plus=Vec2(*p_plus),
+        reduction=reduction,
     )
 
 

@@ -14,6 +14,7 @@ import json
 import math
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -86,7 +87,7 @@ class MelnikovParams:
     def trace_plus(self) -> float:
         return self.b11p + self.b22p
 
-    @property
+    @cached_property
     def constrained(self) -> bool:
         """Whether the first-order left trace vanishes (b11m = -b22m)."""
         return scaled_sign(self.trace_minus, self.b11m, self.b22m) == 0
@@ -116,9 +117,12 @@ class MelnikovParams:
 def _positive(x, message: str):
     """``x`` as a float if it is a number or 0-d, else as a float array;
     ValueError(message) unless every entry is > 0 (NaN passes)."""
-    scalar = isinstance(x, (int, float)) or np.ndim(x) == 0
-    x = float(x) if scalar else np.asarray(x, dtype=float)
-    if (x <= 0) if scalar else np.any(x <= 0):
+    if isinstance(x, (int, float)):
+        if x <= 0:
+            raise ValueError(message)
+        return float(x)
+    x = float(x) if np.ndim(x) == 0 else np.asarray(x, dtype=float)
+    if np.any(x <= 0):
         raise ValueError(message)
     return x
 
@@ -235,6 +239,14 @@ class RootFindOptions:
     dedupe_rel: float = 1e-9
 
 
+@lru_cache(maxsize=8)
+def _grid(lo: float, hi: float, n: int) -> np.ndarray:
+    """``np.geomspace(lo, hi, n)``, built once per key and read-only."""
+    ys = np.geomspace(lo, hi, n)
+    ys.setflags(write=False)
+    return ys
+
+
 def _feval(f, x: float) -> float:
     v = f(x)  # a float as it is, an array's first entry as a float
     return v if isinstance(v, float) else float(np.ravel(v)[0])
@@ -244,7 +256,9 @@ def find_roots(f, domain, opts: RootFindOptions | None = None):
     """Sign-change bracketing on a log-spaced grid, refined by bisection.
 
     ``f`` is called once on the grid array, then on Python floats, for which
-    it may return a float or a one-entry array.  Returns a list of (root, RootFlag);
+    it may return a float or a one-entry array.  The grid is shared by all
+    calls on the same domain and grid size and is read-only: an ``f`` that
+    writes into it raises ValueError.  Returns a list of (root, RootFlag);
     roots whose central-difference slope is below ``suspect_rel`` times the
     grid scale are flagged SUSPECT (possible multiplicity).
     """
@@ -252,7 +266,7 @@ def find_roots(f, domain, opts: RootFindOptions | None = None):
     if not (0 < lo < hi):
         raise ValueError("need 0 < lo < hi")
     opts = opts or RootFindOptions()
-    ys = np.geomspace(lo, hi, opts.grid)
+    ys = _grid(lo, hi, opts.grid)
     vals = np.asarray(f(ys), dtype=float)
     scale = float(np.nanmax(np.abs(vals))) / (hi - lo)
     roots = []

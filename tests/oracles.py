@@ -69,6 +69,18 @@ def first_return_displacement(sys, y0, t_guess=120.0):
     return float(X[1]) - float(y0)
 
 
+def push_pairs_reference(change, pairs):
+    """Each (M, u) pair in the coordinates Y = Q X + q, tau = rho t of
+    ``change``: (Q M Q^-1 / rho, Q (u - M Q^-1 q) / rho) as arrays, by numpy
+    products and ``np.linalg.inv``."""
+    q = np.array(change.offset, dtype=float)
+    qm = np.array(change.linear, dtype=float)
+    qinv = np.linalg.inv(qm)
+    rho = change.time_scale
+    return [(qm @ m.array @ qinv / rho, qm @ (u.array - m.array @ (qinv @ q)) / rho)
+            for m, u in pairs]
+
+
 def sliding_time(sys, ya, yb):
     """Signed time to slide along x = 0 from (0, ya) to (0, yb).
 

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from pwlcycles import core
 from pwlcycles.cli import main
 from pwlcycles.core import ChangeOfVariables
 from pwlcycles.examples import EXAMPLE1_M1_ROOTS, example_one, example_two
@@ -113,6 +114,21 @@ class TestAnalyze:
             return push(self, *args, **kwargs)
 
         monkeypatch.setattr(ChangeOfVariables, "push_system", counting)
+        assert main(["analyze", ex1_path, "-o", str(tmp_path / "out")]) == 0
+        assert calls == 1
+
+    def test_one_reduction_per_analysis(self, ex1_path, tmp_path, monkeypatch):
+        # a deterministic cost guard: analyze reads the reduction that
+        # check_hypotheses made instead of canonicalizing again
+        calls = 0
+        raw_change = core._raw_change
+
+        def counting(sys):
+            nonlocal calls
+            calls += 1
+            return raw_change(sys)
+
+        monkeypatch.setattr(core, "_raw_change", counting)
         assert main(["analyze", ex1_path, "-o", str(tmp_path / "out")]) == 0
         assert calls == 1
 

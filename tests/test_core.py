@@ -4,9 +4,11 @@ import json
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
+from oracles import push_pairs_reference
 
 from pwlcycles import core
 from pwlcycles.core import (
+    ChangeOfVariables,
     Mat2,
     PwlSystem,
     Vec2,
@@ -58,6 +60,7 @@ class TestCheckHypotheses:
         assert rep.h1_real_center
         assert not rep.h2_virtual_center
         assert not rep.h3_global_center
+        assert rep.reduction is None
 
     def test_failed_reduction_runs_once(self, monkeypatch):
         # a deterministic cost guard: a reduction that fails on the right
@@ -199,6 +202,85 @@ class TestCanonicalize:
         assert params.e > 0 and params.d > 0
         # the common tangency point (0, u1/m12 flipped in sign) maps to the origin
         assert_allclose(change.apply((0.0, -0.4)), [0.0, 0.0], atol=1e-12)
+
+
+def raw_system(rng) -> PwlSystem:
+    """A random normal form with all perturbation orders, moved off normal
+    coordinates by a switching-line-preserving change built with numpy."""
+    xi, a, b = rng.uniform(0.2, 2.0), rng.uniform(-1.0, 1.0), -rng.uniform(0.2, 3.0)
+    normal = canonical_system(
+        a, b, -(xi * xi + a * a) / b, rng.uniform(0.1, 3.0), rng.uniform(0.1, 3.0),
+        B_minus=rng.uniform(-2, 2, (2, 2)), v_minus=rng.uniform(-3, 3, 2),
+        B_plus=rng.uniform(-2, 2, (2, 2)), v_plus=rng.uniform(-3, 3, 2),
+        C_minus=rng.uniform(-1, 1, (2, 2)), w_minus=rng.uniform(-1, 1, 2),
+        C_plus=rng.uniform(-1, 1, (2, 2)), w_plus=rng.uniform(-1, 1, 2),
+        epsilon=rng.uniform(1e-3, 1e-2))
+    q11 = rng.uniform(0.5, 2.0)
+    q22 = rng.choice([-1.0, 1.0]) * rng.uniform(0.5, 2.0)
+    change = ChangeOfVariables(linear=((q11, 0.0), (rng.uniform(-1.0, 1.0), q22)),
+                               offset=(0.0, rng.uniform(-1.0, 1.0)),
+                               time_scale=rng.uniform(0.5, 2.0))
+    pushed = push_pairs_reference(change, normal.orders("plus") + normal.orders("minus"))
+    p0, p1, p2, m0, m1, m2 = [(Mat2.from_array(m), Vec2.from_array(u)) for m, u in pushed]
+    return PwlSystem(p0, m0, p1, m1, p2, m2, epsilon=normal.epsilon)
+
+
+def assert_close(got, want):
+    assert abs(got - want) <= 1e-14 * max(1.0, abs(want)), (got, want)
+
+
+class TestFloatReduction:
+    def test_push_matches_the_numpy_reference(self):
+        # differential check over seeded draws: the adjugate-based float
+        # push agrees with Q M inv(Q) / rho by numpy products
+        rng = np.random.default_rng(41)
+        for _ in range(1000):
+            sys = raw_system(rng)
+            change = core._raw_change(sys)
+            pairs = sys.orders("plus") + sys.orders("minus")
+            for (m, u), (mm, uu) in zip(change._push_pairs(pairs),
+                                        push_pairs_reference(change, pairs)):
+                for got, want in zip((m.m11, m.m12, m.m21, m.m22, u.x, u.y),
+                                     (*mm.ravel(), *uu)):
+                    assert_close(got, want)
+            params, _ = canonicalize(sys)
+            (ap_m, ap_u), (_, am_u) = push_pairs_reference(
+                change, (sys.order0_plus, sys.order0_minus))
+            for got, want in zip((params.a, params.b, params.c, params.d, params.e),
+                                 (0.5 * (ap_m[0, 0] - ap_m[1, 1]), ap_m[0, 1], ap_m[1, 0],
+                                  ap_u[1], am_u[1])):
+                assert_close(got, want)
+            rep = check_hypotheses(sys)
+            assert rep.h1_real_center and rep.h2_virtual_center and rep.h3_global_center
+
+    def test_reduction_makes_no_array_round_trips(self, monkeypatch):
+        # a deterministic cost guard: the reduction is 2x2 algebra on the
+        # fields; it used to convert every pushed pair to arrays and back
+        sys = raw_system(np.random.default_rng(5))
+        calls = 0
+
+        def counting(fn):
+            def wrapped(*args):
+                nonlocal calls
+                calls += 1
+                return fn(*args)
+            return wrapped
+
+        monkeypatch.setattr(np.linalg, "inv", counting(np.linalg.inv))
+        monkeypatch.setattr(Mat2, "array", property(counting(Mat2.array.fget)))
+        monkeypatch.setattr(Vec2, "array", property(counting(Vec2.array.fget)))
+        assert check_hypotheses(sys).h3_global_center
+        _, change = canonicalize(sys)
+        change.push_system(sys)
+        assert calls == 0
+
+    def test_report_keeps_the_reduction(self):
+        sys = raw_system(np.random.default_rng(6))
+        rep = check_hypotheses(sys)
+        assert rep.reduction == canonicalize(sys)
+        plain = dataclasses.replace(rep, reduction=None)
+        assert plain == rep and hash(plain) == hash(rep)
+        assert "reduction" not in repr(rep)
 
 
 class TestZone:

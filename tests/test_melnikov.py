@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from pwlcycles import melnikov
 from pwlcycles.errors import ConstraintViolated, MelnikovDomainError
 from pwlcycles.examples import (
     EXAMPLE1_M1_ROOTS,
@@ -272,6 +273,96 @@ class TestFindRoots:
 
     def test_empty_result_allowed(self):
         assert find_roots(lambda y: y + 1.0, (0.5, 2.0)) == []
+
+
+class TestSharedGrid:
+    @staticmethod
+    def grid_seen(domain, grid):
+        seen = []
+
+        def f(y):
+            if isinstance(y, np.ndarray):
+                seen.append(y)
+            return y - 1.5
+
+        find_roots(f, domain, RootFindOptions(grid=grid))
+        return seen[0]
+
+    def test_bitwise_equal_to_geomspace(self):
+        ys = self.grid_seen((1e-3, 1e3), 4096)
+        assert ys.tobytes() == np.geomspace(1e-3, 1e3, 4096).tobytes()
+
+    def test_keys_do_not_collide(self):
+        keys = [((1e-3, 1e3), 256), ((1e-2, 1e3), 256), ((1e-3, 1e2), 256),
+                ((1e-3, 1e3), 512), ((1e-3, 1e3), 256)]
+        for (lo, hi), n in keys:
+            ys = self.grid_seen((lo, hi), n)
+            assert ys.tobytes() == np.geomspace(lo, hi, n).tobytes()
+
+    def test_grid_is_read_only(self):
+        def f(y):
+            if isinstance(y, np.ndarray):
+                y[0] = 0.0
+            return y - 1.5
+
+        with pytest.raises(ValueError):
+            find_roots(f, (0.5, 5.0))
+        assert self.grid_seen((0.5, 5.0), 4096)[0] == 0.5
+
+    def test_one_geomspace_per_domain(self, monkeypatch):
+        # a deterministic cost guard: rebuilding the 4096-point grid took
+        # about 70 us of every call
+        calls = 0
+        geomspace = np.geomspace
+
+        def counting(*args, **kwargs):
+            nonlocal calls
+            calls += 1
+            return geomspace(*args, **kwargs)
+
+        monkeypatch.setattr(np, "geomspace", counting)
+        melnikov._grid.cache_clear()
+        p = example_one_params()
+        for _ in range(3):
+            assert len(find_roots(lambda y: m1(p, y), (1e-2, 1e2))) == 3
+        assert calls == 1
+
+
+class TestConstrainedFlag:
+    def test_replace_recomputes(self):
+        p = example_two_params()
+        assert p.constrained
+        assert not replace(p, b11m=p.b11m + 0.5).constrained
+        q = example_one_params()
+        assert not q.constrained
+        assert replace(q, b11m=-q.b22m).constrained
+
+    def test_equality_and_hash_unchanged(self):
+        p, q = example_two_params(), example_two_params()
+        assert p.constrained
+        assert p == q and hash(p) == hash(q)
+        assert "constrained" not in repr(p)
+
+    def test_decided_once_per_instance(self, monkeypatch):
+        # a deterministic cost guard: the flag was re-tested through
+        # scaled_sign on every evaluation of m1_constrained
+        calls = evals = 0
+        sign = melnikov.scaled_sign
+
+        def counting(*args):
+            nonlocal calls
+            calls += 1
+            return sign(*args)
+
+        def f(y):
+            nonlocal evals
+            evals += 1
+            return m1_constrained(p, y)
+
+        monkeypatch.setattr(melnikov, "scaled_sign", counting)
+        p = example_two_params()
+        assert len(find_roots(f, (1e-1, 1e2))) == 1
+        assert evals > 30 and calls == 1
 
 
 class TestScaledSign:

@@ -32,10 +32,6 @@ from .flow import (
     SimOptions,
     Trajectory,
     displacement,
-    flow_minus,
-    flow_plus,
-    half_return_time_minus,
-    half_return_time_plus,
     melnikov_oracle,
     simulate,
 )

@@ -32,9 +32,6 @@ from .melnikov import (
     MelnikovParams,
     RootFindOptions,
     analyze as melnikov_analyze,
-    find_roots,
-    m1,
-    m1_constrained,
     m1_csv,
 )
 from .sigma import find_folds
@@ -142,13 +139,12 @@ def cmd_analyze(cfg: AnalysisConfig) -> int:
 
 def cmd_melnikov(cfg: AnalysisConfig) -> int:
     sys_in = _load_system(cfg.input_path)
-    params, change = canonicalize(sys_in)
+    _, change = canonicalize(sys_in)
     canon = change.push_system(sys_in)
     mp_ = MelnikovParams.from_system(canon)
     _write(cfg, "m1.csv", m1_csv(mp_, cfg.y0_range, n=cfg.grid))
-    f = (lambda y: m1_constrained(mp_, y)) if mp_.constrained else (lambda y: m1(mp_, y))
-    roots = find_roots(f, cfg.y0_range, RootFindOptions(grid=cfg.grid))
-    out = {"roots": [{"y0": r, "flag": fl.value} for r, fl in roots]}
+    mel = melnikov_analyze(mp_, cfg.y0_range, RootFindOptions(grid=cfg.grid))
+    out = {"roots": [{"y0": r.y0, "flag": r.flag.value} for r in mel.roots]}
     _write(cfg, "roots.json", json.dumps(out, indent=2) + "\n")
     print(json.dumps(out, indent=2))
     return 0

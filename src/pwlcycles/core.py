@@ -60,7 +60,7 @@ class Mat2:
     @staticmethod
     def from_array(a) -> "Mat2":
         a = np.asarray(a, dtype=float)
-        return Mat2(a[0, 0], a[0, 1], a[1, 0], a[1, 1])
+        return Mat2(float(a[0, 0]), float(a[0, 1]), float(a[1, 0]), float(a[1, 1]))
 
     @staticmethod
     def zero() -> "Mat2":
@@ -244,13 +244,15 @@ def canonical_system(a: float, b: float, c: float, d: float, e: float,
                      B_minus=None, v_minus=None, B_plus=None, v_plus=None,
                      C_minus=None, w_minus=None, C_plus=None, w_plus=None,
                      epsilon: float = 0.0) -> PwlSystem:
-    """Build a system whose order-0 part is already in normal coordinates."""
+    """Build a system whose order-0 part is already in normal coordinates;
+    every field is a Python float."""
     def mat(x):
-        return Mat2.zero() if x is None else Mat2.from_array(np.asarray(x, dtype=float))
+        return Mat2.zero() if x is None else Mat2.from_array(x)
 
     def vec(x):
-        return Vec2.zero() if x is None else Vec2.from_array(np.asarray(x, dtype=float))
+        return Vec2.zero() if x is None else Vec2.from_array(x)
 
+    a, b, c, d, e = (float(v) for v in (a, b, c, d, e))
     return PwlSystem(
         order0_plus=(Mat2(a, b, c, -a), Vec2(0.0, d)),
         order0_minus=(Mat2(0.0, -1.0, 1.0, 0.0), Vec2(0.0, e)),
@@ -258,7 +260,7 @@ def canonical_system(a: float, b: float, c: float, d: float, e: float,
         order1_minus=(mat(B_minus), vec(v_minus)),
         order2_plus=(mat(C_plus), vec(w_plus)),
         order2_minus=(mat(C_minus), vec(w_minus)),
-        epsilon=epsilon,
+        epsilon=float(epsilon),
     )
 
 
@@ -471,7 +473,7 @@ def check_hypotheses(sys: PwlSystem) -> HypothesisReport:
     h2 = bool(_is_center(mp) and p_plus[0] <= _margin(p_plus[0]))
 
     h3 = False
-    change = reduction = None
+    reduction = None
     if minus_center:
         try:
             change = _raw_change(sys)
@@ -479,8 +481,9 @@ def check_hypotheses(sys: PwlSystem) -> HypothesisReport:
             h3 = h1 and h2
         except _REDUCTION_ERRORS:
             pass
-    if change is not None:
+    if reduction is not None:
         # normal-coordinate singular points: (-e, 0) and d/(a^2+bc)*(-b, a)
+        _, change = reduction
         (l11, l12), (l21, l22) = change.linear
         o1, o2 = change.offset
         p_minus, p_plus = [(l11 * x + l12 * y + o1, l21 * x + l22 * y + o2)

@@ -21,10 +21,6 @@ class NonCenterMinus(PwlError):
     """The left zone has no center (nonnegative discriminant)."""
 
 
-class NonCenterPlus(PwlError):
-    """The right zone has no center (a^2 + b*c >= 0)."""
-
-
 class HypothesisViolation(PwlError):
     """Structural hypothesis needed by the reduction does not hold."""
 
@@ -37,16 +33,12 @@ class NotSlidingRegion(PwlError):
     """Sliding vector field requested outside the sliding/escaping set."""
 
 
-class DenominatorVanishes(PwlError):
-    """Filippov denominator (difference of normal components) vanishes."""
-
-
 class LineOfTangency(PwlError):
     """A zone field is tangent to the switching line identically."""
 
 
 class NonPositiveAmplitude(PwlError):
-    """Half-return time requested for a nonpositive starting amplitude."""
+    """A first return was requested from a nonpositive starting amplitude."""
 
 
 class EventStall(PwlError):

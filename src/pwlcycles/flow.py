@@ -1,17 +1,17 @@
-"""Closed-form zone flows, half-return maps, and the event-driven simulator.
+"""Exact zone flows, event location and the event-driven simulator.
 
 Each zone of a two-zone piecewise-linear system is an affine ODE
 X' = M X + u whose flow is known in closed form through the 2x2 matrix
-exponential (trace/trace-free splitting).  Events on the switching line
-x = 0 -- and on any horizontal section -- are located on a closed-form
-coordinate function: its critical times, also closed-form, split the time
-interval into monotone pieces, and the first sign change is bisected to
-adjacent doubles, so no event is skipped and no generic stepping error
-enters the simulation.  Motion inside
-sliding/escaping segments of the switching line follows the Filippov
-convex combination, whose speed along x = 0 is a quadratic over a linear
-polynomial in y; its travel time is integrated in closed form and
-inverted by bisection.
+exponential (trace/trace-free splitting); ``AffineFlow`` gives it at any
+perturbation order, and the half-return maps are its first events on
+x = 0.  Events on the switching line x = 0 -- and on any horizontal
+section -- are located on a closed-form coordinate function: its critical
+times, also closed-form, split the time interval into monotone pieces, and
+the first sign change is bisected to adjacent doubles, so no event is
+skipped and no generic stepping error enters the simulation.  Motion
+inside sliding/escaping segments of the switching line follows the
+Filippov law of ``sigma._SlidingSpeed``; its travel time is integrated in
+closed form and inverted by bisection.
 """
 
 from __future__ import annotations
@@ -27,104 +27,19 @@ from .errors import (
     EventStall,
     LineOfTangency,
     MaxSegmentsExceeded,
-    NonCenterPlus,
     NonPositiveAmplitude,
     NoReturn,
 )
 from .sigma import (
     RegionKind,
     Visibility,
+    _SlidingSpeed,
     classify_point,
     find_folds,
     normal_components,
 )
 
 TWO_PI = 2.0 * math.pi
-
-
-# ---------------------------------------------------------------------------
-# canonical-frame closed forms
-# ---------------------------------------------------------------------------
-
-def flow_minus(e: float, y0: float, t):
-    """Unperturbed left-zone flow from (0, y0): circles around (-e, 0).
-
-    x(t) = e(cos t - 1) - y0 sin t,  y(t) = y0 cos t + e sin t.
-
-    The first component is evaluated in the equivalent product form
-    -2 sin(t/2) (e sin(t/2) + y0 cos(t/2)), which avoids cancellation when
-    the orbit returns to the switching line.
-    """
-    t = np.asarray(t, dtype=float)
-    half = 0.5 * t
-    sh, ch = np.sin(half), np.cos(half)
-    x = -2.0 * sh * (e * sh + y0 * ch)
-    y = y0 * np.cos(t) + e * np.sin(t)
-    return x, y
-
-
-def flow_plus(a: float, b: float, c: float, d: float, y1: float, s):
-    """Unperturbed right-zone flow from (0, y1); requires a^2 + b*c < 0.
-
-    Solves x'' + xi^2 x = b d with x(0) = 0, x'(0) = b y1 and recovers
-    y = (x' - a x)/b:
-
-        x(s) = b (d - d cos(s xi) + y1 xi sin(s xi)) / xi^2,
-        y(s) = (-a d + (a d + y1 xi^2) cos(s xi)
-                + xi (d - a y1) sin(s xi)) / xi^2.
-
-    The first component is evaluated in the equivalent product form
-    (2b/xi^2) sin(s xi/2) (d sin(s xi/2) + y1 xi cos(s xi/2)) to avoid
-    cancellation at returns to the switching line.
-    """
-    disc = a * a + b * c
-    if disc >= 0:
-        raise NonCenterPlus("right zone is not a center (a^2 + b*c >= 0)")
-    xi = math.sqrt(-disc)
-    s = np.asarray(s, dtype=float)
-    cs, sn = np.cos(s * xi), np.sin(s * xi)
-    sh, ch = np.sin(0.5 * s * xi), np.cos(0.5 * s * xi)
-    x = (2.0 * b / (xi * xi)) * sh * (d * sh + y1 * xi * ch)
-    y = (-a * d + (a * d + y1 * xi * xi) * cs + xi * (d - a * y1) * sn) / (xi * xi)
-    return x, y
-
-
-def half_return_time_minus(e: float, y0: float) -> float:
-    """First return time to x = 0 of the left flow started at (0, y0), y0 > 0.
-
-    t = 2 pi - arccos(2 e^2 / (e^2 + y0^2) - 1), in (pi, 2 pi); the landing
-    point is (0, -y0).
-    """
-    if y0 <= 0:
-        raise NonPositiveAmplitude("left half-return needs y0 > 0")
-    t = TWO_PI - math.acos(2.0 * e * e / (e * e + y0 * y0) - 1.0)
-    # two Newton polish steps remove the arccos rounding (x' = -y there)
-    for _ in range(2):
-        x, y = flow_minus(e, y0, t)
-        if y != 0.0:
-            t -= float(x) / (-float(y))
-    return t
-
-
-def half_return_time_plus(a: float, b: float, c: float, d: float, y1: float) -> float:
-    """Signed (negative) time for the right flow to reach x = 0 again.
-
-    t = -(1/xi) arccos(2 d^2 / (d^2 + xi^2 y1^2) - 1), in (-pi/xi, 0].
-    The formula is even in y1; x(t) vanishes for the orbit flowed backward
-    from the exit point (0, |y1|), which lands at (0, -|y1|).
-    """
-    disc = a * a + b * c
-    if disc >= 0:
-        raise NonCenterPlus("right zone is not a center (a^2 + b*c >= 0)")
-    xi = math.sqrt(-disc)
-    t = -math.acos(2.0 * d * d / (d * d + xi * xi * y1 * y1) - 1.0) / xi
-    y_ref = abs(y1)
-    for _ in range(2):
-        x, y = flow_plus(a, b, c, d, y_ref, t)
-        slope = a * float(x) + b * float(y)
-        if slope != 0.0:
-            t -= float(x) / slope
-    return t
 
 
 # ---------------------------------------------------------------------------
@@ -347,22 +262,6 @@ def _zone_name(side: str) -> str:
     return ZONE_PLUS if side == "plus" else ZONE_MINUS
 
 
-def _entry_side(sys: PwlSystem, y: float, direction: float) -> str | None:
-    """Zone entered from (0, y) moving with time direction +-1."""
-    zp, zm = normal_components(sys, y)
-    if direction > 0:
-        if zp > 0 and zm > 0:
-            return "plus"
-        if zp < 0 and zm < 0:
-            return "minus"
-    else:
-        if zp > 0 and zm > 0:
-            return "minus"
-        if zp < 0 and zm < 0:
-            return "plus"
-    return None
-
-
 def _fold_map(sys: PwlSystem) -> dict:
     """Folds by side; empty when a side is tangent to x = 0 identically or
     has a degenerate fold, which leaves no sliding segment to follow."""
@@ -432,10 +331,9 @@ def _run(sys: PwlSystem, start, t_max: float, opts: SimOptions, traj: Trajectory
                 else:
                     mode = "sliding"
                 continue
-            side = _entry_side(sys, X[1], direction)
-            if side is None:
-                traj.stopped = "inconsistent_crossing"
-                break
+            # a crossing point: both normal components share one nonzero sign
+            zp, _ = normal_components(sys, X[1])
+            side = "plus" if (zp > 0) == (direction > 0) else "minus"
             crossing = Crossing(t=direction * t_abs, y=float(X[1]), into=side)
             traj.crossings.append(crossing)
             yield crossing
@@ -502,77 +400,6 @@ def _record_arc(traj, zone, X, direction, dt, t_abs, side, opts):
                                      t_start=direction * t_abs,
                                      t_end=direction * (t_abs + dt)))
     return states[-1]
-
-
-class _SlidingSpeed:
-    """Closed-form Filippov speed dy/dt = N(y)/D(y) along x = 0.
-
-    Both zone fields are affine in y on the line: Z(0, y) = (al*y + ga,
-    be*y + de) with al = M[0,1], ga = u[0], be = M[1,1], de = u[1].  The
-    convex combination gives the quadratic
-    N = (al- y + ga-)(be+ y + de+) - (al+ y + ga+)(be- y + de-) = A y^2 + B y + C
-    over the linear D = (al- - al+) y + (ga- - ga+) = p y + q.  D does not
-    vanish on a sliding or escaping segment; a real root of N there is a
-    pseudo-equilibrium.
-    """
-
-    def __init__(self, sys: PwlSystem):
-        (mp_, (ga_p, de_p)), (mm, (ga_m, de_m)) = sys.zone("plus"), sys.zone("minus")
-        (al_p, be_p), (al_m, be_m) = mp_[:, 1], mm[:, 1]
-        self.A = float(al_m * be_p - al_p * be_m)
-        self.B = float(al_m * de_p + ga_m * be_p - al_p * de_m - ga_p * be_m)
-        self.C = float(ga_m * de_p - ga_p * de_m)
-        self.p = float(al_m - al_p)
-        self.q = float(ga_m - ga_p)
-        A, B, C = self.A, self.B, self.C
-        self.disc = B * B - 4.0 * A * C
-        if A == 0.0:
-            self.roots = (-C / B,) if B != 0.0 else ()
-        elif self.disc > 0.0:
-            # cancellation-free pair: s/A and C/s
-            s = -0.5 * (B + math.copysign(math.sqrt(self.disc), B))
-            self.roots = (s / A, C / s)
-        elif self.disc == 0.0:
-            self.roots = (-0.5 * B / A,)
-        else:
-            self.roots = ()
-
-    def numerator(self, y: float) -> float:
-        return (self.A * y + self.B) * y + self.C
-
-    def speed(self, y: float) -> float:
-        return self.numerator(y) / (self.p * y + self.q)
-
-    def time(self, ya: float, yb: float) -> float:
-        """Signed time to slide from ya to yb: the integral of D/N over [ya, yb].
-
-        Partial fractions by the roots of N; every logarithm is a log1p of
-        the relative change, so roots far from a short segment lose no
-        digits.  Requires no root of N in [ya, yb].
-        """
-        A, B, C, p, q = self.A, self.B, self.C, self.p, self.q
-        h = yb - ya
-        if A == 0.0:
-            if B == 0.0:  # constant N
-                return h * (0.5 * p * (ya + yb) + q) / C
-            # D/N = p/B + (p r + q) / (B (y - r))
-            r, = self.roots
-            return (p * h + (p * r + q) * math.log1p(h / (ya - r))) / B
-        if self.disc > 0.0:
-            # D/N = sum over roots of (p r_i + q) / (N'(r_i) (y - r_i))
-            r1, r2 = self.roots
-            return ((p * r1 + q) * math.log1p(h / (ya - r1))
-                    - (p * r2 + q) * math.log1p(h / (ya - r2))) / (A * (r1 - r2))
-        # complex or double roots: D/N = (p/2A) N'/N + (q - p B/2A)/N
-        log_ratio = math.log1p(h * (A * (ya + yb) + B) / self.numerator(ya))
-        polar = A * ya * yb + 0.5 * B * (ya + yb) + C  # N(ya) when yb = ya
-        if self.disc == 0.0:
-            inv_n = h / polar
-        else:
-            w = math.sqrt(-self.disc)
-            sgn = math.copysign(1.0, A)
-            inv_n = 2.0 * sgn * math.atan2(0.5 * w * h, sgn * polar) / w
-        return p / (2.0 * A) * log_ratio + (q - p * B / (2.0 * A)) * inv_n
 
 
 def _slide(sys, folds, X, direction, t_budget, opts, traj, t_abs):

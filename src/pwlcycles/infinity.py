@@ -34,8 +34,9 @@ import numpy as np
 
 from .core import PwlSystem
 from .errors import OriginUndefined, ThetaDotVanishes
-from .flow import _entry_side, _first_return
+from .flow import _first_return
 from .melnikov import MelnikovParams, Stability, infinity_sign, stability_from_sign
+from .sigma import normal_components
 
 
 def bendixson_map(x: float, y: float) -> tuple[float, float]:
@@ -101,7 +102,7 @@ def poincare_displacement(sys: PwlSystem, r0: float) -> float:
     if r0 <= 0:
         raise ValueError("polar radius must be positive")
     y0 = -1.0 / r0
-    backward = _entry_side(sys, y0, 1.0) == "minus"
+    backward = max(normal_components(sys, y0)) < 0
     return 1.0 / abs(_first_return(sys, y0, backward=backward)) - r0
 
 

@@ -1,4 +1,4 @@
-"""Classification of the switching line, sliding vector field, fold points.
+"""Classification of the switching line, the Filippov sliding law, fold points.
 
 All quantities are evaluated on the line x = 0 with h(x, y) = x, so the
 one-sided normal components are just the first components of the zone
@@ -7,13 +7,12 @@ fields: Zh(0, y) = M[0,0]*0 + M[0,1]*y + u[0].
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 
-import numpy as np
-
 from .core import PwlSystem
-from .errors import DenominatorVanishes, LineOfTangency, NotSlidingRegion
+from .errors import LineOfTangency, NotSlidingRegion
 
 LIE_TOL = 1e-12   # a normal component below this (scaled) counts as tangent
 FOLD_TOL = 1e-10  # second-contact threshold for fold nondegeneracy
@@ -70,32 +69,86 @@ def classify_point(sys: PwlSystem, y: float) -> RegionKind:
     return RegionKind.ESCAPING
 
 
-def sliding_vector(sys: PwlSystem, y: float) -> np.ndarray:
-    """Filippov convex-combination field at (0, y), both components."""
-    point = np.array([0.0, y])
-    fp = sys.field(point, "plus")
-    fm = sys.field(point, "minus")
-    zp, zm = fp[0], fm[0]
-    den = zm - zp
-    if abs(den) < 1e-14 * _lie_scale(sys, y):
-        raise DenominatorVanishes("Z-h equals Z+h at the requested point")
-    return (zm * fp - zp * fm) / den
+class _SlidingSpeed:
+    """Closed-form Filippov speed dy/dt = N(y)/D(y) along x = 0.
+
+    Both zone fields are affine in y on the line: Z(0, y) = (al*y + ga,
+    be*y + de) with al = M[0,1], ga = u[0], be = M[1,1], de = u[1].  The
+    convex combination gives the quadratic
+    N = (al- y + ga-)(be+ y + de+) - (al+ y + ga+)(be- y + de-) = A y^2 + B y + C
+    over the linear D = (al- - al+) y + (ga- - ga+) = p y + q.  D does not
+    vanish on a sliding or escaping segment; a real root of N there is a
+    pseudo-equilibrium.
+    """
+
+    def __init__(self, sys: PwlSystem):
+        (mp_, (ga_p, de_p)), (mm, (ga_m, de_m)) = sys.zone("plus"), sys.zone("minus")
+        (al_p, be_p), (al_m, be_m) = mp_[:, 1], mm[:, 1]
+        self.A = float(al_m * be_p - al_p * be_m)
+        self.B = float(al_m * de_p + ga_m * be_p - al_p * de_m - ga_p * be_m)
+        self.C = float(ga_m * de_p - ga_p * de_m)
+        self.p = float(al_m - al_p)
+        self.q = float(ga_m - ga_p)
+        A, B, C = self.A, self.B, self.C
+        self.disc = B * B - 4.0 * A * C
+        if A == 0.0:
+            self.roots = (-C / B,) if B != 0.0 else ()
+        elif self.disc > 0.0:
+            # cancellation-free pair: s/A and C/s
+            s = -0.5 * (B + math.copysign(math.sqrt(self.disc), B))
+            self.roots = (s / A, C / s)
+        elif self.disc == 0.0:
+            self.roots = (-0.5 * B / A,)
+        else:
+            self.roots = ()
+
+    def numerator(self, y: float) -> float:
+        return (self.A * y + self.B) * y + self.C
+
+    def speed(self, y: float) -> float:
+        return self.numerator(y) / (self.p * y + self.q)
+
+    def time(self, ya: float, yb: float) -> float:
+        """Signed time to slide from ya to yb: the integral of D/N over [ya, yb].
+
+        Partial fractions by the roots of N; every logarithm is a log1p of
+        the relative change, so roots far from a short segment lose no
+        digits.  Requires no root of N in [ya, yb].
+        """
+        A, B, C, p, q = self.A, self.B, self.C, self.p, self.q
+        h = yb - ya
+        if A == 0.0:
+            if B == 0.0:  # constant N
+                return h * (0.5 * p * (ya + yb) + q) / C
+            # D/N = p/B + (p r + q) / (B (y - r))
+            r, = self.roots
+            return (p * h + (p * r + q) * math.log1p(h / (ya - r))) / B
+        if self.disc > 0.0:
+            # D/N = sum over roots of (p r_i + q) / (N'(r_i) (y - r_i))
+            r1, r2 = self.roots
+            return ((p * r1 + q) * math.log1p(h / (ya - r1))
+                    - (p * r2 + q) * math.log1p(h / (ya - r2))) / (A * (r1 - r2))
+        # complex or double roots: D/N = (p/2A) N'/N + (q - p B/2A)/N
+        log_ratio = math.log1p(h * (A * (ya + yb) + B) / self.numerator(ya))
+        polar = A * ya * yb + 0.5 * B * (ya + yb) + C  # N(ya) when yb = ya
+        if self.disc == 0.0:
+            inv_n = h / polar
+        else:
+            w = math.sqrt(-self.disc)
+            sgn = math.copysign(1.0, A)
+            inv_n = 2.0 * sgn * math.atan2(0.5 * w * h, sgn * polar) / w
+        return p / (2.0 * A) * log_ratio + (q - p * B / (2.0 * A)) * inv_n
 
 
 def sliding_field(sys: PwlSystem, y: float) -> float:
-    """dy/dt of the sliding motion at (0, y).
+    """dy/dt of the sliding motion at (0, y), by ``_SlidingSpeed``.
 
-    Only defined on sliding/escaping segments.  The x-component of the
-    convex combination vanishes there by construction; it is asserted to be
-    zero within 1e-12 as a consistency check.
+    Only defined on sliding/escaping segments.
     """
     kind = classify_point(sys, y)
     if kind not in (RegionKind.SLIDING, RegionKind.ESCAPING):
         raise NotSlidingRegion(f"point (0, {y}) is {kind.value}, not sliding/escaping")
-    vec = sliding_vector(sys, y)
-    if abs(vec[0]) > 1e-12 * max(1.0, abs(vec[1])):
-        raise AssertionError("sliding field acquired a normal component")
-    return float(vec[1])
+    return _SlidingSpeed(sys).speed(y)
 
 
 def find_folds(sys: PwlSystem) -> list[FoldPoint]:

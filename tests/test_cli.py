@@ -3,10 +3,11 @@ import json
 import numpy as np
 import pytest
 
-from pwlcycles import core
+from pwlcycles import cli, core
 from pwlcycles.cli import main
 from pwlcycles.core import ChangeOfVariables
 from pwlcycles.examples import EXAMPLE1_M1_ROOTS, example_one, example_two
+from pwlcycles.melnikov import analyze as melnikov_analyze
 
 
 @pytest.fixture()
@@ -146,6 +147,23 @@ class TestMelnikovCommand:
         assert changes == 3
         roots = json.loads((tmp_path / "m" / "roots.json").read_text())["roots"]
         assert len(roots) == 3
+
+    @pytest.mark.parametrize("path", ["ex1_path", "ex2_path"])
+    def test_roots_come_from_melnikov_analyze(self, path, tmp_path, monkeypatch, request):
+        # the choice between M1 and its constrained variant lives in
+        # melnikov.analyze: the command calls it once and writes its roots
+        reports = []
+
+        def recording(*args, **kwargs):
+            reports.append(melnikov_analyze(*args, **kwargs))
+            return reports[-1]
+
+        monkeypatch.setattr(cli, "melnikov_analyze", recording)
+        assert main(["melnikov", request.getfixturevalue(path), "-o", str(tmp_path)]) == 0
+        report, = reports
+        roots = json.loads((tmp_path / "roots.json").read_text())["roots"]
+        assert roots == [{"y0": r.y0, "flag": r.flag.value} for r in report.roots]
+        assert roots
 
     def test_byte_identical_reruns(self, ex1_path, tmp_path):
         out1, out2 = str(tmp_path / "a"), str(tmp_path / "b")

@@ -62,6 +62,16 @@ class TestCheckHypotheses:
         assert not rep.h3_global_center
         assert rep.reduction is None
 
+    def test_failed_normal_form_keeps_original_coordinates(self):
+        # the left center admits the change of variables, the right saddle
+        # has no normal form: both points stay where the input puts them
+        sys = PwlSystem(order0_plus=(Mat2(1.0, 0.0, 0.0, -1.0), Vec2(0.0, 1.0)),
+                        order0_minus=(Mat2(0.0, -2.0, 0.5, 0.0), Vec2(0.0, 1.0)))
+        rep = check_hypotheses(sys)
+        assert rep.reduction is None
+        assert rep.singular_plus == Vec2(0.0, 1.0)
+        assert rep.singular_minus == Vec2(-2.0, 0.0)
+
     def test_failed_reduction_runs_once(self, monkeypatch):
         # a deterministic cost guard: a reduction that fails on the right
         # piece still places the singular points without being redone
@@ -353,3 +363,47 @@ class TestJsonSchema:
         del data["order1"], data["order2"]
         sys = PwlSystem.from_dict(data)
         assert sys.order1_minus[0] == Mat2.zero()
+
+
+class TestFloatFields:
+    def test_canonical_system_fields_are_floats(self):
+        sys = canonical_system(np.float64(1.0), -1, 1.01, 0.1, 0.55,
+                               B_minus=np.eye(2), v_minus=[1, 2],
+                               B_plus=[[0.21, 0], [0, 0]], C_minus=np.ones((2, 2)),
+                               w_plus=np.array([0.5, -0.5]), epsilon=np.float64(1e-2))
+        values = [sys.epsilon]
+        for f in dataclasses.fields(sys):
+            if f.name.startswith("order"):
+                m, u = getattr(sys, f.name)
+                values += [m.m11, m.m12, m.m21, m.m22, u.x, u.y]
+        assert len(values) == 37
+        assert all(type(v) is float for v in values)
+
+    def test_from_array_returns_floats(self):
+        m = Mat2.from_array(np.arange(4.0).reshape(2, 2))
+        assert m == Mat2(0.0, 1.0, 2.0, 3.0)
+        assert all(type(v) is float for v in (m.m11, m.m12, m.m21, m.m22))
+        assert repr(m) == "Mat2(m11=0.0, m12=1.0, m21=2.0, m22=3.0)"
+
+
+class TestPublicApi:
+    def test_exports_are_pinned(self):
+        # a change to the package's public names must be deliberate: update
+        # this list with it and say so in the change log
+        import pwlcycles
+        assert sorted(pwlcycles.__all__) == [
+            "CanonicalParams", "ChangeOfVariables", "CycleKind", "EctVerdict",
+            "FoldPoint", "FunctionFamily", "HypothesisReport", "InfinityReport",
+            "Mat2", "MelnikovParams", "MelnikovReport", "PwlSystem", "ReducedParams",
+            "RegionKind", "RootFlag", "SimOptions", "SimultaneityReport",
+            "SlidingParams", "SlidingReport", "Stability", "Trajectory", "Vec2",
+            "Visibility", "WronskianProfile", "amplitude_family", "bendixson_map",
+            "canonical_system", "canonicalize", "check_ect", "check_hypotheses",
+            "classify_point", "classify_stability", "constrained_family", "core",
+            "detect_sliding_cycle", "displacement", "ect", "errors", "find_folds",
+            "find_roots", "flow", "infinity", "infinity_stability", "m1",
+            "m1_constrained", "m1_reduced", "melnikov", "melnikov_oracle",
+            "poincare_displacement", "polar_bendixson_rhs", "s_maps", "sigma",
+            "simulate", "simulate_sliding_cycle", "simultaneity_report", "sliding",
+            "sliding_field", "thresholds", "wronskian",
+        ]

@@ -7,7 +7,7 @@ from numpy.testing import assert_allclose
 from oracles import first_return_displacement, integrate_zone, sliding_time, velocity_zeros
 from pwlcycles import flow
 from pwlcycles.core import Mat2, PwlSystem, Vec2, canonical_system
-from pwlcycles.errors import NonCenterPlus, NonPositiveAmplitude, NoReturn
+from pwlcycles.errors import NonPositiveAmplitude, NoReturn
 from pwlcycles.examples import (
     example_one,
     example_one_params,
@@ -19,10 +19,6 @@ from pwlcycles.flow import (
     SimOptions,
     displacement,
     first_component_zero,
-    flow_minus,
-    flow_plus,
-    half_return_time_minus,
-    half_return_time_plus,
     melnikov_oracle,
     simulate,
 )
@@ -30,30 +26,57 @@ from pwlcycles.melnikov import m1
 from pwlcycles.sliding import simulate_sliding_cycle
 
 
+def _left(e):
+    """Left zone of the normal form: the unit rotation about (-e, 0)."""
+    return AffineFlow(*canonical_system(1.0, -1.0, 1.01, 0.1, e).zone("minus"))
+
+
+def _right(a, b, c, d):
+    """Right zone of the normal form: X' = [[a, b], [c, -a]] X + (0, d)."""
+    return AffineFlow(*canonical_system(a, b, c, d, 1.0).zone("plus"))
+
+
+def _left_return(e, y0):
+    """(t, kind) of the first event on x = 0 of the left flow from (0, y0),
+    y0 > 0: the half-return, at t in (pi, 2 pi]."""
+    return first_component_zero(_left(e), np.array([0.0, y0]), 1.0, 2.5 * math.pi)
+
+
+def _right_return(a, b, c, d, y1):
+    """Signed (negative) time of the right flow run backward from (0, y1),
+    y1 > 0, to x = 0: the half-return, at |t| in (0, pi/xi]."""
+    xi = math.sqrt(-(a * a + b * c))
+    t, kind = first_component_zero(_right(a, b, c, d), np.array([0.0, y1]), -1.0,
+                                   1.5 * math.pi / xi)
+    assert kind == "cross"
+    return t
+
+
 class TestClosedFormFlows:
     def test_flow_minus_initial_condition(self):
-        assert_allclose(flow_minus(1.0, 1.0, 0.0), (0.0, 1.0), atol=1e-15)
+        assert_allclose(_left(1.0).state((0.0, 1.0), 0.0), (0.0, 1.0), atol=1e-15)
 
     def test_flow_minus_half_turn(self):
-        assert_allclose(flow_minus(1.0, 1.0, math.pi), (-2.0, -1.0), atol=1e-14)
+        assert_allclose(_left(1.0).state((0.0, 1.0), math.pi), (-2.0, -1.0), atol=1e-14)
 
     def test_flow_minus_against_adaptive_integration(self):
         # frozen from the adaptive reference: endpoint of the left zone
         # from (0, 2) with e = 0.55 after t = 1.3
-        x, y = flow_minus(0.55, 2.0, 1.3)
+        x, y = _left(0.55).state((0.0, 2.0), 1.3)
         assert_allclose((float(x), float(y)), (-2.329992015090828, 1.064954659228608),
                         rtol=1e-12)
         ref = integrate_zone([[0.0, -1.0], [1.0, 0.0]], [0.0, 0.55], [0.0, 2.0], 1.3)
         assert_allclose((float(x), float(y)), ref, rtol=1e-10)
 
     def test_flow_plus_initial_condition(self):
-        assert_allclose(flow_plus(1.0, -1.0, 1.01, 0.1, 0.7, 0.0), (0.0, 0.7), atol=1e-15)
+        assert_allclose(_right(1.0, -1.0, 1.01, 0.1).state((0.0, 0.7), 0.0), (0.0, 0.7),
+                        atol=1e-15)
 
     def test_flow_plus_specific_point(self):
-        assert_allclose(flow_plus(0.0, -1.0, 1.0, 1.0, 1.0, -math.pi),
-                        (-2.0, -1.0), atol=1e-13)
+        got = _right(0.0, -1.0, 1.0, 1.0).state((0.0, 1.0), -math.pi)
+        assert_allclose(got, (-2.0, -1.0), atol=1e-13)
         ref = integrate_zone([[0.0, -1.0], [1.0, 0.0]], [0.0, 1.0], [0.0, 1.0], -math.pi)
-        assert_allclose(flow_plus(0.0, -1.0, 1.0, 1.0, 1.0, -math.pi), ref, atol=1e-10)
+        assert_allclose(got, ref, atol=1e-10)
 
     def test_flows_random_against_integration(self):
         # 100 random (parameter, time) samples against the adaptive
@@ -67,77 +90,72 @@ class TestClosedFormFlows:
             d = rng.uniform(0.2, 2)
             y1 = rng.uniform(-2, 2)
             s = rng.uniform(-3, 3)
-            got = flow_plus(a, b, c, d, y1, s)
+            got = _right(a, b, c, d).state((0.0, y1), s)
             ref = integrate_zone([[a, b], [c, -a]], [0.0, d], [0.0, y1], s)
             assert_allclose(got, ref, rtol=1e-9, atol=1e-10)
             e = rng.uniform(0.2, 2)
             y0 = rng.uniform(-2, 2)
             t = rng.uniform(-6, 6)
-            got_m = flow_minus(e, y0, t)
+            got_m = _left(e).state((0.0, y0), t)
             ref_m = integrate_zone([[0.0, -1.0], [1.0, 0.0]], [0.0, e], [0.0, y0], t)
             assert_allclose(got_m, ref_m, rtol=1e-9, atol=1e-10)
 
     def test_flow_plus_satisfies_its_ode(self):
         a, b, c, d = 0.7, -1.3, (0.49 + 0.81) / 1.3, 0.9
+        zone = _right(a, b, c, d)
         rng = np.random.default_rng(2)
         h = 1e-6
         for _ in range(50):
             y1 = rng.uniform(-2, 2)
             s = rng.uniform(-2, 2)
-            x0, y0 = flow_plus(a, b, c, d, y1, s)
-            xp, yp = flow_plus(a, b, c, d, y1, s + h)
-            xm, ym = flow_plus(a, b, c, d, y1, s - h)
+            x0, y0 = zone.state((0.0, y1), s)
+            xp, yp = zone.state((0.0, y1), s + h)
+            xm, ym = zone.state((0.0, y1), s - h)
             dx, dy = (xp - xm) / (2 * h), (yp - ym) / (2 * h)
             assert_allclose(dx, a * x0 + b * y0, rtol=1e-7, atol=1e-8)
             assert_allclose(dy, c * x0 - a * y0 + d, rtol=1e-7, atol=1e-8)
 
-    def test_flow_plus_rejects_non_center(self):
-        with pytest.raises(NonCenterPlus):
-            flow_plus(1.0, 1.0, 1.0, 1.0, 1.0, 0.5)
-
 
 class TestHalfReturnTimes:
     def test_left_limit_small_amplitude(self):
-        assert_allclose(half_return_time_minus(1.0, 1e-9), 2 * math.pi, rtol=1e-8)
+        # the return point is within rounding of the tangency at x = 0
+        t, kind = _left_return(1.0, 1e-9)
+        assert kind == "graze"
+        assert_allclose(t, 2 * math.pi, rtol=1e-8)
 
     def test_left_equal_amplitude(self):
-        assert_allclose(half_return_time_minus(1.0, 1.0), 1.5 * math.pi, rtol=1e-12)
+        t, kind = _left_return(1.0, 1.0)
+        assert kind == "cross"
+        assert_allclose(t, 1.5 * math.pi, rtol=1e-12)
 
     def test_left_lands_on_switching_line(self):
-        t = half_return_time_minus(0.55, 2.0)
-        x, y = flow_minus(0.55, 2.0, t)
+        t, _ = _left_return(0.55, 2.0)
+        x, y = _left(0.55).state((0.0, 2.0), t)
         assert abs(float(x)) < 1e-12
         assert float(y) == pytest.approx(-2.0, rel=1e-12)
         assert math.pi < t < 2 * math.pi
 
-    def test_right_limit_small_amplitude(self):
-        assert abs(half_return_time_plus(1.0, -1.0, 1.01, 0.1, 1e-12)) < 1e-9
-
     def test_right_quarter_turn(self):
-        # d = xi*|y1| makes the arccos argument zero
+        # d = xi*|y1| makes the arccos argument of the closed form zero
         a, b = 0.0, -1.0
         xi = 1.0
         c = (a * a + xi * xi) / (-b)
-        t = half_return_time_plus(a, b, c, 2.0, 2.0)
+        t = _right_return(a, b, c, 2.0, 2.0)
         assert_allclose(t, -math.pi / (2 * xi), rtol=1e-9)
 
     def test_right_lands_on_switching_line(self):
-        t = half_return_time_plus(1.0, -1.0, 1.01, 0.1, 1.5)
-        x, _ = flow_plus(1.0, -1.0, 1.01, 0.1, 1.5, t)
+        t = _right_return(1.0, -1.0, 1.01, 0.1, 1.5)
+        x, _ = _right(1.0, -1.0, 1.01, 0.1).state((0.0, 1.5), t)
         assert abs(float(x)) < 1e-12
-
-    def test_rejects_nonpositive_amplitude(self):
-        with pytest.raises(NonPositiveAmplitude):
-            half_return_time_minus(1.0, 0.0)
 
     def test_half_return_records_land_on_section(self):
         rng = np.random.default_rng(21)
         for _ in range(20):
             e = rng.uniform(0.2, 2.0)
             y0 = rng.uniform(0.1, 5.0)
-            t = half_return_time_minus(e, y0)
+            t, _ = _left_return(e, y0)
             assert t > 0
-            x, y = flow_minus(e, y0, t)
+            x, y = _left(e).state((0.0, y0), t)
             assert abs(float(x)) < 1e-10
             assert float(y) == pytest.approx(-y0, rel=1e-9)
             a = rng.uniform(-1, 1)
@@ -145,9 +163,9 @@ class TestHalfReturnTimes:
             xi = rng.uniform(0.3, 1.5)
             c = (a * a + xi * xi) / (-b)
             d = rng.uniform(0.2, 2.0)
-            s = half_return_time_plus(a, b, c, d, y0)
+            s = _right_return(a, b, c, d, y0)
             assert s < 0
-            xp, yp = flow_plus(a, b, c, d, y0, s)
+            xp, yp = _right(a, b, c, d).state((0.0, y0), s)
             assert abs(float(xp)) < 1e-10
             assert float(yp) == pytest.approx(-y0, rel=1e-9)
 
@@ -157,20 +175,21 @@ class TestHalfReturnTimes:
         xi = 1.0
         c = (a * a + xi * xi) / (-b)
         for y0 in np.geomspace(1e-3, 1e3, 40):
-            t = half_return_time_minus(0.7, float(y0))
-            x, _ = flow_minus(0.7, float(y0), t)
+            t, _ = _left_return(0.7, float(y0))
+            x, _ = _left(0.7).state((0.0, float(y0)), t)
             assert abs(float(x)) < 1e-12
-            s = half_return_time_plus(a, b, c, 0.7, float(y0))
-            xp, _ = flow_plus(a, b, c, 0.7, float(y0), s)
+            s = _right_return(a, b, c, 0.7, float(y0))
+            xp, _ = _right(a, b, c, 0.7).state((0.0, float(y0)), s)
             assert abs(float(xp)) < 1e-12
 
     def test_residuals_slow_rotation(self):
         # xi = 0.1 stretches flight times to ~10 pi; the achievable
         # absolute residual is then ulp(t) * |x'| and exceeds 1e-12 at the
         # largest amplitudes, so the bound is floor-aware there
+        zone = _right(1.0, -1.0, 1.01, 0.1)
         for y0 in np.geomspace(1e-3, 1e3, 25):
-            s = half_return_time_plus(1.0, -1.0, 1.01, 0.1, float(y0))
-            x, y = flow_plus(1.0, -1.0, 1.01, 0.1, float(y0), s)
+            s = _right_return(1.0, -1.0, 1.01, 0.1, float(y0))
+            x, y = zone.state((0.0, float(y0)), s)
             floor = 8.0 * np.spacing(abs(s)) * max(1.0, abs(float(y)))
             assert abs(float(x)) < max(1e-12, floor)
 
@@ -183,7 +202,9 @@ class TestSimulate:
 
     def test_segments_alternate_zones(self):
         sys = example_one()
-        t_l = half_return_time_minus(0.55, 1.0)
+        # the left half-return time from (0, y0) about (-e, 0), e = 0.55
+        e, y0 = 0.55, 1.0
+        t_l = 2 * math.pi - math.acos(2 * e * e / (e * e + y0 * y0) - 1)
         traj = simulate(sys, (0.0, 1.0), t_l + 1.0)
         kinds = traj.segment_kinds()
         assert kinds[0] == "ZoneMinus" and kinds[1] == "ZonePlus"
@@ -224,6 +245,10 @@ class TestSimulate:
         ours = displacement(sys, 1.5)
         ref = first_return_displacement(sys, 1.5)
         assert_allclose(ours, ref, rtol=1e-6, atol=1e-10)
+
+    def test_displacement_rejects_nonpositive_amplitude(self):
+        with pytest.raises(NonPositiveAmplitude):
+            displacement(example_one(), 0.0)
 
     def test_no_return_raises(self):
         sys = canonical_system(1.0, -1.0, 1.01, 0.1, 0.55)

@@ -17,8 +17,15 @@ from pwlcycles.sigma import (
     normal_components,
     sliding_field,
     sliding_segment,
-    sliding_vector,
 )
+
+
+def _filippov_vector(sys, y):
+    """Filippov convex combination (Z-h Z+ - Z+h Z-) / (Z-h - Z+h) at (0, y),
+    both components, from the two zone fields."""
+    fp = sys.field((0.0, y), "plus")
+    fm = sys.field((0.0, y), "minus")
+    return (fm[0] * fp - fp[0] * fm) / (fm[0] - fp[0])
 
 
 @pytest.fixture(scope="module")
@@ -68,8 +75,18 @@ class TestSlidingField:
     def test_normal_component_vanishes_on_segment(self, ex2):
         lo, hi = sliding_segment(ex2)
         for y in np.linspace(lo, hi, 100)[1:-1]:
-            vec = sliding_vector(ex2, float(y))
+            vec = _filippov_vector(ex2, float(y))
             assert abs(vec[0]) < 1e-12
+
+    @pytest.mark.parametrize("eps", [5e-3, 1e-2, 2e-2])
+    def test_matches_the_convex_combination(self, eps):
+        # the closed-form N/D law against the two zone fields combined
+        sys = example_two(eps)
+        lo, hi = sliding_segment(sys)
+        for y in np.linspace(lo, hi, 202)[1:-1]:
+            y = float(y)
+            assert_allclose(sliding_field(sys, y), _filippov_vector(sys, y)[1],
+                            rtol=1e-14, atol=0)
 
     def test_convex_combination_identity(self, ex2):
         lo, hi = sliding_segment(ex2)

@@ -74,5 +74,29 @@ from .sliding import (
     thresholds,
 )
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# the re-exported names above; the submodules stay reachable as attributes
+# (``pwlcycles.flow``) but are not part of ``from pwlcycles import *``
+__all__ = [
+    # core
+    "CanonicalParams", "ChangeOfVariables", "HypothesisReport", "Mat2", "PwlSystem",
+    "Vec2", "canonical_system", "canonicalize", "check_hypotheses",
+    # ect
+    "EctVerdict", "FunctionFamily", "WronskianProfile", "amplitude_family",
+    "check_ect", "constrained_family", "wronskian",
+    # flow
+    "SimOptions", "Trajectory", "displacement", "melnikov_oracle", "simulate",
+    # infinity
+    "InfinityReport", "bendixson_map", "infinity_stability", "poincare_displacement",
+    "polar_bendixson_rhs",
+    # melnikov
+    "MelnikovParams", "MelnikovReport", "ReducedParams", "RootFlag", "Stability",
+    "classify_stability", "find_roots", "m1", "m1_constrained", "m1_reduced",
+    # sigma
+    "FoldPoint", "RegionKind", "Visibility", "classify_point", "find_folds",
+    "sliding_field",
+    # sliding
+    "CycleKind", "SlidingParams", "SlidingReport", "SimultaneityReport",
+    "detect_sliding_cycle", "s_maps", "simulate_sliding_cycle", "simultaneity_report",
+    "thresholds",
+]
 __version__ = "0.1.0"

@@ -11,7 +11,12 @@ the first sign change is bisected to adjacent doubles, so no event is
 skipped and no generic stepping error enters the simulation.  Motion
 inside sliding/escaping segments of the switching line follows the
 Filippov law of ``sigma._SlidingSpeed``; its travel time is integrated in
-closed form and inverted by bisection.
+closed form and inverted by bisection.  ``simulate`` records samples of
+every arc; the first-return maps (``displacement``, ``melnikov_oracle``
+and ``infinity.poincare_displacement``) drive the same engine without
+samples, so a zone arc costs one end-state evaluation, and the folds are
+found only when the orbit reaches a point of x = 0 that is not a crossing
+point.
 """
 
 from __future__ import annotations
@@ -283,24 +288,31 @@ def simulate(sys: PwlSystem, start, t_max: float, opts: SimOptions | None = None
     double tangency stops the run.
     """
     traj = Trajectory(direction=-1.0 if backward else 1.0)
-    for _ in _run(sys, start, t_max, opts or SimOptions(), traj):
+    for _ in _run(sys, start, t_max, opts or SimOptions(), traj, record=True):
         pass
     return traj
 
 
-def _run(sys: PwlSystem, start, t_max: float, opts: SimOptions, traj: Trajectory):
+def _run(sys: PwlSystem, start, t_max: float, opts: SimOptions, traj: Trajectory,
+         record: bool):
     """Drive the simulator into ``traj``, yielding each crossing of x = 0 as
-    it is recorded; a caller that stops iterating ends the run there."""
+    it is recorded; a caller that stops iterating ends the run there.
+
+    Segments, crossings and the stop reason are always kept; samples only
+    when ``record`` is set.  The folds are found on the first landing on
+    x = 0 at a point that is not a crossing point.
+    """
     if t_max <= 0:
         raise ValueError("t_max must be positive")
     direction = traj.direction
 
     zones = {side: AffineFlow(*sys.zone(side)) for side in ("plus", "minus")}
-    folds = _fold_map(sys)
+    folds = None
 
     X = np.asarray(start, dtype=float).copy()
     t_abs = 0.0  # unsigned elapsed time
-    traj.samples.append((0.0, float(X[0]), float(X[1])))
+    if record:
+        traj.samples.append((0.0, float(X[0]), float(X[1])))
 
     snap = opts.event_tol * max(1.0, float(np.abs(X).max()))
     mode: str
@@ -314,6 +326,8 @@ def _run(sys: PwlSystem, start, t_max: float, opts: SimOptions, traj: Trajectory
     while t_abs < t_max and n_segments < opts.max_segments:
         if mode == "sigma":
             kind = classify_point(sys, X[1])
+            if kind is not RegionKind.CROSSING and folds is None:
+                folds = _fold_map(sys)
             if kind is RegionKind.DOUBLE_TANGENCY:
                 traj.stopped = "double_tangency"
                 break
@@ -342,7 +356,7 @@ def _run(sys: PwlSystem, start, t_max: float, opts: SimOptions, traj: Trajectory
 
         if mode == "sliding":
             t_used, X, reason = _slide(sys, folds, X, direction, t_max - t_abs, opts,
-                                       traj, t_abs)
+                                       traj, t_abs, record)
             t_abs += t_used
             n_segments += 1
             if reason == "t_max":
@@ -370,14 +384,14 @@ def _run(sys: PwlSystem, start, t_max: float, opts: SimOptions, traj: Trajectory
         t_ev, ev_kind = first_component_zero(zone, X, direction, t_max - t_abs)
         n_segments += 1
         if t_ev is None:
-            _record_arc(traj, zone, X, direction, t_max - t_abs, t_abs, side, opts)
+            _record_arc(traj, zone, X, direction, t_max - t_abs, t_abs, side, opts, record)
             t_abs = t_max
             traj.stopped = "t_max"
             break
         dt = abs(t_ev)
         if dt < 1e-14 and ev_kind == "cross":
             raise EventStall("event located at vanishing time offset")
-        X = _record_arc(traj, zone, X, direction, dt, t_abs, side, opts)
+        X = _record_arc(traj, zone, X, direction, dt, t_abs, side, opts, record)
         X[0] = 0.0
         t_abs += dt
         mode = "sigma"
@@ -387,30 +401,33 @@ def _run(sys: PwlSystem, start, t_max: float, opts: SimOptions, traj: Trajectory
             raise MaxSegmentsExceeded(f"exceeded {opts.max_segments} segments")
 
 
-def _record_arc(traj, zone, X, direction, dt, t_abs, side, opts):
-    """Record the arc's samples and segment; returns its end state, the
-    last sample (``linspace`` ends exactly at dt)."""
+def _record_arc(traj, zone, X, direction, dt, t_abs, side, opts, record):
+    """Record the arc's segment, and its samples when ``record`` is set;
+    returns its end state, the last sample (``linspace`` ends exactly at
+    dt), or the one state at dt without samples."""
+    traj.segments.append(SegmentInfo(kind=_zone_name(side),
+                                     t_start=direction * t_abs,
+                                     t_end=direction * (t_abs + dt)))
+    if not record:
+        return zone.state(X, direction * dt)
     n = max(2, opts.sample_stride)
     ts = np.linspace(0.0, dt, n)
     states = zone.state(X, direction * ts)
     for k in range(1, n):
         traj.samples.append((direction * (t_abs + ts[k]),
                              float(states[k, 0]), float(states[k, 1])))
-    traj.segments.append(SegmentInfo(kind=_zone_name(side),
-                                     t_start=direction * t_abs,
-                                     t_end=direction * (t_abs + dt)))
     return states[-1]
 
 
-def _slide(sys, folds, X, direction, t_budget, opts, traj, t_abs):
+def _slide(sys, folds, X, direction, t_budget, opts, traj, t_abs, record):
     """Follow the Filippov field along x = 0 until a fold endpoint or t_budget.
 
     The travel time is the closed form of ``_SlidingSpeed.time``.  A root of
     N ahead is a pseudo-equilibrium that the motion approaches without
     reaching; when the budget runs out first, the position at t_budget is
     bisected on the monotone travel time.  ``opts.sample_stride`` samples
-    are spread evenly along the segment, the last one at the end state.
-    Returns (elapsed, new_state, reason).
+    are spread evenly along the segment, the last one at the end state,
+    when ``record`` is set.  Returns (elapsed, new_state, reason).
     """
     if len(folds) != 2:
         return 0.0, X, "stall"
@@ -443,13 +460,14 @@ def _slide(sys, folds, X, direction, t_budget, opts, traj, t_abs):
             s = _refine_crossing(excess, 0.0, 1.0, np.finfo(float).eps)
             y, t_used, reason = y0 + s * (y_lim - y0), t_budget, "t_max"
 
-    if t_used > 0.0:
-        n = max(2, opts.sample_stride)
-        for k in range(1, n - 1):
-            y_k = y0 + (y - y0) * (k / (n - 1))
-            traj.samples.append((t0_signed + law.time(y0, y_k), 0.0, y_k))
-    if t_used > 0.0 or y != y0:
-        traj.samples.append((t0_signed + direction * t_used, 0.0, y))
+    if record:
+        if t_used > 0.0:
+            n = max(2, opts.sample_stride)
+            for k in range(1, n - 1):
+                y_k = y0 + (y - y0) * (k / (n - 1))
+                traj.samples.append((t0_signed + law.time(y0, y_k), 0.0, y_k))
+        if t_used > 0.0 or y != y0:
+            traj.samples.append((t0_signed + direction * t_used, 0.0, y))
     traj.segments.append(SegmentInfo(kind=SLIDING, t_start=t0_signed,
                                      t_end=t0_signed + direction * t_used))
     return t_used, np.array([0.0, y]), reason
@@ -463,7 +481,9 @@ def displacement(sys: PwlSystem, y0: float, opts: SimOptions | None = None) -> f
     """y_return - y0 for the first return to {x = 0, y > 0} from (0, y0).
 
     The first-order coefficient of this displacement in the perturbation
-    size equals minus the first-order Melnikov function.
+    size equals minus the first-order Melnikov function.  The run records
+    no samples, so ``opts.sample_stride`` has no effect here; the other
+    options bound the run as in ``simulate``.
     """
     if y0 <= 0:
         raise NonPositiveAmplitude("displacement needs y0 > 0")
@@ -485,13 +505,15 @@ def _first_return(sys: PwlSystem, y0: float, opts: SimOptions | None = None,
     x = 0 that holds it.
 
     The simulation stops at that crossing; the crossing at the start does
-    not count.  Raises ``NoReturn`` when the run ends first, within
+    not count.  It records no samples: only the crossings and the stop
+    reason are read.  Raises ``NoReturn`` when the run ends first, within
     t_max = 3(2 pi + pi/xi) or ``opts.max_segments``.
     """
     t_max = 3.0 * (TWO_PI + math.pi / _xi_of(sys))
     traj = Trajectory(direction=-1.0 if backward else 1.0)
     try:
-        for ev in _run(sys, (0.0, y0), t_max, opts or SimOptions(max_segments=64), traj):
+        for ev in _run(sys, (0.0, y0), t_max, opts or SimOptions(max_segments=64), traj,
+                       record=False):
             if ev.t != 0.0 and (ev.y > 0) == (y0 > 0):
                 return ev.y
     except MaxSegmentsExceeded as exc:

@@ -96,7 +96,8 @@ def poincare_displacement(sys: PwlSystem, r0: float) -> float:
     revolution from theta = -pi/2 is the planar first return from
     (0, -1/r0) to {x = 0, y < 0}, run so that theta increases: forward
     when the flow from there enters x > 0, backward otherwise.  The exact
-    simulator follows it.  At the unperturbed system the displacement
+    simulator follows it and records no samples: only the crossing is
+    read.  At the unperturbed system the displacement
     vanishes identically (every planar orbit is closed).
     """
     if r0 <= 0:

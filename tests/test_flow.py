@@ -42,6 +42,34 @@ def _left_return(e, y0):
     return first_component_zero(_left(e), np.array([0.0, y0]), 1.0, 2.5 * math.pi)
 
 
+def _return_case(case):
+    """example 1 at eps 1e-4, or a general system drawn from a seed at the
+    same eps, with random entries M1 does not read."""
+    if case == "example_one":
+        return example_one().with_epsilon(1e-4)
+    rng = np.random.default_rng(int(case.split("_")[1]))
+    a = float(rng.uniform(-0.8, 0.8))
+    xi = float(rng.uniform(0.4, 1.5))
+    b = -float(rng.uniform(0.4, 1.8))
+    c = (a * a + xi * xi) / (-b)
+    d, e = float(rng.uniform(0.3, 1.5)), float(rng.uniform(0.3, 1.5))
+    B_minus, B_plus = rng.uniform(-1, 1, (2, 2, 2))
+    v_minus, v_plus = rng.uniform(-1, 1, (2, 2))
+    return canonical_system(a, b, c, d, e, B_minus=B_minus, v_minus=v_minus,
+                            B_plus=B_plus, v_plus=v_plus).with_epsilon(1e-4)
+
+
+def _full_run_return(sys, y0, backward):
+    """(y of the first return, the recording run, t_max) of a ``simulate``
+    run over the first-return budget; y is None without a return."""
+    t_max = 3.0 * (2.0 * math.pi + math.pi / flow._xi_of(sys))
+    traj = simulate(sys, (0.0, y0), t_max, SimOptions(max_segments=64),
+                    backward=backward)
+    y_ret = next((ev.y for ev in traj.crossings
+                  if ev.t != 0.0 and (ev.y > 0) == (y0 > 0)), None)
+    return y_ret, traj, t_max
+
+
 def _right_return(a, b, c, d, y1):
     """Signed (negative) time of the right flow run backward from (0, y1),
     y1 > 0, to x = 0: the half-return, at |t| in (0, pi/xi]."""
@@ -397,6 +425,75 @@ class TestMelnikovOracle:
         traj = simulate(sys, (0.0, y0), t_max, SimOptions(max_segments=64))
         y_ret = next(ev.y for ev in traj.crossings[1:] if ev.y > 0)
         assert displacement(sys, y0) == y_ret - y0
+
+    @pytest.mark.parametrize("backward", [False, True])
+    @pytest.mark.parametrize("case, y0", [
+        ("example_one", 0.8), ("example_one", 4.5), ("example_one", -0.5),
+        ("example_one", -3.0), ("example_one", -100.0),
+        ("seeded_3", 1.2), ("seeded_3", -2.0), ("seeded_17", 0.6),
+        ("seeded_17", -0.9), ("seeded_42", 3.5), ("seeded_42", -4.0),
+    ])
+    def test_early_stop_keeps_the_full_run_return_both_ways(self, case, y0, backward):
+        # backward runs and starts on y < 0, as the return map at infinity
+        # runs them, on example 1 and on seeded general systems: the first
+        # return without samples is the recording run's crossing, to the bit
+        sys = _return_case(case)
+        y_ret, traj, _ = _full_run_return(sys, y0, backward)
+        assert y_ret is not None, traj.stopped
+        assert flow._first_return(sys, y0, backward=backward) == y_ret
+
+    @pytest.mark.parametrize("backward", [False, True])
+    @pytest.mark.parametrize("y0", [0.002, 0.01, -0.002, -0.01])
+    def test_early_stop_keeps_the_full_run_outcome_when_sliding(self, y0, backward):
+        # example 2 at eps 1e-2 near the sliding segment: forward from
+        # y0 > 0 the orbit slides and never returns to y > 0, so both runs
+        # end without a return, for the same reason; the other starts keep
+        # the recording run's return or its missing return, to the bit
+        sys = example_two(0.01)
+        y_ret, traj, t_max = _full_run_return(sys, y0, backward)
+        if y0 > 0 and not backward:
+            assert flow.SLIDING in traj.segment_kinds()
+            assert y_ret is None
+        if y_ret is not None:
+            assert flow._first_return(sys, y0, backward=backward) == y_ret
+            return
+        half = "y>0" if y0 > 0 else "y<0"
+        with pytest.raises(NoReturn) as exc:
+            flow._first_return(sys, y0, backward=backward)
+        assert str(exc.value) == f"no return to x=0, {half} within t={t_max} ({traj.stopped})"
+
+    @staticmethod
+    def _array_state_and_fold_calls(monkeypatch):
+        counts = {"array_state": 0, "find_folds": 0}
+        state, find_folds = AffineFlow.state, flow.find_folds
+
+        def counting_state(self, X0, t):
+            if np.ndim(t) > 0:
+                counts["array_state"] += 1
+            return state(self, X0, t)
+
+        def counting_folds(*args, **kwargs):
+            counts["find_folds"] += 1
+            return find_folds(*args, **kwargs)
+
+        monkeypatch.setattr(AffineFlow, "state", counting_state)
+        monkeypatch.setattr(flow, "find_folds", counting_folds)
+        return counts
+
+    def test_oracle_samples_no_arc_and_finds_no_fold(self, monkeypatch):
+        # a deterministic cost guard: the first return reads only crossings,
+        # so no arc is sampled and a crossing-only orbit needs no folds;
+        # recording made two 32-point state calls and one fold search
+        counts = self._array_state_and_fold_calls(monkeypatch)
+        melnikov_oracle(example_one(), 3.0, 1e-4)
+        assert counts == {"array_state": 0, "find_folds": 0}
+
+    def test_return_at_infinity_samples_no_arc_and_finds_no_fold(self, monkeypatch):
+        # the same guard for the return map at infinity
+        from pwlcycles.infinity import poincare_displacement
+        counts = self._array_state_and_fold_calls(monkeypatch)
+        poincare_displacement(example_one().with_epsilon(1e-2), 1e-2)
+        assert counts == {"array_state": 0, "find_folds": 0}
 
 
 _UNIT_ROTATION = AffineFlow([[0.0, -1.0], [1.0, 0.0]], [0.0, 0.0])

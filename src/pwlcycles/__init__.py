@@ -29,7 +29,6 @@ from .ect import (
     wronskian,
 )
 from .flow import (
-    SimOptions,
     Trajectory,
     displacement,
     melnikov_oracle,
@@ -37,10 +36,8 @@ from .flow import (
 )
 from .infinity import (
     InfinityReport,
-    bendixson_map,
     infinity_stability,
     poincare_displacement,
-    polar_bendixson_rhs,
 )
 from .melnikov import (
     MelnikovParams,
@@ -84,10 +81,9 @@ __all__ = [
     "EctVerdict", "FunctionFamily", "WronskianProfile", "amplitude_family",
     "check_ect", "constrained_family", "wronskian",
     # flow
-    "SimOptions", "Trajectory", "displacement", "melnikov_oracle", "simulate",
+    "Trajectory", "displacement", "melnikov_oracle", "simulate",
     # infinity
-    "InfinityReport", "bendixson_map", "infinity_stability", "poincare_displacement",
-    "polar_bendixson_rhs",
+    "InfinityReport", "infinity_stability", "poincare_displacement",
     # melnikov
     "MelnikovParams", "MelnikovReport", "ReducedParams", "RootFlag", "Stability",
     "classify_stability", "find_roots", "m1", "m1_constrained", "m1_reduced",

@@ -36,7 +36,7 @@ from .examples import (
     example_two_sliding_params,
     type_one_sliding_params,
 )
-from .flow import SimOptions, melnikov_oracle, simulate
+from .flow import melnikov_oracle, simulate
 from .infinity import infinity_stability
 from .melnikov import (
     MelnikovParams,
@@ -66,6 +66,7 @@ class CriterionResult:
     passed: bool
     details: list = field(default_factory=list)
     runtime: float = 0.0
+    svg: str = ""  # the phase portrait of criterion 8, for the CLI
 
     def add(self, ok: bool, text: str) -> None:
         self.details.append((bool(ok), text))
@@ -308,14 +309,14 @@ def criterion_8() -> CriterionResult:
     # qualitative figure: both cycles in one portrait
     portrait = PhasePortrait()
     portrait.add_trajectory(traj)
-    cyc = simulate(sys2, (0.0, EXAMPLE2_SYSTEM_ROOT), 9.0, SimOptions(max_segments=16))
+    cyc = simulate(sys2, (0.0, EXAMPLE2_SYSTEM_ROOT), 9.0, max_segments=16)
     portrait.add_trajectory(cyc)
     for f in (report.sliding.fold_y1, report.sliding.fold_y2):
         portrait.add_fold(f)
     svg = portrait.render()
     res.add(svg.count("<polyline") >= 3 and "#d62728" in svg and "<circle" in svg,
             "emitted SVG contains both cycles, a sliding-colored segment and fold marks")
-    res.svg = svg  # stashed for the CLI
+    res.svg = svg
     res.runtime = time.time() - t0
     res.add(res.runtime < 60.0, f"runtime {res.runtime:.1f}s < 60s")
     return res
@@ -344,11 +345,11 @@ def criterion_9() -> CriterionResult:
         for _k in range(2):
             x0 = np.array([float(rng.uniform(-1.5, 1.5)), float(rng.uniform(-1.5, 1.5))])
             t = float(rng.uniform(0.4, 2.5))
-            end_raw = simulate(raw, x0, t, SimOptions(max_segments=64)).samples[-1]
+            end_raw = simulate(raw, x0, t, max_segments=64).samples[-1]
             mapped_end = change.apply((end_raw[1], end_raw[2]))
             start_mapped = change.apply(x0)
             end_can = simulate(rebuilt, start_mapped, change.map_time(t),
-                               SimOptions(max_segments=64)).samples[-1]
+                               max_segments=64).samples[-1]
             err = float(np.hypot(mapped_end[0] - end_can[1], mapped_end[1] - end_can[2]))
             scale = max(1.0, abs(end_can[1]), abs(end_can[2]))
             worst = max(worst, err / scale)

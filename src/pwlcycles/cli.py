@@ -26,7 +26,7 @@ import numpy as np
 from . import acceptance
 from .core import PwlSystem, canonicalize, check_hypotheses
 from .errors import BoundViolated, PwlError
-from .flow import SimOptions, simulate
+from .flow import simulate
 from .infinity import infinity_stability
 from .melnikov import (
     MelnikovParams,
@@ -35,14 +35,18 @@ from .melnikov import (
     m1_csv,
 )
 from .sigma import find_folds
-from .sliding import SlidingParams, detect_sliding_cycle, simultaneity_report
+from .sliding import (
+    SlidingParams,
+    detect_sliding_cycle,
+    simultaneity_report,
+    thresholds,
+)
 from .svg import PhasePortrait
 
 
 @dataclass(frozen=True)
 class AnalysisConfig:
     input_path: str
-    command: str
     epsilon_override: float | None = None
     y0_range: tuple = (1e-2, 1e2)
     grid: int = 4096
@@ -160,7 +164,6 @@ def cmd_sliding(cfg: AnalysisConfig) -> int:
         print("first-order left trace is nonzero; no sliding cycle exists", file=_sys.stderr)
         _write(cfg, "sweep.csv", "tau,ordering,cycle\n")
         return 0
-    from .sliding import thresholds
     T = thresholds(base)
     taus = np.linspace(-5.0 * T, 5.0 * T, 41)
     lines = ["tau,ordering,cycle"]
@@ -177,7 +180,7 @@ def cmd_simulate(cfg: AnalysisConfig, start, t_max: float) -> int:
     sys_in = _load_system(cfg.input_path)
     if cfg.epsilon_override is not None:
         sys_in = sys_in.with_epsilon(cfg.epsilon_override)
-    traj = simulate(sys_in, start, t_max, SimOptions())
+    traj = simulate(sys_in, start, t_max)
     _write(cfg, "trajectory.csv", traj.to_csv())
     if cfg.emit_svg:
         portrait = PhasePortrait()
@@ -201,7 +204,7 @@ def cmd_verify_examples(cfg: AnalysisConfig) -> int:
         for ok, text in r.details:
             print(f"    {'pass' if ok else 'FAIL'}  {text}")
         all_ok &= r.passed
-        if cfg.emit_svg and hasattr(r, "svg"):
+        if cfg.emit_svg and r.svg:
             _write(cfg, f"criterion_{r.ident}.svg", r.svg)
     return 0 if all_ok else 2
 
@@ -240,7 +243,6 @@ def main(argv=None) -> int:
     try:
         cfg = AnalysisConfig(
             input_path=getattr(args, "input", ""),
-            command=args.command,
             epsilon_override=args.epsilon,
             y0_range=tuple(args.y0_range),
             grid=args.grid,

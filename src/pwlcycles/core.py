@@ -296,12 +296,6 @@ class ChangeOfVariables:
     def map_time(self, t: float) -> float:
         return self.time_scale * t
 
-    @property
-    def is_identity(self) -> bool:
-        return (np.allclose(self.matrix, np.eye(2), rtol=0, atol=1e-12)
-                and np.allclose(self.offset, 0.0, rtol=0, atol=1e-12)
-                and abs(self.time_scale - 1.0) < 1e-12)
-
     def push_system(self, sys: PwlSystem) -> PwlSystem:
         """Transform every perturbation order into the new coordinates."""
         p0, p1, p2, m0, m1, m2 = self._push_pairs(sys.orders("plus") + sys.orders("minus"))

@@ -116,8 +116,9 @@ class WronskianProfile:
         return "\n".join(lines) + "\n"
 
 
-def check_ect(fam: FunctionFamily, interval=None, grid_size: int = 1024):
-    """Scan all leading Wronskians on a grid and classify the family.
+def check_ect(fam: FunctionFamily, grid_size: int = 1024):
+    """Scan all leading Wronskians on a grid over the family's interval and
+    classify the family.
 
     ECT: every order is bounded away from zero (min |Wk| > 1e-8 * scale).
     ET_withAccuracy: only the last order changes sign, exactly once, at a
@@ -125,7 +126,7 @@ def check_ect(fam: FunctionFamily, interval=None, grid_size: int = 1024):
     """
     if grid_size < 256:
         raise ValueError("grid_size must be >= 256")
-    lo, hi = interval if interval is not None else fam.interval
+    lo, hi = fam.interval
     # keep the scan strictly inside the open interval
     pad = (hi - lo) * 1e-9
     if lo <= 0:

@@ -65,13 +65,5 @@ class BoundViolated(PwlError):
     """A proved root-count bound was numerically exceeded (build-failing)."""
 
 
-class OriginUndefined(PwlError):
-    """Plane inversion is undefined at the origin."""
-
-
-class ThetaDotVanishes(PwlError):
-    """Angular speed vanished; the angular return map is undefined there."""
-
-
 class DerivativeUnavailable(PwlError):
     """No analytic or stable numeric derivative of the requested order."""

@@ -45,6 +45,9 @@ from .sigma import (
 )
 
 TWO_PI = 2.0 * math.pi
+EVENT_TOL = 1e-12     # a start this close to x = 0 (scaled) starts on it
+SAMPLE_STRIDE = 32    # recorded samples per zone arc or sliding segment
+RETURN_SEGMENTS = 64  # segment budget of a first return or a sliding loop
 
 
 # ---------------------------------------------------------------------------
@@ -168,23 +171,22 @@ class _Coordinate:
 
 
 def first_component_zero(zone: AffineFlow, X0, direction: float, t_budget: float,
-                         component: int = 0, target: float = 0.0,
-                         graze_tol: float | None = None):
+                         component: int = 0, target: float = 0.0):
     """First |t| in (0, t_budget] with state(X0, direction*t)[component] = target.
 
     Returns (t_signed, kind) with kind "cross" for a transversal crossing,
-    "graze" when |g| is below graze_tol at an interior extremum (tangency)
-    with no sign change before it, or (None, "none"); an extremum within
-    rounding of the target is a graze whatever its computed sign.  The
-    closed-form critical times split the interval into monotone pieces, so
-    the first piece whose ends differ in sign holds the first crossing; it
-    is bisected on the closed form down to adjacent doubles.
+    "graze" when |g| is below 1e-11*max(1, |X0|, |equilibrium|) at an
+    interior extremum (tangency) with no sign change before it, or
+    (None, "none"); an extremum within rounding of the target is a graze
+    whatever its computed sign.  The closed-form critical times split the
+    interval into monotone pieces, so the first piece whose ends differ in
+    sign holds the first crossing; it is bisected on the closed form down
+    to adjacent doubles.
     """
     X0 = np.asarray(X0, dtype=float)
     g = _Coordinate(zone, X0, direction, component, target)
     scale = max(1.0, float(np.abs(X0).max()), float(np.abs(zone.equilibrium).max()))
-    if graze_tol is None:
-        graze_tol = 1e-11 * scale
+    graze_tol = 1e-11 * scale
     # values below this are rounding noise with arbitrary sign; a start on
     # the section opens a monotone piece, so noise there is no crossing, and
     # neither is a near-zero extremum right after a tangent start
@@ -214,13 +216,6 @@ def first_component_zero(zone: AffineFlow, X0, direction: float, t_budget: float
 ZONE_PLUS = "ZonePlus"
 ZONE_MINUS = "ZoneMinus"
 SLIDING = "Sliding"
-
-
-@dataclass(frozen=True)
-class SimOptions:
-    max_segments: int = 10_000
-    event_tol: float = 1e-12
-    sample_stride: int = 32  # recorded samples per zone arc or sliding segment
 
 
 @dataclass(frozen=True)
@@ -276,24 +271,26 @@ def _fold_map(sys: PwlSystem) -> dict:
         return {}
 
 
-def simulate(sys: PwlSystem, start, t_max: float, opts: SimOptions | None = None,
-             backward: bool = False) -> Trajectory:
+def simulate(sys: PwlSystem, start, t_max: float, *, backward: bool = False,
+             max_segments: int = 10_000) -> Trajectory:
     """Event-driven trajectory of the Filippov system from ``start``.
 
     Zone arcs use the exact affine flow; crossings of x = 0 are bisected on
     the closed form down to adjacent doubles, and a start within
-    ``opts.event_tol`` of x = 0 starts on it.  On the switching line the
+    ``EVENT_TOL`` (scaled) of x = 0 starts on it.  On the switching line the
     point is classified: crossing points pass straight through, sliding and
     escaping points follow the Filippov field until a fold endpoint, and a
-    double tangency stops the run.
+    double tangency stops the run.  More than ``max_segments`` segments
+    raise ``MaxSegmentsExceeded``; a non-finite start or a t_max outside
+    (0, inf) raises ``ValueError``.
     """
     traj = Trajectory(direction=-1.0 if backward else 1.0)
-    for _ in _run(sys, start, t_max, opts or SimOptions(), traj, record=True):
+    for _ in _run(sys, start, t_max, max_segments, traj, record=True):
         pass
     return traj
 
 
-def _run(sys: PwlSystem, start, t_max: float, opts: SimOptions, traj: Trajectory,
+def _run(sys: PwlSystem, start, t_max: float, max_segments: int, traj: Trajectory,
          record: bool):
     """Drive the simulator into ``traj``, yielding each crossing of x = 0 as
     it is recorded; a caller that stops iterating ends the run there.
@@ -302,19 +299,22 @@ def _run(sys: PwlSystem, start, t_max: float, opts: SimOptions, traj: Trajectory
     when ``record`` is set.  The folds are found on the first landing on
     x = 0 at a point that is not a crossing point.
     """
-    if t_max <= 0:
-        raise ValueError("t_max must be positive")
+    X = np.asarray(start, dtype=float).copy()
+    size = float(np.abs(X).max())  # NaN when any entry is NaN
+    if not math.isfinite(size):
+        raise ValueError(f"start must be finite, got {tuple(X.tolist())}")
+    if not 0.0 < t_max < math.inf:
+        raise ValueError(f"t_max must be positive and finite, got {t_max}")
     direction = traj.direction
 
     zones = {side: AffineFlow(*sys.zone(side)) for side in ("plus", "minus")}
     folds = None
 
-    X = np.asarray(start, dtype=float).copy()
     t_abs = 0.0  # unsigned elapsed time
     if record:
         traj.samples.append((0.0, float(X[0]), float(X[1])))
 
-    snap = opts.event_tol * max(1.0, float(np.abs(X).max()))
+    snap = EVENT_TOL * max(1.0, size)
     mode: str
     if abs(X[0]) <= snap:
         X[0] = 0.0
@@ -323,7 +323,7 @@ def _run(sys: PwlSystem, start, t_max: float, opts: SimOptions, traj: Trajectory
         mode = "plus" if X[0] > 0 else "minus"
 
     n_segments = 0
-    while t_abs < t_max and n_segments < opts.max_segments:
+    while t_abs < t_max and n_segments < max_segments:
         if mode == "sigma":
             kind = classify_point(sys, X[1])
             if kind is not RegionKind.CROSSING and folds is None:
@@ -355,27 +355,21 @@ def _run(sys: PwlSystem, start, t_max: float, opts: SimOptions, traj: Trajectory
             continue
 
         if mode == "sliding":
-            t_used, X, reason = _slide(sys, folds, X, direction, t_max - t_abs, opts,
-                                       traj, t_abs, record)
+            t_used, X, end = _slide(sys, folds, X, direction, t_max - t_abs,
+                                    traj, t_abs, record)
             t_abs += t_used
             n_segments += 1
-            if reason == "t_max":
+            if end == "t_max":
                 traj.stopped = "t_max"
                 break
-            if reason == "stall":
+            if end == "stall":
                 traj.stopped = "sliding_stall"
                 break
-            # reached a fold endpoint: leave through the visible side
-            f1 = folds.get("minus")
-            f2 = folds.get("plus")
-            out = None
-            for f in (f1, f2):
-                if f is not None and abs(X[1] - f.y) <= 1e-9 * max(1.0, abs(f.y)):
-                    out = f
-            if out is None or out.visibility is not Visibility.VISIBLE:
+            # reached the fold endpoint ``end``: leave through its visible side
+            if end.visibility is not Visibility.VISIBLE:
                 traj.stopped = "sliding_endpoint"
                 break
-            mode = out.side
+            mode = end.side
             continue
 
         # zone arc
@@ -384,24 +378,24 @@ def _run(sys: PwlSystem, start, t_max: float, opts: SimOptions, traj: Trajectory
         t_ev, ev_kind = first_component_zero(zone, X, direction, t_max - t_abs)
         n_segments += 1
         if t_ev is None:
-            _record_arc(traj, zone, X, direction, t_max - t_abs, t_abs, side, opts, record)
+            _record_arc(traj, zone, X, direction, t_max - t_abs, t_abs, side, record)
             t_abs = t_max
             traj.stopped = "t_max"
             break
         dt = abs(t_ev)
         if dt < 1e-14 and ev_kind == "cross":
             raise EventStall("event located at vanishing time offset")
-        X = _record_arc(traj, zone, X, direction, dt, t_abs, side, opts, record)
+        X = _record_arc(traj, zone, X, direction, dt, t_abs, side, record)
         X[0] = 0.0
         t_abs += dt
         mode = "sigma"
 
     else:
-        if n_segments >= opts.max_segments:
-            raise MaxSegmentsExceeded(f"exceeded {opts.max_segments} segments")
+        if n_segments >= max_segments:
+            raise MaxSegmentsExceeded(f"exceeded {max_segments} segments")
 
 
-def _record_arc(traj, zone, X, direction, dt, t_abs, side, opts, record):
+def _record_arc(traj, zone, X, direction, dt, t_abs, side, record):
     """Record the arc's segment, and its samples when ``record`` is set;
     returns its end state, the last sample (``linspace`` ends exactly at
     dt), or the one state at dt without samples."""
@@ -410,28 +404,29 @@ def _record_arc(traj, zone, X, direction, dt, t_abs, side, opts, record):
                                      t_end=direction * (t_abs + dt)))
     if not record:
         return zone.state(X, direction * dt)
-    n = max(2, opts.sample_stride)
-    ts = np.linspace(0.0, dt, n)
+    ts = np.linspace(0.0, dt, SAMPLE_STRIDE)
     states = zone.state(X, direction * ts)
-    for k in range(1, n):
+    for k in range(1, SAMPLE_STRIDE):
         traj.samples.append((direction * (t_abs + ts[k]),
                              float(states[k, 0]), float(states[k, 1])))
     return states[-1]
 
 
-def _slide(sys, folds, X, direction, t_budget, opts, traj, t_abs, record):
+def _slide(sys, folds, X, direction, t_budget, traj, t_abs, record):
     """Follow the Filippov field along x = 0 until a fold endpoint or t_budget.
 
     The travel time is the closed form of ``_SlidingSpeed.time``.  A root of
     N ahead is a pseudo-equilibrium that the motion approaches without
     reaching; when the budget runs out first, the position at t_budget is
-    bisected on the monotone travel time.  ``opts.sample_stride`` samples
-    are spread evenly along the segment, the last one at the end state,
-    when ``record`` is set.  Returns (elapsed, new_state, reason).
+    bisected on the monotone travel time.  ``SAMPLE_STRIDE`` samples are
+    spread evenly along the segment, the last one at the end state, when
+    ``record`` is set.  Returns (elapsed, new_state, end) with ``end`` the
+    ``FoldPoint`` reached, "t_max" or "stall".
     """
     if len(folds) != 2:
         return 0.0, X, "stall"
-    lo, hi = sorted(f.y for f in folds.values())
+    f_lo, f_hi = sorted(folds.values(), key=lambda f: f.y)
+    lo, hi = f_lo.y, f_hi.y
     seg_len = hi - lo
     if seg_len <= 0:
         return 0.0, X, "stall"
@@ -440,9 +435,10 @@ def _slide(sys, folds, X, direction, t_budget, opts, traj, t_abs, record):
     t0_signed = direction * t_abs
     v0 = direction * law.speed(y0)
     if abs(v0) < 1e-15 * max(1.0, seg_len):
-        y, t_used, reason = y0, 0.0, "stall"
+        y, t_used, end = y0, 0.0, "stall"
     else:
-        y_fold = hi if v0 > 0 else lo
+        fold = f_hi if v0 > 0 else f_lo
+        y_fold = fold.y
         ahead = [r for r in law.roots if min(y0, y_fold) < r < max(y0, y_fold)]
         if ahead:
             y_lim, t_lim = min(ahead, key=lambda r: abs(r - y0)), math.inf
@@ -450,7 +446,7 @@ def _slide(sys, folds, X, direction, t_budget, opts, traj, t_abs, record):
             # a start at or past the fold leaves it at once
             y_lim, t_lim = y_fold, max(0.0, direction * law.time(y0, y_fold))
         if t_lim <= t_budget:
-            y, t_used, reason = y_fold, t_lim, "fold"
+            y, t_used, end = y_fold, t_lim, fold
         else:
             def excess(s):
                 y_s = y0 + s * (y_lim - y0)
@@ -458,36 +454,33 @@ def _slide(sys, folds, X, direction, t_budget, opts, traj, t_abs, record):
                     return math.inf
                 return direction * law.time(y0, y_s) - t_budget
             s = _refine_crossing(excess, 0.0, 1.0, np.finfo(float).eps)
-            y, t_used, reason = y0 + s * (y_lim - y0), t_budget, "t_max"
+            y, t_used, end = y0 + s * (y_lim - y0), t_budget, "t_max"
 
     if record:
         if t_used > 0.0:
-            n = max(2, opts.sample_stride)
-            for k in range(1, n - 1):
-                y_k = y0 + (y - y0) * (k / (n - 1))
+            for k in range(1, SAMPLE_STRIDE - 1):
+                y_k = y0 + (y - y0) * (k / (SAMPLE_STRIDE - 1))
                 traj.samples.append((t0_signed + law.time(y0, y_k), 0.0, y_k))
         if t_used > 0.0 or y != y0:
             traj.samples.append((t0_signed + direction * t_used, 0.0, y))
     traj.segments.append(SegmentInfo(kind=SLIDING, t_start=t0_signed,
                                      t_end=t0_signed + direction * t_used))
-    return t_used, np.array([0.0, y]), reason
+    return t_used, np.array([0.0, y]), end
 
 
 # ---------------------------------------------------------------------------
 # first-return displacement (simulation oracle for the displacement map)
 # ---------------------------------------------------------------------------
 
-def displacement(sys: PwlSystem, y0: float, opts: SimOptions | None = None) -> float:
+def displacement(sys: PwlSystem, y0: float) -> float:
     """y_return - y0 for the first return to {x = 0, y > 0} from (0, y0).
 
     The first-order coefficient of this displacement in the perturbation
-    size equals minus the first-order Melnikov function.  The run records
-    no samples, so ``opts.sample_stride`` has no effect here; the other
-    options bound the run as in ``simulate``.
+    size equals minus the first-order Melnikov function.
     """
     if y0 <= 0:
         raise NonPositiveAmplitude("displacement needs y0 > 0")
-    return float(_first_return(sys, y0, opts) - y0)
+    return float(_first_return(sys, y0) - y0)
 
 
 def melnikov_oracle(sys: PwlSystem, y0: float, eps: float) -> float:
@@ -499,21 +492,19 @@ def melnikov_oracle(sys: PwlSystem, y0: float, eps: float) -> float:
     return -displacement(sys.with_epsilon(eps), y0) / eps
 
 
-def _first_return(sys: PwlSystem, y0: float, opts: SimOptions | None = None,
-                  backward: bool = False) -> float:
+def _first_return(sys: PwlSystem, y0: float, backward: bool = False) -> float:
     """y of the first return from (0, y0), y0 != 0, to the half-line of
     x = 0 that holds it.
 
     The simulation stops at that crossing; the crossing at the start does
     not count.  It records no samples: only the crossings and the stop
     reason are read.  Raises ``NoReturn`` when the run ends first, within
-    t_max = 3(2 pi + pi/xi) or ``opts.max_segments``.
+    t_max = 3(2 pi + pi/xi) or ``RETURN_SEGMENTS`` segments.
     """
     t_max = 3.0 * (TWO_PI + math.pi / _xi_of(sys))
     traj = Trajectory(direction=-1.0 if backward else 1.0)
     try:
-        for ev in _run(sys, (0.0, y0), t_max, opts or SimOptions(max_segments=64), traj,
-                       record=False):
+        for ev in _run(sys, (0.0, y0), t_max, RETURN_SEGMENTS, traj, record=False):
             if ev.t != 0.0 and (ev.y > 0) == (y0 > 0):
                 return ev.y
     except MaxSegmentsExceeded as exc:

@@ -21,8 +21,9 @@ so infinity attracts exactly when xi*(b11m+b22m) + b11p + b22p > 0.
 The angular return map is exact: the inversion keeps polar angles, so a
 revolution of the angular system is a planar first return to x = 0,
 which the event-driven simulator follows on the closed-form zone flows.
-The fixed-step RK4 of dr/dtheta that it replaced stays in the test suite
-as an independent reference.
+The inversion, the polar right-hand side above and the fixed-step RK4 of
+dr/dtheta that the simulator replaced stay in the test suite as an
+independent reference.
 """
 
 from __future__ import annotations
@@ -33,18 +34,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import PwlSystem
-from .errors import OriginUndefined, ThetaDotVanishes
 from .flow import _first_return
 from .melnikov import MelnikovParams, Stability, infinity_sign, stability_from_sign
 from .sigma import normal_components
-
-
-def bendixson_map(x: float, y: float) -> tuple[float, float]:
-    """Plane inversion (x, y) -> (x, y)/(x^2 + y^2); an involution."""
-    r2 = x * x + y * y
-    if r2 == 0.0:
-        raise OriginUndefined("inversion undefined at the origin")
-    return (x / r2, y / r2)
 
 
 @dataclass(frozen=True)
@@ -65,28 +57,6 @@ def infinity_stability(p: MelnikovParams) -> InfinityReport:
     """
     coef = -(math.pi / 2.0) * (p.trace_minus + p.trace_plus / p.xi)
     return InfinityReport(coefficient=coef, stability=stability_from_sign(infinity_sign(p)))
-
-
-def polar_bendixson_rhs(sys: PwlSystem, r: float, theta: float,
-                        side: str | None = None):
-    """(dr/dt, dtheta/dt) of the inverted system at (r, theta), r > 0.
-
-    The zone follows sign(cos theta) (x and u share sign); ``side`` forces
-    it, which integrators use at the half boundaries where cos theta
-    rounds ambiguously.
-    """
-    if r <= 0:
-        raise ValueError("polar radius must be positive")
-    c, s = math.cos(theta), math.sin(theta)
-    if side is None:
-        side = "plus" if c >= 0 else "minus"
-    x, y = c / r, s / r
-    f, g = sys.field((x, y), side)
-    dr = -r * r * (f * c + g * s)
-    dth = r * (g * c - f * s)
-    if abs(dth) < 1e-14 * max(1.0, abs(f) + abs(g)) * r:
-        raise ThetaDotVanishes(f"angular speed vanished at r={r}, theta={theta}")
-    return float(dr), float(dth)
 
 
 def poincare_displacement(sys: PwlSystem, r0: float) -> float:

@@ -231,12 +231,14 @@ def reduced_limit_at_zero(red: ReducedParams) -> float:
 # root isolation
 # ---------------------------------------------------------------------------
 
+SUSPECT_REL = 1e-6  # slope below this times the grid scale: SUSPECT
+DEDUPE_REL = 1e-9   # roots closer than this (relative) are one root
+
+
 @dataclass(frozen=True)
 class RootFindOptions:
     grid: int = 4096
     refine_tol: float = 1e-12
-    suspect_rel: float = 1e-6
-    dedupe_rel: float = 1e-9
 
 
 @lru_cache(maxsize=8)
@@ -259,7 +261,7 @@ def find_roots(f, domain, opts: RootFindOptions | None = None):
     it may return a float or a one-entry array.  The grid is shared by all
     calls on the same domain and grid size and is read-only: an ``f`` that
     writes into it raises ValueError.  Returns a list of (root, RootFlag);
-    roots whose central-difference slope is below ``suspect_rel`` times the
+    roots whose central-difference slope is below ``SUSPECT_REL`` times the
     grid scale are flagged SUSPECT (possible multiplicity).
     """
     lo, hi = domain
@@ -290,7 +292,7 @@ def find_roots(f, domain, opts: RootFindOptions | None = None):
         root = 0.5 * (a + b_)
         h = 1e-6 * max(1.0, root)
         slope = (_feval(f, root + h) - _feval(f, root - h)) / (2.0 * h)
-        flag = RootFlag.SUSPECT if abs(slope) < opts.suspect_rel * max(scale, 1e-300) \
+        flag = RootFlag.SUSPECT if abs(slope) < SUSPECT_REL * max(scale, 1e-300) \
             else RootFlag.SIMPLE
         roots.append((float(root), flag))
     # exact zeros sitting on grid nodes
@@ -299,7 +301,7 @@ def find_roots(f, domain, opts: RootFindOptions | None = None):
     roots.sort(key=lambda r: r[0])
     deduped = []
     for r, fl in roots:
-        if deduped and abs(r - deduped[-1][0]) < opts.dedupe_rel * max(1.0, abs(r)):
+        if deduped and abs(r - deduped[-1][0]) < DEDUPE_REL * max(1.0, abs(r)):
             continue
         deduped.append((r, fl))
     return deduped

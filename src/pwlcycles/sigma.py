@@ -197,14 +197,3 @@ def fold_series_plus(sys: PwlSystem, eps: float) -> float:
     (a0, _), (b, v), (c, w) = sys.orders("plus")
     bb = a0.m12
     return -v.x * eps / bb + (v.x * b.m12 - bb * w.x) * eps * eps / (bb * bb)
-
-
-def sliding_segment(sys: PwlSystem) -> tuple[float, float] | None:
-    """The open interval of y between the two fold points, if both exist."""
-    folds = find_folds(sys)
-    if len(folds) != 2:
-        return None
-    lo, hi = sorted(f.y for f in folds)
-    if hi - lo <= 0:
-        return None
-    return (lo, hi)

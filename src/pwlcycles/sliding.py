@@ -34,7 +34,7 @@ import numpy as np
 
 from .core import PwlSystem, canonical_system
 from .errors import BoundViolated, ConstraintViolated, EventStall
-from .flow import AffineFlow, SimOptions, first_component_zero, simulate
+from .flow import RETURN_SEGMENTS, AffineFlow, first_component_zero, simulate
 from .melnikov import (
     SIGN_TOL,
     MelnikovParams,
@@ -199,18 +199,13 @@ def s_maps_general_order1(p: SlidingParams) -> tuple:
 # exact section marks from the flow (the simulation side of the check)
 # ---------------------------------------------------------------------------
 
-def fold_positions(p: SlidingParams, eps: float) -> tuple:
-    """(y_f1, y_f2, y_f3) at the given perturbation size.
+def _fold_positions(sys: PwlSystem, xi: float) -> tuple:
+    """(y_f1, y_f2, y_f3) of the built system, whose right zone turns at xi.
 
     y_f1, y_f2 solve the affine tangency equations exactly; y_f3 is found
     by flowing backward from (0, y_f1) through the right zone (the short
     arc around the invisible fold) to its other intersection with x = 0.
     """
-    return _fold_positions(p.to_system(eps), p.xi)
-
-
-def _fold_positions(sys: PwlSystem, xi: float) -> tuple:
-    """``fold_positions`` of the built system, whose right zone turns at xi."""
     folds = {f.side: f for f in find_folds(sys)}
     y_f1 = folds["minus"].y
     y_f2 = folds["plus"].y
@@ -365,22 +360,21 @@ def detect_sliding_cycle(p: SlidingParams) -> SlidingReport:
         ordering_consistent=consistent, reason=reason)
 
 
-def simulate_sliding_cycle(p: SlidingParams, eps: float | None = None,
-                           opts: SimOptions | None = None):
+def simulate_sliding_cycle(p: SlidingParams, eps: float | None = None):
     """Run the loop from the visible fold and measure its closure.
 
     Returns (trajectory, closure, kinds): the orbit from (0, y_f1) through
     the left zone (Type II also through the right zone) back onto the
-    sliding segment and up to the fold again; ``closure`` is the distance
-    between the endpoint and the start.
+    sliding segment and up to the fold again, within ``RETURN_SEGMENTS``
+    segments; ``closure`` is the distance between the endpoint and the
+    start.
     """
     eps = p.epsilon if eps is None else eps
     work = p if p.drift < 0 else _mirror(p)
     sys = work.to_system(eps)
     y_f1 = {f.side: f.y for f in find_folds(sys)}["minus"]
     t_max = 3.0 * (2.0 * math.pi + math.pi / p.xi)
-    opts = opts or SimOptions(max_segments=64)
-    traj = simulate(sys, (0.0, y_f1), t_max, opts)
+    traj = simulate(sys, (0.0, y_f1), t_max, max_segments=RETURN_SEGMENTS)
     kinds = traj.segment_kinds()
     # the loop is superstable (every slide ends at the fold), so closure is
     # measured as the spread of consecutive landings on the sliding segment:

@@ -20,10 +20,11 @@ def _fmt(v: float) -> str:
 
 
 class PhasePortrait:
-    def __init__(self, width: int = 640, height: int = 640, margin: float = 0.08):
-        self.width = width
-        self.height = height
-        self.margin = margin
+    WIDTH = 640     # pixels
+    HEIGHT = 640
+    MARGIN = 0.08   # padding around the data, as a fraction of its span
+
+    def __init__(self):
         self._trajectories: list[Trajectory] = []
         self._folds: list[float] = []
 
@@ -43,26 +44,26 @@ class PhasePortrait:
         y_lo, y_hi = min(ys), max(ys)
         span_x = max(x_hi - x_lo, 1e-9)
         span_y = max(y_hi - y_lo, 1e-9)
-        pad_x, pad_y = self.margin * span_x, self.margin * span_y
+        pad_x, pad_y = self.MARGIN * span_x, self.MARGIN * span_y
         return (x_lo - pad_x, x_hi + pad_x, y_lo - pad_y, y_hi + pad_y)
 
     def render(self) -> str:
         x_lo, x_hi, y_lo, y_hi = self._bounds()
 
         def to_px(x, y):
-            px = (x - x_lo) / (x_hi - x_lo) * self.width
-            py = (1.0 - (y - y_lo) / (y_hi - y_lo)) * self.height
+            px = (x - x_lo) / (x_hi - x_lo) * self.WIDTH
+            py = (1.0 - (y - y_lo) / (y_hi - y_lo)) * self.HEIGHT
             return px, py
 
         parts = [
-            f'<svg xmlns="http://www.w3.org/2000/svg" width="{self.width}" '
-            f'height="{self.height}" viewBox="0 0 {self.width} {self.height}">',
-            f'<rect width="{self.width}" height="{self.height}" fill="white"/>',
+            f'<svg xmlns="http://www.w3.org/2000/svg" width="{self.WIDTH}" '
+            f'height="{self.HEIGHT}" viewBox="0 0 {self.WIDTH} {self.HEIGHT}">',
+            f'<rect width="{self.WIDTH}" height="{self.HEIGHT}" fill="white"/>',
         ]
         # switching line x = 0
         sx, _ = to_px(0.0, 0.0)
         parts.append(
-            f'<line x1="{_fmt(sx)}" y1="0" x2="{_fmt(sx)}" y2="{self.height}" '
+            f'<line x1="{_fmt(sx)}" y1="0" x2="{_fmt(sx)}" y2="{self.HEIGHT}" '
             'stroke="#888888" stroke-width="1" stroke-dasharray="6,4"/>')
         for traj in self._trajectories:
             for seg in traj.segments:

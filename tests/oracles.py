@@ -3,8 +3,8 @@
 Everything here deliberately avoids the package's own flow machinery:
 zone fields are integrated with scipy's adaptive solvers and switching
 events are located on the integrator's dense output, and the angular
-system at infinity is stepped by fixed-step RK4 on the polar field of
-``pwlcycles.infinity.polar_bendixson_rhs``.
+system at infinity is stepped by fixed-step RK4 on the polar field of the
+plane inversion, ``polar_bendixson_rhs`` below.
 """
 
 from __future__ import annotations
@@ -17,8 +17,15 @@ from scipy.linalg import expm
 from scipy.optimize import brentq
 
 from pwlcycles.core import PwlSystem
-from pwlcycles.errors import ThetaDotVanishes
-from pwlcycles.infinity import polar_bendixson_rhs
+from pwlcycles.errors import PwlError
+
+
+class OriginUndefined(PwlError):
+    """Plane inversion is undefined at the origin."""
+
+
+class ThetaDotVanishes(PwlError):
+    """Angular speed vanished; the angular return map is undefined there."""
 
 
 def integrate_zone(M, u, x0, t, rtol=1e-12, atol=1e-14):
@@ -115,6 +122,40 @@ def velocity_zeros(M, u, x0, direction, t_end, component, n=4000):
     vals = [velocity(tau) for tau in taus]
     return [brentq(velocity, taus[i], taus[i + 1], xtol=1e-15, rtol=4 * np.finfo(float).eps)
             for i in range(n - 1) if vals[i] * vals[i + 1] < 0]
+
+
+# ---------------------------------------------------------------------------
+# the angular system at infinity (plane inversion in polar coordinates)
+# ---------------------------------------------------------------------------
+
+def bendixson_map(x: float, y: float) -> tuple[float, float]:
+    """Plane inversion (x, y) -> (x, y)/(x^2 + y^2); an involution."""
+    r2 = x * x + y * y
+    if r2 == 0.0:
+        raise OriginUndefined("inversion undefined at the origin")
+    return (x / r2, y / r2)
+
+
+def polar_bendixson_rhs(sys: PwlSystem, r: float, theta: float,
+                        side: str | None = None):
+    """(dr/dt, dtheta/dt) of the inverted system at (r, theta), r > 0.
+
+    The zone follows sign(cos theta) (x and u share sign); ``side`` forces
+    it, which integrators use at the half boundaries where cos theta
+    rounds ambiguously.
+    """
+    if r <= 0:
+        raise ValueError("polar radius must be positive")
+    c, s = math.cos(theta), math.sin(theta)
+    if side is None:
+        side = "plus" if c >= 0 else "minus"
+    x, y = c / r, s / r
+    f, g = sys.field((x, y), side)
+    dr = -r * r * (f * c + g * s)
+    dth = r * (g * c - f * s)
+    if abs(dth) < 1e-14 * max(1.0, abs(f) + abs(g)) * r:
+        raise ThetaDotVanishes(f"angular speed vanished at r={r}, theta={theta}")
+    return float(dr), float(dth)
 
 
 def _drdtheta(sys: PwlSystem, r: float, theta: float, side: str | None = None) -> float:

@@ -194,6 +194,21 @@ class TestSimulateCommand:
         assert (tmp_path / "s1" / "phase.svg").read_bytes() == \
             (tmp_path / "s2" / "phase.svg").read_bytes()
 
+    @pytest.mark.parametrize("start, t_max, name", [
+        (("0", "1"), "inf", "t_max"),
+        (("0", "1"), "nan", "t_max"),
+        (("nan", "1"), "8", "start"),
+    ], ids=["t-max-inf", "t-max-nan", "start-nan"])
+    def test_non_finite_input_exits_one(self, ex1_path, tmp_path, capsys, start, t_max,
+                                        name):
+        # an error line naming the bad input, no traceback and no CSV
+        out = tmp_path / "bad"
+        assert main(["simulate", ex1_path, "--start", *start, "--t-max", t_max,
+                     "-o", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and name in err
+        assert not (out / "trajectory.csv").exists()
+
 
 class TestSlidingCommand:
     def test_sweep(self, ex2_path, tmp_path):

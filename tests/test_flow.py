@@ -16,7 +16,6 @@ from pwlcycles.examples import (
 )
 from pwlcycles.flow import (
     AffineFlow,
-    SimOptions,
     displacement,
     first_component_zero,
     melnikov_oracle,
@@ -63,8 +62,7 @@ def _full_run_return(sys, y0, backward):
     """(y of the first return, the recording run, t_max) of a ``simulate``
     run over the first-return budget; y is None without a return."""
     t_max = 3.0 * (2.0 * math.pi + math.pi / flow._xi_of(sys))
-    traj = simulate(sys, (0.0, y0), t_max, SimOptions(max_segments=64),
-                    backward=backward)
+    traj = simulate(sys, (0.0, y0), t_max, max_segments=64, backward=backward)
     y_ret = next((ev.y for ev in traj.crossings
                   if ev.t != 0.0 and (ev.y > 0) == (y0 > 0)), None)
     return y_ret, traj, t_max
@@ -278,10 +276,30 @@ class TestSimulate:
         with pytest.raises(NonPositiveAmplitude):
             displacement(example_one(), 0.0)
 
-    def test_no_return_raises(self):
+    @pytest.mark.parametrize("start, t_max, name", [
+        ((0.0, 1.0), math.inf, "t_max"),
+        ((0.0, 1.0), math.nan, "t_max"),
+        ((0.0, 1.0), 0.0, "t_max"),
+        ((math.nan, 1.0), 5.0, "start"),
+        ((0.0, -math.inf), 5.0, "start"),
+    ])
+    def test_non_finite_input_rejected(self, start, t_max, name):
+        with pytest.raises(ValueError, match=name):
+            simulate(example_one(1e-2), start, t_max)
+
+    @pytest.mark.parametrize("first_return", [
+        lambda y0: displacement(example_one().with_epsilon(1e-2), y0),
+        lambda y0: melnikov_oracle(example_one(), y0, 1e-2),
+    ], ids=["displacement", "melnikov_oracle"])
+    def test_nan_amplitude_rejected(self, first_return):
+        with pytest.raises(ValueError, match="start must be finite"):
+            first_return(math.nan)
+
+    def test_no_return_raises(self, monkeypatch):
         sys = canonical_system(1.0, -1.0, 1.01, 0.1, 0.55)
+        monkeypatch.setattr(flow, "RETURN_SEGMENTS", 1)
         with pytest.raises(NoReturn):
-            displacement(sys, 1.0, SimOptions(max_segments=1))
+            displacement(sys, 1.0)
 
     def test_stability_labels_drive_long_run_drift(self):
         # at a small perturbation the displacement pushes orbits toward the
@@ -422,7 +440,7 @@ class TestMelnikovOracle:
         # value the stopping run returns, to the bit
         sys = example_one().with_epsilon(1e-4)
         t_max = 3.0 * (2.0 * math.pi + math.pi / example_one_params().xi)
-        traj = simulate(sys, (0.0, y0), t_max, SimOptions(max_segments=64))
+        traj = simulate(sys, (0.0, y0), t_max, max_segments=64)
         y_ret = next(ev.y for ev in traj.crossings[1:] if ev.y > 0)
         assert displacement(sys, y0) == y_ret - y0
 

@@ -7,21 +7,20 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from oracles import (
+    OriginUndefined,
+    bendixson_map,
     integrate_radial_correction,
     poincare_displacement_rk4,
+    polar_bendixson_rhs,
     right_radial_correction,
 )
-from pwlcycles import infinity
 from pwlcycles.core import Mat2, PwlSystem, Vec2, canonical_system
-from pwlcycles.errors import OriginUndefined
 from pwlcycles.examples import example_one, example_one_params
 from pwlcycles.flow import displacement, simulate
 from pwlcycles.infinity import (
-    bendixson_map,
     infinity_stability,
     left_radial_correction,
     poincare_displacement,
-    polar_bendixson_rhs,
 )
 from pwlcycles.melnikov import MelnikovParams, Stability
 
@@ -92,7 +91,7 @@ class TestPolarSystem:
         x, y = math.cos(th) / r, math.sin(th) / r
         dr, dth = polar_bendixson_rhs(sys, r, th)
         h = 1e-7
-        traj = simulate(sys, (x, y), h, None)
+        traj = simulate(sys, (x, y), h)
         x1, y1 = traj.samples[-1][1], traj.samples[-1][2]
         u1, v1 = bendixson_map(x1, y1)
         r1 = math.hypot(u1, v1)
@@ -115,6 +114,10 @@ class TestPolarSystem:
         r0 = 1e-2
         got = poincare_displacement(sys.with_epsilon(1e-4), r0)
         assert got / (1e-4 * r0) == pytest.approx(coef, rel=0.05)
+
+    def test_nan_radius_rejected(self):
+        with pytest.raises(ValueError, match="start must be finite"):
+            poincare_displacement(example_one().with_epsilon(1e-2), math.nan)
 
     def test_displacement_sign_matches_report(self):
         sys = example_one()
@@ -179,11 +182,11 @@ class TestExactAngularMap:
 
     def test_no_polar_field_evaluation(self, monkeypatch):
         # a deterministic cost guard: the exact map never steps the polar
-        # system
+        # system, nor evaluates the planar field it is built on
         def refuse(*args, **kwargs):
-            raise AssertionError("polar_bendixson_rhs called")
+            raise AssertionError("PwlSystem.field called")
 
-        monkeypatch.setattr(infinity, "polar_bendixson_rhs", refuse)
+        monkeypatch.setattr(PwlSystem, "field", refuse)
         assert poincare_displacement(example_one().with_epsilon(1e-2), 1e-2) < 0
 
 
@@ -236,7 +239,7 @@ class TestInvolutionConsistency:
         # radius against integrating dr/dtheta from the mapped start
         sys = example_one().with_epsilon(1e-3)
         start = (0.0, 40.0)
-        traj = simulate(sys, start, 2.5, None)
+        traj = simulate(sys, start, 2.5)
         pts = [(t, x, y) for (t, x, y) in traj.samples if x < -1.0]
         t0, x0, y0 = pts[0]
         u0, v0 = bendixson_map(x0, y0)

@@ -16,8 +16,18 @@ from pwlcycles.sigma import (
     fold_series_plus,
     normal_components,
     sliding_field,
-    sliding_segment,
 )
+
+
+def sliding_segment(sys) -> tuple[float, float] | None:
+    """The open interval of y between the two fold points, if both exist."""
+    folds = find_folds(sys)
+    if len(folds) != 2:
+        return None
+    lo, hi = sorted(f.y for f in folds)
+    if hi - lo <= 0:
+        return None
+    return (lo, hi)
 
 
 def _filippov_vector(sys, y):

@@ -7,7 +7,7 @@ from numpy.testing import assert_allclose
 from pwlcycles import sliding
 from pwlcycles.core import PwlSystem
 from pwlcycles.errors import ConstraintViolated
-from pwlcycles.flow import SimOptions, simulate
+from pwlcycles.flow import simulate
 from pwlcycles.examples import (
     EXAMPLE2_SYSTEM_ROOT,
     example_two_sliding_params,
@@ -18,7 +18,6 @@ from pwlcycles.sliding import (
     CycleKind,
     SlidingParams,
     detect_sliding_cycle,
-    fold_positions,
     s_maps,
     s_maps_general_order1,
     s_maps_simulated,
@@ -104,7 +103,7 @@ class TestSMapSeries:
 class TestFoldPositions:
     def test_example_two_values(self):
         p = example_two_sliding_params()
-        y1, y2, y3 = fold_positions(p, 1e-2)
+        y1, y2, y3 = sliding._fold_positions(p.to_system(1e-2), p.xi)
         assert y1 == pytest.approx(0.002, rel=1e-12)
         assert y2 == pytest.approx(-0.005, rel=1e-12)
         # y3 = -(v1m + 2 v1p / b) eps + O(eps^2) = -(0.2 + 1.0)*eps ... with
@@ -116,7 +115,7 @@ class TestFoldPositions:
         p = example_two_sliding_params()
         vals = []
         for eps in (1e-3, 5e-4):
-            _, _, y3 = fold_positions(p, eps)
+            _, _, y3 = sliding._fold_positions(p.to_system(eps), p.xi)
             vals.append(y3 / eps)
         extrap = 2.0 * vals[1] - vals[0]
         assert extrap == pytest.approx(-(p.v1m + 2.0 * p.v1p / p.b), rel=1e-5)
@@ -252,7 +251,7 @@ class TestSimulatedCycles:
         sys = p.to_system(eps)
         y_f1 = sliding._fold_positions(sys, p.xi)[0]
         t_max = 3.0 * (2.0 * math.pi + math.pi / p.xi)
-        want = simulate(sys, (0.0, y_f1), t_max, SimOptions(max_segments=64))
+        want = simulate(sys, (0.0, y_f1), t_max, max_segments=64)
         calls = 0
         locate = sliding.first_component_zero
 

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import islice
 
 import numpy as np
 
@@ -48,6 +49,11 @@ TWO_PI = 2.0 * math.pi
 EVENT_TOL = 1e-12     # a start this close to x = 0 (scaled) starts on it
 SAMPLE_STRIDE = 32    # recorded samples per zone arc or sliding segment
 RETURN_SEGMENTS = 64  # segment budget of a first return or a sliding loop
+ARC_PIECES = 2**20    # monotone pieces of a zone arc an event search scans
+_CHUNK = 4096         # critical times per numpy call; divides ARC_PIECES, so a stall
+                      # comes between chunks, after exactly ARC_PIECES pieces
+_NOISE = 64.0 * 2.0**-52  # rounding noise of a coordinate per unit of scale
+_TINY = 2.0**-1022        # smallest normal double
 
 
 # ---------------------------------------------------------------------------
@@ -55,19 +61,30 @@ RETURN_SEGMENTS = 64  # segment budget of a first return or a sliding loop
 # ---------------------------------------------------------------------------
 
 class AffineFlow:
-    """Closed-form flow of X' = M X + u for a fixed 2x2 M and offset u."""
+    """Closed-form flow of X' = M X + u for a fixed 2x2 M and offset u.
+
+    The zone is built from the six floats of (M, u) in float arithmetic
+    that rounds as numpy's array expressions: the determinants are
+    ``_det2``, numpy's value to the bit, and only the equilibrium is left to
+    ``np.linalg.solve``, whose LAPACK solve rounds through fused
+    multiply-adds that Python floats cannot express.
+    """
 
     def __init__(self, M, u):
         self.M = np.asarray(M, dtype=float)
         self.u = np.asarray(u, dtype=float)
-        det = float(np.linalg.det(self.M))
-        scale = max(1.0, float(np.abs(self.M).max()) ** 2)
-        if abs(det) < 1e-14 * scale:
+        (a, b), (c, d) = self.M.tolist()
+        size = max(abs(a), abs(b), abs(c), abs(d))
+        if abs(_det2(a, b, c, d)) < 1e-14 * max(1.0, size * size):
             raise DegenerateLinearPart("zone matrix is numerically singular")
         self.equilibrium = np.linalg.solve(self.M, -self.u)
-        self.mu = 0.5 * (self.M[0, 0] + self.M[1, 1])
-        self.N = self.M - self.mu * np.eye(2)
-        self.w2 = -float(np.linalg.det(self.N))  # N^2 = w2 * I
+        self._eq = tuple(self.equilibrium.tolist())
+        self._eq_size = _abs_max(self._eq)
+        self.mu = mu = 0.5 * (a + d)
+        # N = M - mu*I entry by entry, rounded as the array expression
+        self._n = (a - mu, b - mu * 0.0, c - mu * 0.0, d - mu)
+        self.N = np.array(self._n).reshape(2, 2)
+        self.w2 = -_det2(*self._n)  # N^2 = w2 * I
         self.omega = math.sqrt(abs(self.w2)) if abs(self.w2) > 0 else 0.0
 
     def _cs(self, t, lib=np):
@@ -84,7 +101,18 @@ class AffineFlow:
         return 1.0 + z / 2.0 + z * z / 24.0, t * (1.0 + z / 6.0 + z * z / 120.0)
 
     def state(self, X0, t):
-        """Flow of X0 after time t (t scalar or array; result (2,) or (n, 2))."""
+        """Flow of X0 after time t: the (2,) state for a float t, (n, 2) states
+        for an array of n times.  A float t runs in float arithmetic with
+        numpy's functions of it, so it rounds as the 0-d array would."""
+        if isinstance(t, float):
+            x, y = np.asarray(X0, dtype=float).tolist()
+            e0, e1 = self._eq
+            d0, d1 = x - e0, y - e1
+            n00, n01, n10, n11 = self._n
+            c, s = self._cs(t)
+            ex = np.exp(self.mu * t)
+            return np.array((ex * (c * d0 + s * (n00 * d0 + n01 * d1)) + e0,
+                             ex * (c * d1 + s * (n10 * d0 + n11 * d1)) + e1))
         X0 = np.asarray(X0, dtype=float)
         t = np.asarray(t, dtype=float)
         d0 = X0 - self.equilibrium
@@ -94,6 +122,43 @@ class AffineFlow:
         comp1 = ex * (c * d0[1] + s * (self.N[1, 0] * d0[0] + self.N[1, 1] * d0[1]))
         out = np.stack([comp0 + self.equilibrium[0], comp1 + self.equilibrium[1]], axis=-1)
         return out
+
+
+def _det2(a, b, c, d):
+    """``np.linalg.det`` of [[a, b], [c, d]] on floats, to the bit for finite
+    entries that are zero or normal doubles.
+
+    numpy factors the matrix by LAPACK's LU with partial pivoting and
+    returns sign * exp(log|u00| + log|u11|): the pivot is the larger
+    |column 0| entry, the first row on ties, the multiplier is c * (1/a)
+    (c / a below the smallest normal double, as LAPACK divides there), and
+    an exact zero pivot gives +0.0.  Where the exponential overflows,
+    numpy's value is +-inf, and so is this one.
+    """
+    sign = 1.0
+    if abs(c) > abs(a):
+        a, b, c, d = c, d, a, b
+        sign = -1.0
+    if a == 0.0:
+        return 0.0
+    mult = c / a if abs(a) < _TINY else c * (1.0 / a)
+    u11 = d - mult * b
+    if u11 == 0.0:
+        return 0.0
+    if a < 0.0:
+        sign = -sign
+    if u11 < 0.0:
+        sign = -sign
+    try:
+        return sign * math.exp(math.log(abs(a)) + math.log(abs(u11)))
+    except OverflowError:
+        return sign * math.inf
+
+
+def _abs_max(pair):
+    """max(|p0|, |p1|), NaN when either is NaN, as ``np.abs(pair).max()``."""
+    a, b = abs(pair[0]), abs(pair[1])
+    return a if a >= b or a != a else b
 
 
 # ---------------------------------------------------------------------------
@@ -126,17 +191,18 @@ class _Coordinate:
     With m = direction*mu and (c, s) from ``AffineFlow._cs``, both even/odd
     in t, the coordinate is g(tau) = e^{m tau} (P c(tau) + Q s(tau)) + R with
     P = (X0 - equilibrium)[k], Q = direction*(N (X0 - equilibrium))[k] and
-    R = equilibrium[k] - target.
+    R = equilibrium[k] - target.  Q is numpy's product, whose sum is fused.
     """
 
     def __init__(self, zone: AffineFlow, X0, direction: float, component: int,
                  target: float):
-        d0 = np.asarray(X0, dtype=float) - zone.equilibrium
+        X0 = np.asarray(X0, dtype=float)
+        e = zone._eq[component]
         self.zone = zone
         self.m = direction * zone.mu
-        self.P = float(d0[component])
-        self.Q = direction * float(zone.N[component] @ d0)
-        self.R = float(zone.equilibrium[component]) - target
+        self.P = X0.tolist()[component] - e
+        self.Q = direction * float(zone.N[component] @ (X0 - zone.equilibrium))
+        self.R = e - target
 
     def __call__(self, tau):
         """g at a float tau (math) or an array of them (numpy)."""
@@ -144,30 +210,52 @@ class _Coordinate:
         c, s = self.zone._cs(tau, lib)
         return lib.exp(self.m * tau) * (self.P * c + self.Q * s) + self.R
 
-    def critical_times(self, t_end: float) -> np.ndarray:
-        """Sorted zeros of g' in (0, t_end), in closed form per branch of _cs."""
+    def critical_times(self, t_end: float):
+        """The zeros of g' in (0, t_end) in increasing order, in closed form
+        per branch of _cs, generated one by one.
+
+        An oscillatory arc with more than ``ARC_PIECES`` monotone pieces
+        raises ``EventStall`` when a critical time past its first
+        ``ARC_PIECES`` pieces is asked for.
+        """
         zone, m, P, Q = self.zone, self.m, self.P, self.Q
         w2, om = zone.w2, zone.omega
         if P == 0.0 and Q == 0.0:  # the coordinate stays at its equilibrium value
-            return np.empty(0)
+            return
         if w2 < -1e-14:
             # g' e^{-m tau} = (mP + om q) cos(om tau) + (mq - om P) sin(om tau)
             # with q = Q/om, a single cosine A cos(om tau - phi)
             q = Q / om
             phi = math.atan2(m * q - om * P, m * P + om * q)
             first = (phi + 0.5 * math.pi) % math.pi
-            n = max(0, math.ceil((om * t_end - first) / math.pi))
-            taus = (first + math.pi * np.arange(n)) / om
-        elif w2 > 1e-14:
+            n = (om * t_end - first) / math.pi  # the critical times are those of k < n
+            k = taken = 0
+            while k < n:
+                tau = (first + math.pi * k) / om
+                k += 1
+                if 0.0 < tau < t_end:
+                    yield tau
+                    taken += 1
+                    if taken == ARC_PIECES:
+                        pieces = math.ceil(n) + (first > 0.0) if n < math.inf else n
+                        raise EventStall(f"no event in the first {ARC_PIECES} monotone "
+                                         f"pieces of an arc with {pieces:.4g}")
+            return
+        if w2 > 1e-14:
             # g' e^{-m tau} = (mP + om q) cosh(om tau) + (mq + om P) sinh(om tau)
             q = Q / om
             den = m * q + om * P
             r = -(m * P + om * q) / den if den != 0.0 else math.inf
-            taus = np.array([math.atanh(r) / om]) if abs(r) < 1.0 else np.empty(0)
-        else:
+            if not abs(r) < 1.0:
+                return
+            tau = math.atanh(r) / om
+        elif m * Q != 0.0:
             # near-nilpotent: g' e^{-m tau} = mP + Q + mQ tau to first order in w2
-            taus = np.array([-(m * P + Q) / (m * Q)]) if m * Q != 0.0 else np.empty(0)
-        return taus[(taus > 0.0) & (taus < t_end)]
+            tau = -(m * P + Q) / (m * Q)
+        else:
+            return
+        if 0.0 < tau < t_end:
+            yield tau
 
 
 def first_component_zero(zone: AffineFlow, X0, direction: float, t_budget: float,
@@ -181,32 +269,43 @@ def first_component_zero(zone: AffineFlow, X0, direction: float, t_budget: float
     whatever its computed sign.  The closed-form critical times split the
     interval into monotone pieces, so the first piece whose ends differ in
     sign holds the first crossing; it is bisected on the closed form down
-    to adjacent doubles.
+    to adjacent doubles.  The pieces are taken ``_CHUNK`` breakpoints at a
+    time, up to the first event; an arc with more than ``ARC_PIECES``
+    pieces and no event in its first ``ARC_PIECES`` raises ``EventStall``.
     """
     X0 = np.asarray(X0, dtype=float)
     g = _Coordinate(zone, X0, direction, component, target)
-    scale = max(1.0, float(np.abs(X0).max()), float(np.abs(zone.equilibrium).max()))
+    scale = max(1.0, _abs_max(X0.tolist()), zone._eq_size)
     graze_tol = 1e-11 * scale
     # values below this are rounding noise with arbitrary sign; a start on
     # the section opens a monotone piece, so noise there is no crossing, and
     # neither is a near-zero extremum right after a tangent start
-    noise = 64.0 * np.finfo(float).eps * scale
+    noise = _NOISE * scale
 
-    ts = np.concatenate(([0.0], g.critical_times(t_budget), [t_budget]))
-    vals = g(ts).tolist()
-    ts = ts.tolist()
+    crit = g.critical_times(t_budget)
+    ts = [0.0]  # the chunk's breakpoints: the first starts at 0.0, the last ends at t_budget
     ref = 0.0  # the first value above the noise floor
-    for i, v in enumerate(vals):
-        if ref == 0.0:
-            if abs(v) > noise:
-                ref = v
-        elif abs(v) <= noise or (ref * v > 0.0 and abs(v) < graze_tol):
-            # an extremum at the target to rounding, or just short of it
-            if i < len(ts) - 1:
-                return direction * ts[i], "graze"
-        elif ref * v < 0.0:
-            return direction * _refine_crossing(g, ts[i - 1], ts[i], 0.0), "cross"
-    return None, "none"
+    t_prev = 0.0
+    while True:
+        n_prev = len(ts)
+        ts.extend(islice(crit, _CHUNK))
+        last = len(ts) - n_prev < _CHUNK
+        if last:
+            ts.append(t_budget)
+        for i, (t, v) in enumerate(zip(ts, g(np.array(ts)).tolist())):
+            if ref == 0.0:
+                if abs(v) > noise:
+                    ref = v
+            elif abs(v) <= noise or (ref * v > 0.0 and abs(v) < graze_tol):
+                # an extremum at the target to rounding, or just short of it
+                if not (last and i == len(ts) - 1):
+                    return direction * t, "graze"
+            elif ref * v < 0.0:
+                return direction * _refine_crossing(g, t_prev, t, 0.0), "cross"
+            t_prev = t
+        if last:
+            return None, "none"
+        ts = []
 
 
 # ---------------------------------------------------------------------------
@@ -487,8 +586,11 @@ def melnikov_oracle(sys: PwlSystem, y0: float, eps: float) -> float:
     """Finite-difference estimate of the first-order Melnikov function.
 
     The return map satisfies P(y0) = y0 - eps*M1(y0) + O(eps^2), so
-    -displacement/eps -> M1 as eps -> 0.
+    -displacement/eps -> M1 as eps -> 0.  The estimate needs eps > 0:
+    eps = 0 raises ``ValueError``, as NaN, inf and negative eps do.
     """
+    if eps == 0.0:
+        raise ValueError(f"melnikov_oracle needs eps > 0, got {eps}")
     return -displacement(sys.with_epsilon(eps), y0) / eps
 
 

@@ -30,8 +30,6 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
-import numpy as np
-
 from .core import PwlSystem, canonical_system
 from .errors import BoundViolated, ConstraintViolated, EventStall
 from .flow import RETURN_SEGMENTS, AffineFlow, first_component_zero, simulate
@@ -211,11 +209,11 @@ def _fold_positions(sys: PwlSystem, xi: float) -> tuple:
     y_f2 = folds["plus"].y
     zone = AffineFlow(*sys.zone("plus"))
     t_ev, kind = first_component_zero(
-        zone, np.array([0.0, y_f1]), direction=-1.0,
+        zone, (0.0, y_f1), direction=-1.0,
         t_budget=2.0 * math.pi / xi, component=0, target=0.0)
     if t_ev is None or kind != "cross":
         raise EventStall("right-zone arc from the visible fold found no return")
-    y_f3 = float(zone.state(np.array([0.0, y_f1]), t_ev)[1])
+    y_f3 = float(zone.state((0.0, y_f1), t_ev)[1])
     return (y_f1, y_f2, y_f3)
 
 
@@ -231,7 +229,7 @@ def _section_marks(sys: PwlSystem, folds: tuple) -> tuple:
     zone = AffineFlow(*sys.zone("minus"))
     out = []
     for y_start, direction in ((y_f1, -1.0), (y_f1, 1.0), (y_f2, -1.0), (y_f3, -1.0)):
-        X0 = np.array([0.0, y_start])
+        X0 = (0.0, y_start)
         t_ev, kind = first_component_zero(
             zone, X0, direction=direction, t_budget=1.9 * math.pi,
             component=1, target=y_f1)

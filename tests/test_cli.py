@@ -209,6 +209,21 @@ class TestSimulateCommand:
         assert err.startswith("error: ") and name in err
         assert not (out / "trajectory.csv").exists()
 
+    def test_huge_zone_entries_exit_cleanly(self, tmp_path, capsys):
+        # a right zone of size 1e200: its squared size and its determinant
+        # overflow, which must end in a result or an error line, not a
+        # traceback
+        data = json.loads(example_one().to_json())
+        data = {"order0": {"plus": {"matrix": [1e200, 0.0, 0.0, 1e200], "offset": [0.0, 0.1]},
+                           "minus": data["order0"]["minus"]}}
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps(data))
+        code = main(["simulate", str(path), "--start", "1", "1", "--t-max", "5",
+                     "-o", str(tmp_path / "huge")])
+        captured = capsys.readouterr()
+        assert code == 0 or (code == 1 and captured.err.startswith("error: "))
+        assert "Traceback" not in captured.err
+
 
 class TestSlidingCommand:
     def test_sweep(self, ex2_path, tmp_path):

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -7,7 +8,7 @@ from numpy.testing import assert_allclose
 from oracles import first_return_displacement, integrate_zone, sliding_time, velocity_zeros
 from pwlcycles import flow
 from pwlcycles.core import Mat2, PwlSystem, Vec2, canonical_system
-from pwlcycles.errors import NonPositiveAmplitude, NoReturn
+from pwlcycles.errors import EventStall, NonPositiveAmplitude, NoReturn
 from pwlcycles.examples import (
     example_one,
     example_one_params,
@@ -21,8 +22,13 @@ from pwlcycles.flow import (
     melnikov_oracle,
     simulate,
 )
+from pwlcycles.infinity import poincare_displacement
 from pwlcycles.melnikov import m1
-from pwlcycles.sliding import simulate_sliding_cycle
+from pwlcycles.sliding import (
+    detect_sliding_cycle,
+    s_maps_simulated,
+    simulate_sliding_cycle,
+)
 
 
 def _left(e):
@@ -378,6 +384,18 @@ class TestMelnikovOracle:
                 ratio = errs[0] / errs[1] if errs[1] > 1e-14 else 2.0
                 assert ratio == pytest.approx(2.0, abs=0.5)
 
+    @pytest.mark.parametrize("eps", [0.0, -0.0])
+    def test_zero_eps_rejected(self, eps):
+        # -displacement/eps has no value at eps = 0: a ValueError naming
+        # eps > 0, not a bare ZeroDivisionError
+        with pytest.raises(ValueError, match="eps > 0"):
+            melnikov_oracle(example_one(), 3.0, eps)
+
+    @pytest.mark.parametrize("eps", [math.nan, math.inf, -1e-3])
+    def test_invalid_eps_keeps_its_message(self, eps):
+        with pytest.raises(ValueError, match="epsilon must be finite and >= 0"):
+            melnikov_oracle(example_one(), 3.0, eps)
+
     def test_oracle_does_not_scan_a_grid(self, monkeypatch):
         # a deterministic cost guard: sampling each rotation on a grid
         # evaluates the zone flow thousands of times per oracle call
@@ -576,12 +594,138 @@ class TestCriticalTimes:
             found = 0
             for start in ((0.4, 0.7), (-1.0, 0.5), (1.0, -2.0)):
                 for component in (0, 1):
-                    got = _Coordinate(zone, start, direction, component, 0.0).critical_times(12.0)
+                    g = _Coordinate(zone, start, direction, component, 0.0)
+                    got = list(g.critical_times(12.0))
                     ref = velocity_zeros(M, u, start, direction, 12.0, component)
                     assert len(got) == len(ref)
                     assert_allclose(got, ref, rtol=0.0, atol=1e-12)
                     found += len(ref)
             assert found > 0
+
+
+def _numpy_calls(monkeypatch):
+    """Counts of the numpy calls the float-arithmetic engine does without,
+    and of the equilibrium solves it keeps."""
+    counts = dict.fromkeys(("det", "solve", "concatenate", "arange"), 0)
+    for owner, name in ((np.linalg, "det"), (np.linalg, "solve"),
+                        (np, "concatenate"), (np, "arange")):
+        def counting(*args, _f=getattr(owner, name), _name=name, **kwargs):
+            counts[_name] += 1
+            return _f(*args, **kwargs)
+        monkeypatch.setattr(owner, name, counting)
+    return counts
+
+
+_ZONES = {  # (M, u) of one zone on each branch of AffineFlow._cs, and the unit rotation
+    "oscillatory": ([[0.15, -1.0], [1.3, 0.05]], [0.3, -0.2]),
+    "hyperbolic": ([[0.3, 1.0], [0.8, -0.5]], [0.2, 0.1]),
+    "near-nilpotent": ([[0.5, 1.0], [1e-16, 0.5]], [0.1, -0.3]),
+    "rotation": ([[0.0, -1.0], [1.0, 0.0]], [0.0, 0.0]),
+}
+
+
+class TestFloatEngine:
+    """The zone flow and the event set-up run in float arithmetic that
+    rounds as the numpy expressions they replace."""
+
+    def test_det2_is_numpys_determinant(self):
+        # seeded matrices over ten decades, two-decimal entries (pivot
+        # ties), trace-free ones and ones with zero entries, to the bit
+        rng = np.random.default_rng(14)
+        n = 25_000
+        scaled = rng.normal(size=(n, 2, 2)) * 10.0 ** rng.uniform(-5, 5, (n, 1, 1))
+        ties = np.round(rng.uniform(-3, 3, (n, 2, 2)), 2)
+        trace_free = rng.normal(size=(n, 2, 2))
+        trace_free[:, 1, 1] = -trace_free[:, 0, 0]
+        sparse = rng.normal(size=(n, 2, 2))
+        sparse[rng.uniform(size=(n, 2, 2)) < 0.3] = 0.0
+        mats = np.concatenate([scaled, ties, trace_free, sparse])
+        got = np.array([flow._det2(*m) for m in mats.reshape(-1, 4).tolist()])
+        assert got.tobytes() == np.linalg.det(mats).tobytes()
+
+    @pytest.mark.parametrize("m, want", [
+        ([1e200, 0.0, 0.0, 1e200], math.inf),
+        ([-1e200, 0.0, 0.0, 1e200], -math.inf),
+        ([1e200, 1.0, 3.0, -1e200], -math.inf),
+        ([0.0, 1e300, 1e300, 0.0], -math.inf),
+        ([0.0, 0.0, 0.0, 0.0], 0.0),
+        ([0.0, 1.0, 0.0, 0.0], 0.0),
+        ([2.0, 3.0, 2.0, 3.0], 0.0),
+        ([-0.0, 1.0, 2.0, 0.0], -2.0),
+    ])
+    def test_det2_overflow_and_zeros(self, m, want):
+        # numpy's determinant overflows to +-inf where math.exp would raise
+        with np.errstate(over="ignore"):
+            ref = float(np.linalg.det(np.reshape(m, (2, 2))))
+        got = flow._det2(*m)
+        assert float.hex(got) == float.hex(ref) == float.hex(want)
+
+    @pytest.mark.parametrize("name", ["oscillatory", "hyperbolic", "near-nilpotent"])
+    def test_float_state_is_the_array_state(self, name):
+        zone = AffineFlow(*_ZONES[name])
+        rng = np.random.default_rng(5)
+        for _ in range(500):
+            X0 = rng.normal(size=2) * 3.0
+            t = float(rng.uniform(-8.0, 8.0))
+            assert zone.state(X0, t).tobytes() == zone.state(X0, np.array(t)).tobytes()
+
+    def test_huge_entries_build_a_zone(self):
+        # |M|^2 overflows a float power; the scale is a product, inf here
+        zone = AffineFlow([[1e200, 0.0], [0.0, 1e200]], [0.0, 0.1])
+        assert zone.w2 == 0.0
+        assert zone.state((1.0, 1.0), 0.0).tolist() == [1.0, 1.0]
+
+    def test_oracle_numpy_calls(self, monkeypatch):
+        # a deterministic cost guard: 4 determinants, 2 concatenations and
+        # 2 aranges per oracle call before the zones were built from floats
+        counts = _numpy_calls(monkeypatch)
+        melnikov_oracle(example_one(), 3.0, 1e-4)
+        assert counts["det"] == counts["concatenate"] == counts["arange"] == 0
+        assert counts["solve"] <= 2
+
+    def test_section_marks_numpy_calls(self, monkeypatch):
+        # the same guard for the exact section marks (4, 5 and 5 before)
+        counts = _numpy_calls(monkeypatch)
+        detect_sliding_cycle(type_one_sliding_params())
+        assert counts["det"] == counts["concatenate"] == counts["arange"] == 0
+        assert counts["solve"] <= 2
+
+
+def _fast_rotation(omega, mu=0.0):
+    return AffineFlow([[mu, -omega], [omega, mu]], [0.0, 0.0])
+
+
+class TestEventBudget:
+    @pytest.mark.parametrize("omega", [1e12, 1e100])
+    def test_fast_rotation_stalls(self, omega):
+        # 1.6e13 and 1.6e101 monotone pieces within the budget, none
+        # reaching x = 2: the search stops after ARC_PIECES of them
+        with pytest.raises(EventStall, match=f"first {flow.ARC_PIECES} monotone pieces"):
+            first_component_zero(_fast_rotation(omega), (0.5, 0.0), 1.0, 50.0, target=2.0)
+
+    @pytest.mark.parametrize("mu, target, t_hex", [
+        (0.0, 0.25, "0x1.12843cf07a12ep-10"),
+        (0.0, -0.3, "0x1.223b7e23914c2p-9"),
+        # a spiral growing by 2 in 20: the crossing is past the first chunk
+        (math.log(2.0) / 20.0, 1.0, "0x1.40171c51fdc30p+4"),
+        (math.log(2.0) / 20.0, -1.2, "0x1.942f435c0d600p+4"),
+    ])
+    def test_fast_rotation_crossing(self, mu, target, t_hex):
+        # 15,915 monotone pieces in the budget; the crossing the listing of
+        # all of them found, to the bit
+        zone = _fast_rotation(1e3, mu)
+        assert first_component_zero(zone, (0.5, 0.0), 1.0, 50.0, target=target) == \
+            (float.fromhex(t_hex), "cross")
+
+    def test_piece_budget_is_exact(self, monkeypatch):
+        # x = cos t has its extrema at k pi: a budget of 7.5 pi holds 8
+        # monotone pieces and is scanned to its end, 8.5 pi holds 9
+        monkeypatch.setattr(flow, "ARC_PIECES", 8)
+        monkeypatch.setattr(flow, "_CHUNK", 4)
+        assert first_component_zero(_UNIT_ROTATION, (1.0, 0.0), 1.0, 7.5 * math.pi,
+                                    target=2.0) == (None, "none")
+        with pytest.raises(EventStall, match="first 8 monotone pieces of an arc with 9$"):
+            first_component_zero(_UNIT_ROTATION, (1.0, 0.0), 1.0, 8.5 * math.pi, target=2.0)
 
 
 def _decay_system():
@@ -664,3 +808,157 @@ class TestSlidingMotion:
         ref = sliding_time(p.to_system(1e-2), y_land, y_fold)
         assert ref == pytest.approx(0.00470930478175, rel=1e-11)
         assert abs((seg.t_end - seg.t_start) - ref) < 1e-10 * ref
+
+
+# ---------------------------------------------------------------------------
+# the engine's outputs to the bit
+# ---------------------------------------------------------------------------
+
+_BIT_ORACLE_CASES = ((3, 0.7), (5, 1.9), (8, 3.1), (11, 4.4), (17, 0.6), (23, 2.2),
+                     (31, 5.0), (42, 3.5))
+
+
+def _bit_events(name):
+    """'t kind' of the event searches on zone ``name`` over a budget of 12:
+    both directions, two targets on each component, three starts (on the
+    unit rotation the first target 1 is a tangency)."""
+    zone = AffineFlow(*_ZONES[name])
+    out = []
+    for direction in (1.0, -1.0):
+        for component, target in ((0, 0.0), (0, -0.3), (1, 0.25), (1, -0.4)):
+            if name == "rotation" and (component, target) == (0, 0.0):
+                target = 1.0
+            for start in ((0.4, 0.7), (-1.0, 0.5), (0.9, -0.6)):
+                if name == "rotation":
+                    start = (math.cos(start[0]), math.sin(start[0]))
+                t, kind = first_component_zero(zone, start, direction, 12.0, component, target)
+                out.append(f"{'None' if t is None else float.hex(t)} {kind}")
+    return out
+
+
+def _bit_simulations():
+    """(system, start, t_max, backward) of the pinned ``simulate`` CSVs;
+    the last one slides."""
+    return ((example_one().with_epsilon(1e-2), (0.0, 3.0), 12.0, False),
+            (example_one().with_epsilon(1e-2), (2.0, -1.0), 12.0, True),
+            (example_two(0.01), (0.0, 0.01), 20.0, False))
+
+
+class TestEngineBits:
+    """The flow engine's outputs to the bit: ``float.hex`` literals and
+    CSV digests recorded with the numpy-built zones, before the zones and
+    the event set-up moved to float arithmetic.  Any change of rounding in
+    the zone flow, the event search or its refinement fails here."""
+
+    ORACLE = (
+        "-0x1.5ebcfeaf2c4a0p+0",
+        "0x1.c7bbbff5f39f0p+1",
+        "0x1.2ca776507bffcp+3",
+        "-0x1.384c42336a464p+4",
+        "0x1.ac9e2395c943cp+1",
+        "-0x1.29343b73a25c8p+2",
+        "-0x1.09b53a6971300p-1",
+        "-0x1.d7f8494217400p-4",
+    )
+    INFINITY = {
+        ("example_one", 0.01): "-0x1.cad30cb3a8400p-15",
+        ("example_one", 0.1): "-0x1.930f0d2c60200p-12",
+        ("seeded_42", 0.01): "-0x1.09371834e9100p-14",
+        ("seeded_42", 0.1): "-0x1.c10f93382ad00p-12",
+    }
+    S_MAPS = {
+        5e-3: ("-0x1.ff8a625866c9cp+0", "-0x1.ff8aa426f8b6ep+0",
+               "-0x1.ff8ac9241c6d4p+0", "-0x1.ff8bfd86458acp+0"),
+        1e-2: ("-0x1.ff15773d65ff7p+0", "-0x1.ff167e297ea20p+0",
+               "-0x1.ff17128efe906p+0", "-0x1.ff1be47446d14p+0"),
+    }
+    EVENTS = {
+        "oscillatory": (
+            "0x1.c060c12a26e62p-1 cross", "0x1.71954e46b6fcep+0 cross",
+            "0x1.19e750febe4bap+1 cross", "0x1.9a731f5c8de8bp+0 cross",
+            "0x1.3c431174e971ap+0 cross", "0x1.31ab8718c9690p+1 cross",
+            "0x1.05a6c1447d752p+1 cross", "0x1.53041c705e877p-3 cross",
+            "0x1.4d857ac5b850ep-1 cross", "0x1.0386324e7a648p+3 cross",
+            "0x1.2f84d46b5e0f2p-1 cross", "0x1.80b9930c21df2p-3 cross",
+            "-0x1.4884a495a1fb4p+1 cross", "-0x1.1a001adae2afep+0 cross",
+            "-0x1.8656446374cf1p-1 cross", "None none",
+            "-0x1.b172b898d788ap-1 cross", "-0x1.0935e04882196p+0 cross",
+            "-0x1.f08ad855adb8ap-1 cross", "-0x1.59b98de0b5634p+1 cross",
+            "-0x1.00444b60dd6d0p+1 cross", "None none",
+            "-0x1.b3ee5f2e77f10p+1 cross", "-0x1.722274c54244ep+0 cross",
+        ),
+        "hyperbolic": (
+            "None none", "None none",
+            "None none", "None none",
+            "None none", "None none",
+            "None none", "0x1.2e31b6dd60320p-2 cross",
+            "0x1.c3bd6b41c1962p-1 cross", "None none",
+            "0x1.5b245f25171e8p+0 cross", "0x1.80ce2dfe5e3c8p-3 cross",
+            "-0x1.a76652660688ap-2 cross", "None none",
+            "None none", "-0x1.74e2e5acc8c3ep-1 cross",
+            "None none", "None none",
+            "None none", "None none",
+            "None none", "None none",
+            "None none", "None none",
+        ),
+        "near-nilpotent": (
+            "None none", "None none",
+            "0x1.4f995bc1e6118p+0 cross", "None none",
+            "None none", "0x1.7aa796b363d00p+0 cross",
+            "None none", "0x1.40b512eb53d5cp+1 cross",
+            "None none", "None none",
+            "0x1.26bb1bbb55513p+2 cross", "None none",
+            "-0x1.cea1dbfa3d662p-2 cross", "None none",
+            "-0x1.650b42fe578bap+1 cross", "-0x1.c4b771ceba58bp-1 cross",
+            "None none", "-0x1.cab4394b68e64p+1 cross",
+            "None none", "None none",
+            "-0x1.3b6dc4af1ff9cp+1 cross", "None none",
+            "None none", "-0x1.7565011e49670p-2 cross",
+        ),
+        "rotation": (
+            "0x1.78861baaa937ep+2 graze", "0x1.fffffffffffffp-1 graze",
+            "0x1.58861baaa937ep+2 graze", "0x1.79b9a55630472p+0 cross",
+            "0x1.701005de4b56cp+1 cross", "0x1.f3734aac608e3p-1 cross",
+            "0x1.3e94ae74f88ecp+1 cross", "0x1.40afa7382e1f2p+0 cross",
+            "0x1.fd295ce9f11d6p+0 cross", "0x1.93991792de12cp+1 cross",
+            "0x1.2d4da9f8c62e6p-1 cross", "0x1.53991792de12cp+1 cross",
+            "-0x1.9999999999998p-2 graze", "-0x1.521fb54442d18p+2 graze",
+            "-0x1.ccccccccccccdp-1 graze", "-0x1.234339117e8a0p+1 cross",
+            "-0x1.c04017792d5b0p-1 cross", "-0x1.634339117e8a0p+1 cross",
+            "-0x1.2db5f971c239cp-3 cross", "-0x1.327788e059e12p+1 cross",
+            "-0x1.4b6d7e5c708e7p-1 cross", "-0x1.9f7f22d4069e8p-1 cross",
+            "-0x1.bae63f84e8ba4p+0 cross", "-0x1.4fbf916a034f4p+0 cross",
+        ),
+    }
+    CSV_SHA256 = (
+        "0b59341de4ec833c52632c7264ff185df8300c181f4042d61f52fc84dda7ed09",
+        "db1a4b5c9eea29fa68916d80c449eb4638ea31bd0e318434f82a9e6ccb568614",
+        "71c5d8297cb457125d049ac7879a753932567076c62626a456411b50eaf8ea8d",
+    )
+
+    @pytest.mark.parametrize("i", range(len(_BIT_ORACLE_CASES)))
+    def test_melnikov_oracle(self, i):
+        seed, y0 = _BIT_ORACLE_CASES[i]
+        got = melnikov_oracle(_return_case(f"seeded_{seed}"), y0, 1e-4)
+        assert float.hex(got) == self.ORACLE[i]
+
+    @pytest.mark.parametrize("case, r0", sorted(INFINITY))
+    def test_poincare_displacement(self, case, r0):
+        sys = example_one() if case == "example_one" else _return_case(case)
+        got = poincare_displacement(sys.with_epsilon(1e-2), r0)
+        assert float.hex(got) == self.INFINITY[case, r0]
+
+    @pytest.mark.parametrize("eps", sorted(S_MAPS))
+    def test_section_marks(self, eps):
+        got = s_maps_simulated(type_one_sliding_params(), eps)
+        assert tuple(float.hex(v) for v in got) == self.S_MAPS[eps]
+
+    @pytest.mark.parametrize("name", list(EVENTS))
+    def test_first_component_zero(self, name):
+        assert tuple(_bit_events(name)) == self.EVENTS[name]
+
+    @pytest.mark.parametrize("i", range(3))
+    def test_simulate_csv(self, i):
+        sys, start, t_max, backward = _bit_simulations()[i]
+        csv = simulate(sys, start, t_max, backward=backward).to_csv()
+        assert hashlib.sha256(csv.encode()).hexdigest() == self.CSV_SHA256[i]

@@ -31,6 +31,7 @@ _STENCILS = {
 _FD_STEP = {k: float(np.finfo(float).eps ** (1.0 / (4 + k))) for k in _STENCILS}
 
 PUNCTURE_RADIUS = 1e-6  # scan grids skip points this close to a puncture
+ECT_GRID = 1024        # points of the Wronskian scan of check_ect
 
 
 @dataclass(frozen=True)
@@ -116,23 +117,21 @@ class WronskianProfile:
         return "\n".join(lines) + "\n"
 
 
-def check_ect(fam: FunctionFamily, grid_size: int = 1024):
-    """Scan all leading Wronskians on a grid over the family's interval and
-    classify the family.
+def check_ect(fam: FunctionFamily):
+    """Scan all leading Wronskians on ``ECT_GRID`` points over the family's
+    interval and classify the family.
 
     ECT: every order is bounded away from zero (min |Wk| > 1e-8 * scale).
     ET_withAccuracy: only the last order changes sign, exactly once, at a
     simple zero.  Anything else is Inconclusive.  Numeric evidence only.
     """
-    if grid_size < 256:
-        raise ValueError("grid_size must be >= 256")
     lo, hi = fam.interval
     # keep the scan strictly inside the open interval
     pad = (hi - lo) * 1e-9
     if lo <= 0:
-        grid = np.linspace(lo + pad, hi - pad, grid_size)
+        grid = np.linspace(lo + pad, hi - pad, ECT_GRID)
     else:
-        grid = np.geomspace(lo * (1 + 1e-12), hi * (1 - 1e-12), grid_size)
+        grid = np.geomspace(lo * (1 + 1e-12), hi * (1 - 1e-12), ECT_GRID)
     for p in fam.punctures:
         grid = grid[np.abs(grid - p) > PUNCTURE_RADIUS]
     orders = len(fam.members)

@@ -12,11 +12,12 @@ skipped and no generic stepping error enters the simulation.  Motion
 inside sliding/escaping segments of the switching line follows the
 Filippov law of ``sigma._SlidingSpeed``; its travel time is integrated in
 closed form and inverted by bisection.  ``simulate`` records samples of
-every arc; the first-return maps (``displacement``, ``melnikov_oracle``
-and ``infinity.poincare_displacement``) drive the same engine without
-samples, so a zone arc costs one end-state evaluation, and the folds are
-found only when the orbit reaches a point of x = 0 that is not a crossing
-point.
+every segment and where they end, so ``Trajectory.segment_samples`` hands
+each segment its own; the first-return maps (``displacement``,
+``melnikov_oracle`` and ``infinity.poincare_displacement``) drive the same
+engine without samples, so a zone arc costs one end-state evaluation, and
+the folds are found only when the orbit reaches a point of x = 0 that is
+not a crossing point.
 """
 
 from __future__ import annotations
@@ -71,14 +72,12 @@ class AffineFlow:
     """
 
     def __init__(self, M, u):
-        self.M = np.asarray(M, dtype=float)
-        self.u = np.asarray(u, dtype=float)
-        (a, b), (c, d) = self.M.tolist()
+        M = np.asarray(M, dtype=float)
+        (a, b), (c, d) = M.tolist()
         size = max(abs(a), abs(b), abs(c), abs(d))
         if abs(_det2(a, b, c, d)) < 1e-14 * max(1.0, size * size):
             raise DegenerateLinearPart("zone matrix is numerically singular")
-        self.equilibrium = np.linalg.solve(self.M, -self.u)
-        self._eq = tuple(self.equilibrium.tolist())
+        self._eq = tuple(np.linalg.solve(M, -np.asarray(u, dtype=float)).tolist())
         self._eq_size = _abs_max(self._eq)
         self.mu = mu = 0.5 * (a + d)
         # N = M - mu*I entry by entry, rounded as the array expression
@@ -102,26 +101,16 @@ class AffineFlow:
 
     def state(self, X0, t):
         """Flow of X0 after time t: the (2,) state for a float t, (n, 2) states
-        for an array of n times.  A float t runs in float arithmetic with
-        numpy's functions of it, so it rounds as the 0-d array would."""
-        if isinstance(t, float):
-            x, y = np.asarray(X0, dtype=float).tolist()
-            e0, e1 = self._eq
-            d0, d1 = x - e0, y - e1
-            n00, n01, n10, n11 = self._n
-            c, s = self._cs(t)
-            ex = np.exp(self.mu * t)
-            return np.array((ex * (c * d0 + s * (n00 * d0 + n01 * d1)) + e0,
-                             ex * (c * d1 + s * (n10 * d0 + n11 * d1)) + e1))
-        X0 = np.asarray(X0, dtype=float)
-        t = np.asarray(t, dtype=float)
-        d0 = X0 - self.equilibrium
+        for an array of n times.  One expression serves both, as numpy's
+        functions take either, so a float t gives its entry of the array."""
+        x, y = np.asarray(X0, dtype=float).tolist()
+        e0, e1 = self._eq
+        d0, d1 = x - e0, y - e1
+        n00, n01, n10, n11 = self._n
         c, s = self._cs(t)
         ex = np.exp(self.mu * t)
-        comp0 = ex * (c * d0[0] + s * (self.N[0, 0] * d0[0] + self.N[0, 1] * d0[1]))
-        comp1 = ex * (c * d0[1] + s * (self.N[1, 0] * d0[0] + self.N[1, 1] * d0[1]))
-        out = np.stack([comp0 + self.equilibrium[0], comp1 + self.equilibrium[1]], axis=-1)
-        return out
+        return np.array((ex * (c * d0 + s * (n00 * d0 + n01 * d1)) + e0,
+                         ex * (c * d1 + s * (n10 * d0 + n11 * d1)) + e1)).T
 
 
 def _det2(a, b, c, d):
@@ -201,7 +190,7 @@ class _Coordinate:
         self.zone = zone
         self.m = direction * zone.mu
         self.P = X0.tolist()[component] - e
-        self.Q = direction * float(zone.N[component] @ (X0 - zone.equilibrium))
+        self.Q = direction * float(zone.N[component] @ (X0 - zone._eq))
         self.R = e - target
 
     def __call__(self, tau):
@@ -338,23 +327,33 @@ class Trajectory:
     crossings: list = field(default_factory=list)  # Crossing events on x = 0
     stopped: str = "t_max"                         # why the run ended
     direction: float = 1.0                         # -1.0 for a backward run
+    _ends: list = field(default_factory=list, init=False, repr=False)  # len(samples) per segment
 
     def segment_kinds(self) -> list:
         return [s.kind for s in self.segments]
 
+    def _close(self, kind: str, t_start: float, t_end: float) -> None:
+        """Append a segment that owns the samples recorded since the last one."""
+        self.segments.append(SegmentInfo(kind, t_start, t_end))
+        self._ends.append(len(self.samples))
+
+    def segment_samples(self):
+        """Each segment with its samples, from its start point (the start of
+        the run, or the last sample of the segment before) to its end point."""
+        start = 0
+        for seg, end in zip(self.segments, self._ends):
+            yield seg, self.samples[start:end]
+            start = end - 1
+
     def to_csv(self) -> str:
-        """One row per sample, labelled with the kind of its segment; a
-        sample on a boundary belongs to the segment that ends there."""
-        lines = ["t,x,y,segment_kind"]
-        sgn = self.direction
-        seg_iter = iter(self.segments)
-        seg = next(seg_iter, None)
-        for (t, x, y) in self.samples:
-            while seg is not None and sgn * t > sgn * seg.t_end + 1e-12:
-                seg = next(seg_iter, None)
-            kind = seg.kind if seg is not None else ""
-            lines.append(f"{t:.17g},{x:.17g},{y:.17g},{kind}")
-        return "\n".join(lines) + "\n"
+        """One row per sample, labelled with the kind of the segment that
+        recorded it; the start belongs to the first segment."""
+        kinds = [self.segments[0].kind if self.segments else ""]
+        for seg, pts in self.segment_samples():
+            kinds += [seg.kind] * (len(pts) - 1)
+        rows = (f"{t:.17g},{x:.17g},{y:.17g},{kind}"
+                for (t, x, y), kind in zip(self.samples, kinds))
+        return "\n".join(["t,x,y,segment_kind", *rows]) + "\n"
 
 
 def _zone_name(side: str) -> str:
@@ -380,8 +379,8 @@ def simulate(sys: PwlSystem, start, t_max: float, *, backward: bool = False,
     point is classified: crossing points pass straight through, sliding and
     escaping points follow the Filippov field until a fold endpoint, and a
     double tangency stops the run.  More than ``max_segments`` segments
-    raise ``MaxSegmentsExceeded``; a non-finite start or a t_max outside
-    (0, inf) raises ``ValueError``.
+    raise ``MaxSegmentsExceeded``, a state that overflows ``EventStall``;
+    a non-finite start or a t_max outside (0, inf) raises ``ValueError``.
     """
     traj = Trajectory(direction=-1.0 if backward else 1.0)
     for _ in _run(sys, start, t_max, max_segments, traj, record=True):
@@ -476,15 +475,15 @@ def _run(sys: PwlSystem, start, t_max: float, max_segments: int, traj: Trajector
         zone = zones[side]
         t_ev, ev_kind = first_component_zero(zone, X, direction, t_max - t_abs)
         n_segments += 1
-        if t_ev is None:
-            _record_arc(traj, zone, X, direction, t_max - t_abs, t_abs, side, record)
-            t_abs = t_max
-            traj.stopped = "t_max"
-            break
-        dt = abs(t_ev)
+        dt = t_max - t_abs if t_ev is None else abs(t_ev)
         if dt < 1e-14 and ev_kind == "cross":
             raise EventStall("event located at vanishing time offset")
         X = _record_arc(traj, zone, X, direction, dt, t_abs, side, record)
+        if not math.isfinite(_abs_max(X)):
+            raise EventStall(f"the state is not finite at t = {direction * (t_abs + dt):.17g}")
+        if t_ev is None:
+            traj.stopped = "t_max"
+            break
         X[0] = 0.0
         t_abs += dt
         mode = "sigma"
@@ -495,20 +494,20 @@ def _run(sys: PwlSystem, start, t_max: float, max_segments: int, traj: Trajector
 
 
 def _record_arc(traj, zone, X, direction, dt, t_abs, side, record):
-    """Record the arc's segment, and its samples when ``record`` is set;
+    """Record the arc's samples when ``record`` is set, then its segment;
     returns its end state, the last sample (``linspace`` ends exactly at
     dt), or the one state at dt without samples."""
-    traj.segments.append(SegmentInfo(kind=_zone_name(side),
-                                     t_start=direction * t_abs,
-                                     t_end=direction * (t_abs + dt)))
-    if not record:
-        return zone.state(X, direction * dt)
-    ts = np.linspace(0.0, dt, SAMPLE_STRIDE)
-    states = zone.state(X, direction * ts)
-    for k in range(1, SAMPLE_STRIDE):
-        traj.samples.append((direction * (t_abs + ts[k]),
-                             float(states[k, 0]), float(states[k, 1])))
-    return states[-1]
+    if record:
+        ts = np.linspace(0.0, dt, SAMPLE_STRIDE)
+        states = zone.state(X, direction * ts)
+        for k in range(1, SAMPLE_STRIDE):
+            traj.samples.append((direction * (t_abs + ts[k]),
+                                 float(states[k, 0]), float(states[k, 1])))
+        X = states[-1]
+    else:
+        X = zone.state(X, direction * dt)
+    traj._close(_zone_name(side), direction * t_abs, direction * (t_abs + dt))
+    return X
 
 
 def _slide(sys, folds, X, direction, t_budget, traj, t_abs, record):
@@ -562,8 +561,7 @@ def _slide(sys, folds, X, direction, t_budget, traj, t_abs, record):
                 traj.samples.append((t0_signed + law.time(y0, y_k), 0.0, y_k))
         if t_used > 0.0 or y != y0:
             traj.samples.append((t0_signed + direction * t_used, 0.0, y))
-    traj.segments.append(SegmentInfo(kind=SLIDING, t_start=t0_signed,
-                                     t_end=t0_signed + direction * t_used))
+    traj._close(SLIDING, t0_signed, t0_signed + direction * t_used)
     return t_used, np.array([0.0, y]), end
 
 

@@ -32,7 +32,7 @@ from enum import Enum
 
 from .core import PwlSystem, canonical_system
 from .errors import BoundViolated, ConstraintViolated, EventStall
-from .flow import RETURN_SEGMENTS, AffineFlow, first_component_zero, simulate
+from .flow import RETURN_SEGMENTS, SLIDING, AffineFlow, first_component_zero, simulate
 from .melnikov import (
     SIGN_TOL,
     MelnikovParams,
@@ -374,19 +374,9 @@ def simulate_sliding_cycle(p: SlidingParams, eps: float | None = None):
     t_max = 3.0 * (2.0 * math.pi + math.pi / p.xi)
     traj = simulate(sys, (0.0, y_f1), t_max, max_segments=RETURN_SEGMENTS)
     kinds = traj.segment_kinds()
-    # the loop is superstable (every slide ends at the fold), so closure is
-    # measured as the spread of consecutive landings on the sliding segment:
-    # the last sample at or before each slide's start, in one pass
-    sgn = traj.direction
-    samples = traj.samples
-    landings = []
-    k = 0
-    for seg in traj.segments:
-        if seg.kind != "Sliding":
-            continue
-        while k + 1 < len(samples) and sgn * samples[k + 1][0] <= sgn * seg.t_start + 1e-12:
-            k += 1
-        landings.append(samples[k][2])
+    # the loop is superstable (every slide ends at the fold), so closure is the
+    # spread of consecutive landings on the sliding segment: the slides' starts
+    landings = [pts[0][2] for seg, pts in traj.segment_samples() if seg.kind == SLIDING]
     closure = abs(landings[1] - landings[0]) if len(landings) >= 2 else math.inf
     return traj, closure, kinds
 

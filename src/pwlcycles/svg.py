@@ -66,9 +66,7 @@ class PhasePortrait:
             f'<line x1="{_fmt(sx)}" y1="0" x2="{_fmt(sx)}" y2="{self.HEIGHT}" '
             'stroke="#888888" stroke-width="1" stroke-dasharray="6,4"/>')
         for traj in self._trajectories:
-            for seg in traj.segments:
-                pts = [(t, x, y) for (t, x, y) in traj.samples
-                       if min(seg.t_start, seg.t_end) - 1e-12 <= t <= max(seg.t_start, seg.t_end) + 1e-12]
+            for seg, pts in traj.segment_samples():
                 if len(pts) < 2:
                     continue
                 coords = " ".join(

@@ -94,11 +94,11 @@ class TestCheckEct:
         # interval containing those points; beyond them every leading
         # Wronskian is bounded away from zero
         fam = amplitude_family(2.0, interval=(0.01, 100.0))
-        profile, verdict = check_ect(fam, grid_size=512)
+        profile, verdict = check_ect(fam)
         assert verdict is EctVerdict.INCONCLUSIVE
         assert profile.sign_changes == [0, 1, 1, 0]
         fam_hi = amplitude_family(2.0, interval=(1.2, 100.0))
-        _, verdict_hi = check_ect(fam_hi, grid_size=512)
+        _, verdict_hi = check_ect(fam_hi)
         assert verdict_hi is EctVerdict.ECT
         # the last Wronskian alone never vanishes on the positive axis
         ss = np.geomspace(0.01, 100.0, 2000)
@@ -108,12 +108,12 @@ class TestCheckEct:
     def test_polynomials_are_ect(self):
         fam = FunctionFamily(members=(lambda s: 1.0, lambda s: s, lambda s: s * s),
                              interval=(0.1, 10.0))
-        _, verdict = check_ect(fam, grid_size=256)
+        _, verdict = check_ect(fam)
         assert verdict is EctVerdict.ECT
 
     def test_constrained_family_verdict(self):
         fam = constrained_family(interval=(0.05, 50.0))
-        profile, verdict = check_ect(fam, grid_size=512)
+        profile, verdict = check_ect(fam)
         # the last Wronskian has no zeros off the puncture, so the family
         # is (numerically) a complete Chebyshev system: at most one zero
         assert verdict is EctVerdict.ECT
@@ -122,16 +122,12 @@ class TestCheckEct:
     def test_single_last_order_zero_gives_accuracy_verdict(self):
         fam = FunctionFamily(members=(lambda s: 1.0, lambda s: s, lambda s: s ** 3),
                              interval=(-1.0, 1.0))
-        _, verdict = check_ect(fam, grid_size=512)
+        _, verdict = check_ect(fam)
         assert verdict is EctVerdict.ET_WITH_ACCURACY
-
-    def test_grid_size_validated(self):
-        with pytest.raises(ValueError):
-            check_ect(amplitude_family(2.0), grid_size=100)
 
     def test_profile_csv(self):
         fam = amplitude_family(2.0, interval=(0.1, 10.0))
-        profile, _ = check_ect(fam, grid_size=256)
+        profile, _ = check_ect(fam)
         csv = profile.to_csv()
         assert csv.splitlines()[0] == "s0,W0,W1,W2,W3"
 
@@ -178,7 +174,7 @@ class TestGridPath:
         # end whose sign W has at the bracket's left end
         fam = self.families().get(name) or FunctionFamily(
             members=(lambda s: 1.0, lambda s: s, lambda s: s ** 3), interval=(-1.0, 1.0))
-        profile, _ = check_ect(fam, grid_size=512)
+        profile, _ = check_ect(fam)
         want = []
         for k, v in enumerate(profile.values):
             cand = []

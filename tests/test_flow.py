@@ -24,11 +24,13 @@ from pwlcycles.flow import (
 )
 from pwlcycles.infinity import poincare_displacement
 from pwlcycles.melnikov import m1
+from pwlcycles.sigma import find_folds
 from pwlcycles.sliding import (
     detect_sliding_cycle,
     s_maps_simulated,
     simulate_sliding_cycle,
 )
+from pwlcycles.svg import PhasePortrait
 
 
 def _left(e):
@@ -321,6 +323,72 @@ class TestSimulate:
         assert d_mid_lo > 0         # attracted up toward the second
         assert d_mid_hi < 0         # attracted down toward the second
         assert d_above > 0          # repelled outward past the third
+
+    def test_overflowing_state_raises(self):
+        # a right zone of size 1e200 overflows to inf within the run; the
+        # state is reported, not recorded as inf samples
+        left = example_one().zone("minus")
+        sys = PwlSystem.from_dict({"order0": {
+            "plus": {"matrix": [1e200, 0.0, 0.0, 1e200], "offset": [0.0, 0.1]},
+            "minus": {"matrix": np.ravel(left[0]).tolist(), "offset": list(left[1])}}})
+        with np.errstate(over="ignore"), pytest.raises(EventStall, match="not finite at t = 5$"):
+            simulate(sys, (1.0, 1.0), 5.0)
+
+
+class _CountingList(list):
+    """A sample list that counts its element reads."""
+    reads = 0
+
+    def __iter__(self):
+        for item in super().__iter__():
+            self.reads += 1
+            yield item
+
+    def __getitem__(self, index):
+        out = super().__getitem__(index)
+        self.reads += len(out) if isinstance(index, slice) else 1
+        return out
+
+
+def _polylines(svg):
+    return [line.split('points="')[1].split('"')[0].split()
+            for line in svg.splitlines() if line.startswith("<polyline")]
+
+
+class TestSegmentSamples:
+    """Each segment owns the samples recorded with it."""
+
+    def test_fold_start_polylines_hold_their_segment(self):
+        # a 1e-11 slide from a start next to the visible fold: a time
+        # window of 1e-12 around each segment pulled the slide's samples
+        # into the next zone arc's polyline (35 points instead of 32)
+        sys = type_one_sliding_params(1e-2).to_system()
+        y_f1 = {f.side: f.y for f in find_folds(sys)}["minus"]
+        traj = simulate(sys, (1e-12, y_f1 - 1e-11), 8.620188996829313)
+        assert traj.segment_kinds() == ["Sliding", "ZoneMinus", "Sliding", "ZoneMinus"]
+        portrait = PhasePortrait()
+        portrait.add_trajectory(traj)
+        lines = _polylines(portrait.render())
+        # one polyline per segment: its start point, then its own samples
+        assert [len(pts) for pts in lines] == [flow.SAMPLE_STRIDE] * 4
+        for before, after in zip(lines, lines[1:]):
+            assert after[0] == before[-1]
+        assert sum(len(pts) - 1 for pts in lines) + 1 == len(traj.samples)
+        for (seg, pts), line in zip(traj.segment_samples(), lines):
+            assert len(pts) == len(line)
+            assert pts[0][0] == seg.t_start and pts[-1][0] == seg.t_end
+
+    def test_render_reads_each_sample_a_few_times(self):
+        # a deterministic cost guard: a time window per segment read every
+        # sample once per segment
+        traj = simulate(example_one(1e-2), (0.0, 1.5), 200.0)
+        assert len(traj.segments) > 10
+        traj.samples = _CountingList(traj.samples)
+        portrait = PhasePortrait()
+        portrait.add_trajectory(traj)
+        portrait.render()
+        reads, n = traj.samples.reads, len(traj.samples)
+        assert reads <= 3 * n
 
 
 class TestMelnikovOracle:
@@ -668,6 +736,20 @@ class TestFloatEngine:
             X0 = rng.normal(size=2) * 3.0
             t = float(rng.uniform(-8.0, 8.0))
             assert zone.state(X0, t).tobytes() == zone.state(X0, np.array(t)).tobytes()
+
+    @pytest.mark.parametrize("name", ["oscillatory", "hyperbolic", "near-nilpotent"])
+    def test_array_state_is_the_float_state(self, name):
+        # one expression for both: each entry of the array result is the
+        # float result of its time, to the bit
+        zone = AffineFlow(*_ZONES[name])
+        rng = np.random.default_rng(15)
+        for _ in range(50):
+            X0 = rng.normal(size=2) * 3.0
+            ts = rng.uniform(-8.0, 8.0, 64)
+            got = zone.state(X0, ts)
+            assert got.shape == (64, 2)
+            for k, t in enumerate(ts.tolist()):
+                assert got[k].tobytes() == zone.state(X0, t).tobytes()
 
     def test_huge_entries_build_a_zone(self):
         # |M|^2 overflows a float power; the scale is a product, inf here

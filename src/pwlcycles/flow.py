@@ -8,7 +8,8 @@ x = 0.  Events on the switching line x = 0 -- and on any horizontal
 section -- are located on a closed-form coordinate function: its critical
 times, also closed-form, split the time interval into monotone pieces, and
 the first sign change is bisected to adjacent doubles, so no event is
-skipped and no generic stepping error enters the simulation.  Motion
+skipped and no generic stepping error enters the simulation; on a spiral
+the envelope of the extrema skips the pieces that cannot hold one.  Motion
 inside sliding/escaping segments of the switching line follows the
 Filippov law of ``sigma._SlidingSpeed``; its travel time is integrated in
 closed form and inverted by bisection.  ``simulate`` records samples of
@@ -24,7 +25,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from itertools import islice
 
 import numpy as np
 
@@ -50,9 +50,6 @@ TWO_PI = 2.0 * math.pi
 EVENT_TOL = 1e-12     # a start this close to x = 0 (scaled) starts on it
 SAMPLE_STRIDE = 32    # recorded samples per zone arc or sliding segment
 RETURN_SEGMENTS = 64  # segment budget of a first return or a sliding loop
-ARC_PIECES = 2**20    # monotone pieces of a zone arc an event search scans
-_CHUNK = 4096         # critical times per numpy call; divides ARC_PIECES, so a stall
-                      # comes between chunks, after exactly ARC_PIECES pieces
 _NOISE = 64.0 * 2.0**-52  # rounding noise of a coordinate per unit of scale
 _TINY = 2.0**-1022        # smallest normal double
 
@@ -174,6 +171,13 @@ def _refine_crossing(g, t_lo, t_hi, tol):
     return 0.5 * (t_lo + t_hi)
 
 
+def _ieee(zone, m, P, Q, R, tau):
+    """g at tau in numpy's arithmetic: +-inf or nan, and no warning."""
+    with np.errstate(all="ignore"):
+        c, s = zone._cs(tau, np)
+        return float(np.exp(m * tau) * (P * c + Q * s) + R)
+
+
 class _Coordinate:
     """One coordinate of a zone flow run forward in tau = |t|, minus a target.
 
@@ -181,6 +185,8 @@ class _Coordinate:
     in t, the coordinate is g(tau) = e^{m tau} (P c(tau) + Q s(tau)) + R with
     P = (X0 - equilibrium)[k], Q = direction*(N (X0 - equilibrium))[k] and
     R = equilibrium[k] - target.  Q is numpy's product, whose sum is fused.
+    ``value`` is g on a float, as ``_cs(tau, math)`` computes it or as
+    ``_ieee`` does where ``math`` raises; ``first`` is set on oscillatory arcs.
     """
 
     def __init__(self, zone: AffineFlow, X0, direction: float, component: int,
@@ -188,47 +194,51 @@ class _Coordinate:
         X0 = np.asarray(X0, dtype=float)
         e = zone._eq[component]
         self.zone = zone
-        self.m = direction * zone.mu
-        self.P = X0.tolist()[component] - e
-        self.Q = direction * float(zone.N[component] @ (X0 - zone._eq))
-        self.R = e - target
+        self.m = m = direction * zone.mu
+        self.P = P = X0.tolist()[component] - e
+        self.Q = Q = direction * float(zone.N[component] @ (X0 - zone._eq))
+        self.R = R = e - target
+        w2, om, exp = zone.w2, zone.omega, math.exp
+        self.first = None
+        if abs(w2) > 1e-14:
+            cos, sin = (math.cos, math.sin) if w2 < 0.0 else (math.cosh, math.sinh)
 
-    def __call__(self, tau):
-        """g at a float tau (math) or an array of them (numpy)."""
-        lib = np if isinstance(tau, np.ndarray) else math
-        c, s = self.zone._cs(tau, lib)
-        return lib.exp(self.m * tau) * (self.P * c + self.Q * s) + self.R
+            def value(tau):
+                try:
+                    return exp(m * tau) * (P * cos(om * tau) + Q * (sin(om * tau) / om)) + R
+                except (OverflowError, ValueError):
+                    return _ieee(zone, m, P, Q, R, tau)
+            if w2 < 0.0:
+                # g' e^{-m tau} = (mP + om q) cos(om tau) + (mq - om P) sin(om tau)
+                # with q = Q/om, a single cosine A cos(om tau - phi)
+                q = Q / om
+                phi = math.atan2(m * q - om * P, m * P + om * q)
+                self.first = (phi + 0.5 * math.pi) % math.pi
+        else:
+            def value(tau):
+                z = w2 * tau * tau
+                try:
+                    return exp(m * tau) * (P * (1.0 + z / 2.0 + z * z / 24.0)
+                                           + Q * (tau * (1.0 + z / 6.0 + z * z / 120.0))) + R
+                except OverflowError:
+                    return _ieee(zone, m, P, Q, R, tau)
+        self.value = value
 
-    def critical_times(self, t_end: float):
+    def critical_times(self, t_end: float, k: int = 0):
         """The zeros of g' in (0, t_end) in increasing order, in closed form
-        per branch of _cs, generated one by one.
-
-        An oscillatory arc with more than ``ARC_PIECES`` monotone pieces
-        raises ``EventStall`` when a critical time past its first
-        ``ARC_PIECES`` pieces is asked for.
-        """
+        per branch of _cs, generated one by one; on an oscillatory arc, from
+        the k-th critical time of its phase on."""
         zone, m, P, Q = self.zone, self.m, self.P, self.Q
-        w2, om = zone.w2, zone.omega
+        w2, om, first = zone.w2, zone.omega, self.first
         if P == 0.0 and Q == 0.0:  # the coordinate stays at its equilibrium value
             return
-        if w2 < -1e-14:
-            # g' e^{-m tau} = (mP + om q) cos(om tau) + (mq - om P) sin(om tau)
-            # with q = Q/om, a single cosine A cos(om tau - phi)
-            q = Q / om
-            phi = math.atan2(m * q - om * P, m * P + om * q)
-            first = (phi + 0.5 * math.pi) % math.pi
+        if first is not None:
             n = (om * t_end - first) / math.pi  # the critical times are those of k < n
-            k = taken = 0
             while k < n:
                 tau = (first + math.pi * k) / om
                 k += 1
                 if 0.0 < tau < t_end:
                     yield tau
-                    taken += 1
-                    if taken == ARC_PIECES:
-                        pieces = math.ceil(n) + (first > 0.0) if n < math.inf else n
-                        raise EventStall(f"no event in the first {ARC_PIECES} monotone "
-                                         f"pieces of an arc with {pieces:.4g}")
             return
         if w2 > 1e-14:
             # g' e^{-m tau} = (mP + om q) cosh(om tau) + (mq + om P) sinh(om tau)
@@ -258,43 +268,52 @@ def first_component_zero(zone: AffineFlow, X0, direction: float, t_budget: float
     whatever its computed sign.  The closed-form critical times split the
     interval into monotone pieces, so the first piece whose ends differ in
     sign holds the first crossing; it is bisected on the closed form down
-    to adjacent doubles.  The pieces are taken ``_CHUNK`` breakpoints at a
-    time, up to the first event; an arc with more than ``ARC_PIECES``
-    pieces and no event in its first ``ARC_PIECES`` raises ``EventStall``.
+    to adjacent doubles.  There is no piece budget: on an oscillatory arc
+    the extremum at tau_k is R + S (-1)^k e^{m tau_k}, so once the two
+    breakpoints after the one that set ref (or after the start) hold no
+    event, m <= 0 ends the walk, and m > 0 jumps to two pieces before the
+    first extremum whose deviation from R can reach the target.
     """
     X0 = np.asarray(X0, dtype=float)
-    g = _Coordinate(zone, X0, direction, component, target)
+    coord = _Coordinate(zone, X0, direction, component, target)
     scale = max(1.0, _abs_max(X0.tolist()), zone._eq_size)
     graze_tol = 1e-11 * scale
     # values below this are rounding noise with arbitrary sign; a start on
     # the section opens a monotone piece, so noise there is no crossing, and
     # neither is a near-zero extremum right after a tangent start
     noise = _NOISE * scale
-
-    crit = g.critical_times(t_budget)
-    ts = [0.0]  # the chunk's breakpoints: the first starts at 0.0, the last ends at t_budget
     ref = 0.0  # the first value above the noise floor
-    t_prev = 0.0
-    while True:
-        n_prev = len(ts)
-        ts.extend(islice(crit, _CHUNK))
-        last = len(ts) - n_prev < _CHUNK
-        if last:
-            ts.append(t_budget)
-        for i, (t, v) in enumerate(zip(ts, g(np.array(ts)).tolist())):
-            if ref == 0.0:
-                if abs(v) > noise:
-                    ref = v
-            elif abs(v) <= noise or (ref * v > 0.0 and abs(v) < graze_tol):
-                # an extremum at the target to rounding, or just short of it
-                if not (last and i == len(ts) - 1):
-                    return direction * t, "graze"
-            elif ref * v < 0.0:
-                return direction * _refine_crossing(g, t_prev, t, 0.0), "cross"
-            t_prev = t
-        if last:
+    seen = -1  # breakpoints after the one that set ref, or after the start
+    t_lo, t, crit = 0.0, 0.0, coord.critical_times(t_budget)
+    while True:  # the start, the critical times, then t_budget
+        v = coord.value(t)
+        if ref == 0.0:
+            if abs(v) > noise:
+                ref, seen = v, -1
+        elif abs(v) <= noise or (ref * v > 0.0 and abs(v) < graze_tol):
+            # an extremum at the target to rounding, or just short of it
+            if t != t_budget:
+                return direction * t, "graze"
+        elif ref * v < 0.0:
+            return direction * _refine_crossing(coord.value, t_lo, t, 0.0), "cross"
+        if t == t_budget:
             return None, "none"
-        ts = []
+        t_lo, seen = t, seen + 1
+        if seen == 2 and coord.first is not None:
+            m, first, om = coord.m, coord.first, zone.omega
+            S = abs(coord.P * math.cos(first) + coord.Q / om * math.sin(first))
+            # level: the least deviation from R of an extremum that holds an event;
+            # k0: the first critical time whose extremum can reach it, at most the last
+            level = max((coord.R if ref > 0.0 else -coord.R if ref else 0.0)
+                        - graze_tol - noise, noise)
+            k0 = min(((math.log(level) - math.log(S)) * om / m - first) / math.pi,
+                     (om * t_budget - first) / math.pi) if m > 0.0 and S else math.inf
+            if not k0 < math.inf:  # m <= 0: the extrema ahead lie between the last two
+                return None, "none"
+            j = math.floor(max(k0, 0.0)) - 2
+            if (first + math.pi * (j - 1)) / om > t_lo:
+                t_lo, crit = (first + math.pi * (j - 1)) / om, coord.critical_times(t_budget, j)
+        t = next(crit, t_budget)
 
 
 # ---------------------------------------------------------------------------
@@ -478,7 +497,8 @@ def _run(sys: PwlSystem, start, t_max: float, max_segments: int, traj: Trajector
         dt = t_max - t_abs if t_ev is None else abs(t_ev)
         if dt < 1e-14 and ev_kind == "cross":
             raise EventStall("event located at vanishing time offset")
-        X = _record_arc(traj, zone, X, direction, dt, t_abs, side, record)
+        with np.errstate(over="ignore", invalid="ignore"):  # a non-finite state raises below
+            X = _record_arc(traj, zone, X, direction, dt, t_abs, side, record)
         if not math.isfinite(_abs_max(X)):
             raise EventStall(f"the state is not finite at t = {direction * (t_abs + dt):.17g}")
         if t_ev is None:

@@ -4,7 +4,9 @@ Everything here deliberately avoids the package's own flow machinery:
 zone fields are integrated with scipy's adaptive solvers and switching
 events are located on the integrator's dense output, and the angular
 system at infinity is stepped by fixed-step RK4 on the polar field of the
-plane inversion, ``polar_bendixson_rhs`` below.
+plane inversion, ``polar_bendixson_rhs`` below.  The one exception is
+``first_component_zero_reference``, the event search as a full numpy
+scan: a differential reference that shares the package's event set-up.
 """
 
 from __future__ import annotations
@@ -122,6 +124,51 @@ def velocity_zeros(M, u, x0, direction, t_end, component, n=4000):
     vals = [velocity(tau) for tau in taus]
     return [brentq(velocity, taus[i], taus[i + 1], xtol=1e-15, rtol=4 * np.finfo(float).eps)
             for i in range(n - 1) if vals[i] * vals[i + 1] < 0]
+
+
+def first_component_zero_reference(zone, X0, direction, t_budget, component=0, target=0.0):
+    """``flow.first_component_zero`` as a full scan: every critical time in
+    the budget is listed, all breakpoints are evaluated in one numpy array,
+    and the first sign change is bisected on the ``math`` form of the
+    coordinate, with numpy's +-inf or nan where ``math`` overflows.
+
+    A differential reference for the lazy walk and its envelope skip, not
+    an independent one: it shares ``flow._Coordinate``'s set-up and
+    critical times, the noise and graze rules and ``flow._refine_crossing``.
+    """
+    from pwlcycles.flow import _NOISE, _Coordinate, _abs_max, _refine_crossing
+
+    X0 = np.asarray(X0, dtype=float)
+    coord = _Coordinate(zone, X0, direction, component, target)
+
+    def g(tau, lib=math):
+        c, s = zone._cs(tau, lib)
+        return lib.exp(coord.m * tau) * (coord.P * c + coord.Q * s) + coord.R
+
+    def g_float(tau):
+        try:
+            return g(tau)
+        except (OverflowError, ValueError):
+            with np.errstate(all="ignore"):
+                return float(g(np.float64(tau), np))
+
+    scale = max(1.0, _abs_max(X0.tolist()), zone._eq_size)
+    graze_tol, noise = 1e-11 * scale, _NOISE * scale
+    ts = [0.0, *coord.critical_times(t_budget), t_budget]
+    with np.errstate(all="ignore"):
+        values = g(np.array(ts), np).tolist()
+    ref = t_prev = 0.0
+    for i, (t, v) in enumerate(zip(ts, values)):
+        if ref == 0.0:
+            if abs(v) > noise:
+                ref = v
+        elif abs(v) <= noise or (ref * v > 0.0 and abs(v) < graze_tol):
+            if i < len(ts) - 1:
+                return direction * t, "graze"
+        elif ref * v < 0.0:
+            return direction * _refine_crossing(g_float, t_prev, t, 0.0), "cross"
+        t_prev = t
+    return None, "none"
 
 
 # ---------------------------------------------------------------------------

@@ -24,6 +24,17 @@ def ex2_path(tmp_path):
     return str(p)
 
 
+@pytest.fixture()
+def huge_path(tmp_path):
+    """Example 1 with a right zone of size 1e200."""
+    data = json.loads(example_one().to_json())
+    data = {"order0": {"plus": {"matrix": [1e200, 0.0, 0.0, 1e200], "offset": [0.0, 0.1]},
+                       "minus": data["order0"]["minus"]}}
+    p = tmp_path / "huge.json"
+    p.write_text(json.dumps(data))
+    return str(p)
+
+
 class TestAnalyze:
     def test_full_report(self, ex1_path, tmp_path):
         out = str(tmp_path / "out")
@@ -209,20 +220,40 @@ class TestSimulateCommand:
         assert err.startswith("error: ") and name in err
         assert not (out / "trajectory.csv").exists()
 
-    def test_huge_zone_entries_exit_cleanly(self, tmp_path, capsys):
+    def test_huge_zone_entries_exit_cleanly(self, huge_path, tmp_path, capsys):
         # a right zone of size 1e200: its squared size and its determinant
         # overflow, which must end in a result or an error line, not a
         # traceback
-        data = json.loads(example_one().to_json())
-        data = {"order0": {"plus": {"matrix": [1e200, 0.0, 0.0, 1e200], "offset": [0.0, 0.1]},
-                           "minus": data["order0"]["minus"]}}
-        path = tmp_path / "huge.json"
-        path.write_text(json.dumps(data))
-        code = main(["simulate", str(path), "--start", "1", "1", "--t-max", "5",
+        code = main(["simulate", huge_path, "--start", "1", "1", "--t-max", "5",
                      "-o", str(tmp_path / "huge")])
         captured = capsys.readouterr()
         assert code == 0 or (code == 1 and captured.err.startswith("error: "))
         assert "Traceback" not in captured.err
+
+    @pytest.mark.filterwarnings("error")
+    def test_huge_zone_overflow_is_reported_once(self, huge_path, tmp_path, capsys):
+        # the state overflows to inf at t = 5: one error line, and no numpy
+        # overflow warning from the event search or the zone flow before it
+        code = main(["simulate", huge_path, "--start", "1", "1", "--t-max", "5",
+                     "-o", str(tmp_path / "huge")])
+        assert code == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ")
+
+    def test_hyperbolic_overflow_crosses(self, tmp_path):
+        # a saddle right zone leaves x = 1 for x = 0 at t = ln 2; over a
+        # budget of 1e4 its event bisection starts past exp(709.78), where
+        # the coordinate is -inf, and finds the crossing a budget of 1e3 finds
+        path = tmp_path / "saddle.json"
+        path.write_text(json.dumps({"order0": {
+            "plus": {"matrix": [1.0, 0.0, 0.0, -1.0], "offset": [-2.0, 0.0]},
+            "minus": {"matrix": [0.0, -1.0, 1.0, 0.0], "offset": [0.0, 0.0]}}}))
+        out = tmp_path / "saddle"
+        assert main(["simulate", str(path), "--start", "1", "0.5", "--t-max", "10000",
+                     "-o", str(out)]) == 0
+        times = [row.split(",")[0] for row in
+                 (out / "trajectory.csv").read_text().splitlines()[1:]]
+        assert f"{0.6931471805599454:.17g}" in times
 
 
 class TestSlidingCommand:

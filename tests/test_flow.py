@@ -1,11 +1,19 @@
 import hashlib
 import math
+import warnings
+from itertools import islice
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from oracles import first_return_displacement, integrate_zone, sliding_time, velocity_zeros
+from oracles import (
+    first_component_zero_reference,
+    first_return_displacement,
+    integrate_zone,
+    sliding_time,
+    velocity_zeros,
+)
 from pwlcycles import flow
 from pwlcycles.core import Mat2, PwlSystem, Vec2, canonical_system
 from pwlcycles.errors import EventStall, NonPositiveAmplitude, NoReturn
@@ -777,18 +785,40 @@ def _fast_rotation(omega, mu=0.0):
     return AffineFlow([[mu, -omega], [omega, mu]], [0.0, 0.0])
 
 
+def _coordinate_evaluations(monkeypatch):
+    """A count of the event search's coordinate evaluations, by wrapping
+    the float closure of every ``_Coordinate`` built."""
+    counts = {"value": 0}
+
+    class Counting(flow._Coordinate):
+        def __init__(self, *args):
+            super().__init__(*args)
+            inner = self.value
+
+            def value(tau):
+                counts["value"] += 1
+                return inner(tau)
+            self.value = value
+
+    monkeypatch.setattr(flow, "_Coordinate", Counting)
+    return counts
+
+
 class TestEventBudget:
     @pytest.mark.parametrize("omega", [1e12, 1e100])
-    def test_fast_rotation_stalls(self, omega):
+    def test_fast_rotation_stalls(self, omega, monkeypatch):
         # 1.6e13 and 1.6e101 monotone pieces within the budget, none
-        # reaching x = 2: the search stops after ARC_PIECES of them
-        with pytest.raises(EventStall, match=f"first {flow.ARC_PIECES} monotone pieces"):
-            first_component_zero(_fast_rotation(omega), (0.5, 0.0), 1.0, 50.0, target=2.0)
+        # reaching x = 2; the extrema of a rotation never grow, so the
+        # search ends after its start and two extrema, with no event
+        counts = _coordinate_evaluations(monkeypatch)
+        assert first_component_zero(_fast_rotation(omega), (0.5, 0.0), 1.0, 50.0,
+                                    target=2.0) == (None, "none")
+        assert counts["value"] <= 4
 
     @pytest.mark.parametrize("mu, target, t_hex", [
         (0.0, 0.25, "0x1.12843cf07a12ep-10"),
         (0.0, -0.3, "0x1.223b7e23914c2p-9"),
-        # a spiral growing by 2 in 20: the crossing is past the first chunk
+        # a spiral growing by 2 in 20: the crossings are thousands of pieces in
         (math.log(2.0) / 20.0, 1.0, "0x1.40171c51fdc30p+4"),
         (math.log(2.0) / 20.0, -1.2, "0x1.942f435c0d600p+4"),
     ])
@@ -799,15 +829,129 @@ class TestEventBudget:
         assert first_component_zero(zone, (0.5, 0.0), 1.0, 50.0, target=target) == \
             (float.fromhex(t_hex), "cross")
 
-    def test_piece_budget_is_exact(self, monkeypatch):
-        # x = cos t has its extrema at k pi: a budget of 7.5 pi holds 8
-        # monotone pieces and is scanned to its end, 8.5 pi holds 9
-        monkeypatch.setattr(flow, "ARC_PIECES", 8)
-        monkeypatch.setattr(flow, "_CHUNK", 4)
-        assert first_component_zero(_UNIT_ROTATION, (1.0, 0.0), 1.0, 7.5 * math.pi,
-                                    target=2.0) == (None, "none")
-        with pytest.raises(EventStall, match="first 8 monotone pieces of an arc with 9$"):
-            first_component_zero(_UNIT_ROTATION, (1.0, 0.0), 1.0, 8.5 * math.pi, target=2.0)
+    def test_growing_spiral_skips_to_its_crossing(self, monkeypatch):
+        # the crossing at x = 1 is 6,368 pieces in; the envelope jumps near it,
+        # so the walk evaluates a few breakpoints and the bisection the rest
+        counts = _coordinate_evaluations(monkeypatch)
+        first_component_zero(_fast_rotation(1e3, math.log(2.0) / 20.0), (0.5, 0.0), 1.0,
+                             50.0, target=1.0)
+        assert counts["value"] < 80
+
+
+def _sweep_zone(rng, branch):
+    """A zone mu I + [[h, b], [c, -h]] with -det of its trace-free part
+    drawn for ``branch``; mu = 0 only where that leaves M regular."""
+    mu = rng.choice([0.0 if branch != "near-nilpotent" else 0.1, rng.uniform(-0.3, 0.3),
+                     rng.uniform(-1e-3, 1e-3)])
+    h, b = rng.uniform(-1.0, 1.0), rng.choice([-1.0, 1.0]) * rng.uniform(0.3, 2.0)
+    w2 = {"oscillatory": -rng.uniform(0.3, 5.0) ** 2, "hyperbolic": rng.uniform(0.5, 3.0) ** 2,
+          "near-nilpotent": rng.uniform(-1e-16, 1e-16)}[branch]
+    return AffineFlow([[mu + h, b], [(w2 - h * h) / b, mu - h]], rng.uniform(-2.0, 2.0, 2))
+
+
+def _sweep_cases(seed, n):
+    """Seeded event searches: the three branches of ``_cs``, both directions
+    and components, budgets of 5, 50 and 500 (5000 on hyperbolic arcs, so
+    that the bisection meets the overflow), a fifth of the starts on the
+    section, slowly growing spirals from near their focus, and grazes
+    built at an extremum: the target is its value, offset by 0, +-graze_tol/2
+    or +-2 noise, when that value is within 10 times the search's scale."""
+    rng = np.random.default_rng(seed)
+    branches = ("oscillatory", "hyperbolic", "near-nilpotent", "spiral")
+    for i in range(n):
+        branch = branches[i % 4]
+        direction = float(rng.choice([1.0, -1.0]))
+        component = int(rng.integers(2))
+        if branch == "spiral":
+            mu, om = rng.uniform(1e-3, 3e-2), rng.uniform(1.0, 20.0)
+            zone = AffineFlow([[mu, -om], [om, mu]], rng.uniform(-2.0, 2.0, 2))
+            start = np.array(zone._eq) + rng.uniform(-0.05, 0.05, 2)
+            target = zone._eq[component] + rng.choice([-1.0, 1.0]) * rng.uniform(0.2, 2.0)
+            yield zone, start, 1.0, 500.0, component, float(target)
+            continue
+        zone = _sweep_zone(rng, branch)
+        budget = float(rng.choice([5.0, 50.0, 500.0 if branch != "hyperbolic" else 5000.0]))
+        start = rng.uniform(-3.0, 3.0, 2)
+        target = float(rng.uniform(-2.0, 2.0))
+        if rng.random() < 0.2:
+            start[component] = target
+        if rng.random() < 0.3:
+            probe = flow._Coordinate(zone, start, direction, component, 0.0)
+            crit = list(islice(probe.critical_times(budget), int(rng.integers(1, 6))))
+            scale = max(1.0, float(np.abs(start).max()), zone._eq_size)
+            offset = rng.choice([0.0, 0.5e-11, -0.5e-11, 2.0 * flow._NOISE, -2.0 * flow._NOISE])
+            if crit and abs(probe.value(crit[-1])) <= 10.0 * scale:
+                target = probe.value(crit[-1]) + float(offset) * scale
+        yield zone, start, direction, budget, component, target
+
+
+def _hex_event(event):
+    t, kind = event
+    return None if t is None else float.hex(t), kind
+
+
+class TestLazyEventSearch:
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_matches_the_full_scan(self, seed):
+        # the lazy walk with its envelope skip against every breakpoint in
+        # one numpy array, to the bit; the draws hold crossings, grazes and
+        # empty arcs on all three branches, crossings past piece 10 and
+        # crossings whose bisection starts where cosh overflows
+        kinds, far, overflowed = set(), 0, 0
+        for args in _sweep_cases(seed, 2000):
+            got = first_component_zero(*args)
+            assert _hex_event(got) == _hex_event(first_component_zero_reference(*args)), args
+            zone, budget = args[0], args[3]
+            kinds.add((zone.w2 < -1e-14, zone.w2 > 1e-14, got[1]))
+            far += got[0] is not None and zone.w2 < -1e-14 and abs(got[0]) * zone.omega > 10 * math.pi
+            overflowed += got[1] == "cross" and zone.w2 > 1e-14 and zone.omega * budget > 1420.0
+        assert len(kinds) == 9
+        assert far > 100 and overflowed > 10
+
+    def test_oracle_makes_no_array_evaluation(self, monkeypatch):
+        # a deterministic cost guard: the breakpoints were evaluated in one
+        # numpy array per arc, about 20 of them per search on the oracle
+        arrays = 0
+        for name in ("exp", "cos", "sin"):
+            def counting(x, *args, _f=getattr(np, name), **kwargs):
+                nonlocal arrays
+                arrays += isinstance(x, np.ndarray)
+                return _f(x, *args, **kwargs)
+            monkeypatch.setattr(np, name, counting)
+        counts = _coordinate_evaluations(monkeypatch)
+        melnikov_oracle(example_one(), 3.0, 1e-4)
+        assert arrays == 0
+        assert 0 < counts["value"] < 200
+
+    def test_overflow_gives_the_ieee_value(self):
+        # past exp(709.78) the coordinate is what numpy gives, with no
+        # warning: -inf on a saddle leaving for x -> -inf, nan for 0 * inf
+        saddle = AffineFlow([[1.0, 0.0], [0.0, -1.0]], [-2.0, 0.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert flow._Coordinate(saddle, (1.0, 0.5), 1.0, 0, 0.0).value(1e4) == -math.inf
+            assert math.isnan(flow._Coordinate(saddle, (2.0, 0.5), 1.0, 0, 0.0).value(1e4))
+
+    def test_hyperbolic_overflow_crosses(self):
+        # simulate raised OverflowError here: the bisection over a budget of
+        # 1e4 evaluates the saddle zone past exp(709.78); the crossing is
+        # the one a budget of 1e3 finds, at ln 2
+        sys = PwlSystem.from_dict({"order0": {
+            "plus": {"matrix": [1.0, 0.0, 0.0, -1.0], "offset": [-2.0, 0.0]},
+            "minus": {"matrix": [0.0, -1.0, 1.0, 0.0], "offset": [0.0, 0.0]}}})
+        for t_max in (1e3, 1e4):
+            assert simulate(sys, (1.0, 0.5), t_max).crossings[0].t == 0.6931471805599454
+
+    def test_spiral_into_a_focus_runs_to_t_max(self):
+        # a focus at (2, 0) inside the right zone: the orbit never reaches
+        # x = 0, which the decaying envelope decides at once; the scan of
+        # every piece raised EventStall after about 0.55 s
+        sys = PwlSystem.from_dict({"order0": {
+            "plus": {"matrix": [-0.1, -1.0, 1.0, -0.1], "offset": [0.2, -2.0]},
+            "minus": {"matrix": [0.0, -1.0, 1.0, 0.0], "offset": [0.0, 0.0]}}})
+        traj = simulate(sys, (2.5, 0.0), 4e6)
+        assert traj.stopped == "t_max"
+        assert traj.segment_kinds() == [flow.ZONE_PLUS]
 
 
 def _decay_system():

@@ -112,7 +112,8 @@ def velocity_zeros(M, u, x0, direction, t_end, component, n=4000):
     flowed from x0 over t = direction*tau is stationary.
 
     The velocity is expm(M t) (M x0 + u), from scipy's matrix exponential;
-    sign changes on a dense grid are refined by brentq.
+    sign changes on a dense grid, evaluated in one batched call, are
+    refined by brentq.
     """
     M = np.asarray(M, dtype=float)
     v0 = M @ np.asarray(x0, dtype=float) + np.asarray(u, dtype=float)
@@ -121,7 +122,7 @@ def velocity_zeros(M, u, x0, direction, t_end, component, n=4000):
         return (expm(M * (direction * tau)) @ v0)[component]
 
     taus = np.linspace(0.0, t_end, n)
-    vals = [velocity(tau) for tau in taus]
+    vals = (expm(M[None] * (direction * taus)[:, None, None]) @ v0)[:, component]
     return [brentq(velocity, taus[i], taus[i + 1], xtol=1e-15, rtol=4 * np.finfo(float).eps)
             for i in range(n - 1) if vals[i] * vals[i + 1] < 0]
 

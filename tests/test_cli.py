@@ -1,10 +1,11 @@
+import argparse
 import json
 
 import numpy as np
 import pytest
 
 from pwlcycles import cli, core
-from pwlcycles.cli import main
+from pwlcycles.cli import build_parser, main
 from pwlcycles.core import ChangeOfVariables
 from pwlcycles.examples import EXAMPLE1_M1_ROOTS, example_one, example_two
 from pwlcycles.melnikov import analyze as melnikov_analyze
@@ -21,6 +22,17 @@ def ex1_path(tmp_path):
 def ex2_path(tmp_path):
     p = tmp_path / "ex2.json"
     p.write_text(example_two(0.01).to_json())
+    return str(p)
+
+
+@pytest.fixture()
+def saddle_path(tmp_path):
+    """A saddle right zone, offset (-2, 0), beside a left-zone center: the
+    center hypotheses fail."""
+    p = tmp_path / "saddle.json"
+    p.write_text(json.dumps({"order0": {
+        "plus": {"matrix": [1.0, 0.0, 0.0, -1.0], "offset": [-2.0, 0.0]},
+        "minus": {"matrix": [0.0, -1.0, 1.0, 0.0], "offset": [0.0, 0.0]}}}))
     return str(p)
 
 
@@ -69,6 +81,17 @@ class TestAnalyze:
 
     def test_bad_grid_rejected(self, ex1_path):
         assert main(["analyze", ex1_path, "--grid", "10"]) == 1
+
+    def test_zero_epsilon_gives_the_sliding_block_of_one_hundredth(self, ex2_path,
+                                                                   tmp_path):
+        # at eps = 0 the sliding check falls back to eps = 1e-2 in
+        # detect_sliding_cycle, its one home
+        blocks = []
+        for eps in ("0", "0.01"):
+            out = tmp_path / f"eps{eps}"
+            assert main(["analyze", ex2_path, "--epsilon", eps, "-o", str(out)]) == 0
+            blocks.append(json.loads((out / "report.json").read_text())["sliding"])
+        assert blocks[0] == blocks[1]
 
     @pytest.mark.parametrize("key, value", [
         ("epsilon", True),
@@ -240,16 +263,12 @@ class TestSimulateCommand:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: ")
 
-    def test_hyperbolic_overflow_crosses(self, tmp_path):
+    def test_hyperbolic_overflow_crosses(self, saddle_path, tmp_path):
         # a saddle right zone leaves x = 1 for x = 0 at t = ln 2; over a
         # budget of 1e4 its event bisection starts past exp(709.78), where
         # the coordinate is -inf, and finds the crossing a budget of 1e3 finds
-        path = tmp_path / "saddle.json"
-        path.write_text(json.dumps({"order0": {
-            "plus": {"matrix": [1.0, 0.0, 0.0, -1.0], "offset": [-2.0, 0.0]},
-            "minus": {"matrix": [0.0, -1.0, 1.0, 0.0], "offset": [0.0, 0.0]}}}))
         out = tmp_path / "saddle"
-        assert main(["simulate", str(path), "--start", "1", "0.5", "--t-max", "10000",
+        assert main(["simulate", saddle_path, "--start", "1", "0.5", "--t-max", "10000",
                      "-o", str(out)]) == 0
         times = [row.split(",")[0] for row in
                  (out / "trajectory.csv").read_text().splitlines()[1:]]
@@ -266,3 +285,61 @@ class TestSlidingCommand:
         # the drift sign is fixed by the system, so the sweep crosses the
         # two sliding windows and the no-cycle region
         assert {"SlidingTypeI", "SlidingTypeII", "None"} <= cycles
+
+
+class TestArguments:
+    def test_each_command_takes_only_the_flags_it_reads(self):
+        # a change to a command's arguments must be deliberate: update this
+        # table with it and say so in the change log
+        sub, = (a for a in build_parser()._actions
+                if isinstance(a, argparse._SubParsersAction))
+        dests = {name: sorted(a.dest for a in p._actions if a.dest != "help")
+                 for name, p in sub.choices.items()}
+        assert dests == {
+            "analyze": ["epsilon", "grid", "input", "output_dir", "y0_range"],
+            "melnikov": ["grid", "input", "output_dir", "y0_range"],
+            "sliding": ["epsilon", "input", "output_dir"],
+            "simulate": ["epsilon", "input", "output_dir", "start", "svg", "t_max"],
+            "verify-examples": ["output_dir", "svg"],
+        }
+        assert sum(map(len, dests.values())) == 20
+
+    @pytest.mark.parametrize("argv", [
+        ["analyze", "ex1", "--svg"],
+        ["melnikov", "ex1", "--epsilon", "0.01"],
+        ["sliding", "ex2", "--grid", "1024"],
+        ["simulate", "ex1", "--start", "0", "1.5", "--grid", "10"],
+        ["verify-examples", "--y0-range", "1", "2"],
+    ], ids=["analyze-svg", "melnikov-epsilon", "sliding-grid", "simulate-grid",
+            "verify-y0-range"])
+    def test_dropped_flag_is_a_usage_error(self, argv, ex1_path, ex2_path, capsys):
+        argv = [{"ex1": ex1_path, "ex2": ex2_path}.get(a, a) for a in argv]
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("eps", ["-1", "nan", "inf"])
+    @pytest.mark.parametrize("argv", [
+        ["analyze", "saddle"],
+        ["sliding", "ex2"],
+        ["simulate", "ex1", "--start", "0", "1.5"],
+    ], ids=["analyze", "sliding", "simulate"])
+    def test_bad_epsilon_exits_one(self, argv, eps, ex1_path, ex2_path, saddle_path,
+                                   tmp_path, capsys):
+        # checked where it is read: no silent 1e-2 and no NaN in report.json
+        argv = [{"ex1": ex1_path, "ex2": ex2_path, "saddle": saddle_path}.get(a, a)
+                for a in argv]
+        out = tmp_path / "bad"
+        assert main([*argv, "--epsilon", eps, "-o", str(out)]) == 1
+        assert capsys.readouterr().err == "error: epsilon must be finite and >= 0\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["analyze", "melnikov"])
+    @pytest.mark.parametrize("lo, hi", [("0", "5"), ("1", "inf"), ("nan", "5"), ("5", "1")])
+    def test_bad_y0_range_exits_one(self, command, lo, hi, ex1_path, tmp_path, capsys):
+        out = tmp_path / "bad"
+        assert main([command, ex1_path, "--y0-range", lo, hi, "-o", str(out)]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: y0 range needs")
+        assert not out.exists()

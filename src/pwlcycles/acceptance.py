@@ -80,7 +80,7 @@ def criterion_1() -> CriterionResult:
     Checked on the unrounded coefficients: zeros at exactly 1 and 2 fix M1
     up to a factor, so the third zero is a prediction of the closed form.
     """
-    t0 = time.time()
+    t0 = time.perf_counter()
     res = CriterionResult("1", "example-1 golden roots", True)
     rounded = example_one_params()
     v1m, b11p = example_one_unrounded_coefficients()
@@ -95,14 +95,14 @@ def criterion_1() -> CriterionResult:
     third = roots[2] if len(roots) >= 3 else math.nan
     res.add(abs(third - EXAMPLE1_NOMINAL_ROOTS[2]) < 1e-4,
             f"third root {third:.10f} vs nominal {EXAMPLE1_NOMINAL_ROOTS[2]} (tol 1e-4)")
-    res.runtime = time.time() - t0
+    res.runtime = time.perf_counter() - t0
     res.add(res.runtime < 1.0, f"runtime {res.runtime:.2f}s < 1s")
     return res
 
 
 def criterion_2() -> CriterionResult:
     """Example-1 stability labels and the infinity sign expression."""
-    t0 = time.time()
+    t0 = time.perf_counter()
     res = CriterionResult("2", "example-1 stability", True)
     p = example_one_params()
     roots = find_roots(lambda y: m1(p, y), (1e-2, 1e2))
@@ -116,13 +116,13 @@ def criterion_2() -> CriterionResult:
             f"sign expression {expr!r} == +0.01 to machine precision")
     inf_rep = infinity_stability(p)
     res.add(inf_rep.stability is Stability.STABLE, "infinity report agrees")
-    res.runtime = time.time() - t0
+    res.runtime = time.perf_counter() - t0
     return res
 
 
 def criterion_3() -> CriterionResult:
     """Example-2 golden roots: legacy expression and the system's own."""
-    t0 = time.time()
+    t0 = time.perf_counter()
     res = CriterionResult("3", "example-2 golden roots", True)
     nominal = find_roots(example_two_nominal_m1, (1e-1, 1e2))
     res.add(len(nominal) == 1 and abs(nominal[0][0] - 7.94622) < 1e-3,
@@ -141,7 +141,7 @@ def criterion_3() -> CriterionResult:
     if fd:
         res.add(abs(fd[0][0] - EXAMPLE2_SYSTEM_ROOT) < 5e-3,
                 f"oracle root {fd[0][0]:.6f} within 5e-3 of the pinned {EXAMPLE2_SYSTEM_ROOT}")
-    res.runtime = time.time() - t0
+    res.runtime = time.perf_counter() - t0
     res.add(res.runtime < 30.0, f"runtime {res.runtime:.1f}s < 30s")
     return res
 
@@ -154,7 +154,7 @@ def criterion_4() -> CriterionResult:
     extrapolate 2*est(eps/2) - est(eps).  The raw errors must still halve
     as eps halves, which tests the first-order rate of the estimator.
     """
-    t0 = time.time()
+    t0 = time.perf_counter()
     res = CriterionResult("4", "oracle equivalence", True)
     sys1 = example_one()
     p = example_one_params()
@@ -175,7 +175,7 @@ def criterion_4() -> CriterionResult:
     res.add(1.6 <= ratio <= 2.4,
             f"raw max relative error {e1:.4%} at eps=1e-4, {e2:.4%} at 5e-5: "
             f"ratio {ratio:.3f} as eps halves (expected ~2)")
-    res.runtime = time.time() - t0
+    res.runtime = time.perf_counter() - t0
     res.add(res.runtime < 60.0, f"runtime {res.runtime:.1f}s < 60s")
     return res
 
@@ -195,7 +195,7 @@ def _random_params(rng) -> MelnikovParams:
 
 def criterion_5() -> CriterionResult:
     """Root-count bounds over random parameter draws (build-failing)."""
-    t0 = time.time()
+    t0 = time.perf_counter()
     res = CriterionResult("5", "root-count property suite", True)
     rng = np.random.default_rng(20240901)
     domain = (1e-3, 1e3)
@@ -214,14 +214,14 @@ def criterion_5() -> CriterionResult:
             f"general case: max {max(general)} roots over 200 draws (bound 3)")
     res.add(max(constrained) <= 1,
             f"constrained case: max {max(constrained)} roots over 200 draws (bound 1)")
-    res.runtime = time.time() - t0
+    res.runtime = time.perf_counter() - t0
     res.add(res.runtime < 120.0, f"runtime {res.runtime:.1f}s < 120s")
     return res
 
 
 def criterion_6() -> CriterionResult:
     """Closed-form Wronskians against numeric determinants; slope sign law."""
-    t0 = time.time()
+    t0 = time.perf_counter()
     res = CriterionResult("6", "wronskian suite", True)
     rng = np.random.default_rng(7)
     worst = 0.0
@@ -239,14 +239,14 @@ def criterion_6() -> CriterionResult:
         slope_ok &= bool(np.all(np.sign(ect.amplitude_w3_tilde_slope(beta, s0)) == want))
     res.add(worst < 1e-8, f"max relative determinant error {worst:.3e} (required < 1e-8)")
     res.add(slope_ok, "slope of the reduced third Wronskian has sign(beta^3(beta^2-1)) everywhere")
-    res.runtime = time.time() - t0
+    res.runtime = time.perf_counter() - t0
     res.add(res.runtime < 10.0, f"runtime {res.runtime:.1f}s < 10s")
     return res
 
 
 def criterion_7() -> CriterionResult:
     """Section-mark series vs exact simulation; Type-I closed sliding orbit."""
-    t0 = time.time()
+    t0 = time.perf_counter()
     res = CriterionResult("7", "sliding section-mark suite", True)
     p = type_one_sliding_params()
     series = s_maps(p).series()
@@ -270,21 +270,21 @@ def criterion_7() -> CriterionResult:
             f"sliding-orbit closure {closure:.2e} < 1e-6*e = {1e-6 * p.e:.1e}")
     res.add("Sliding" in kinds and "ZoneMinus" in kinds and "ZonePlus" not in kinds,
             f"segment kinds {kinds[:4]} match a Type-I loop (one zone + sliding)")
-    res.runtime = time.time() - t0
+    res.runtime = time.perf_counter() - t0
     res.add(res.runtime < 60.0, f"runtime {res.runtime:.1f}s < 60s")
     return res
 
 
 def criterion_8() -> CriterionResult:
     """Simultaneous crossing and sliding cycles on example 2."""
-    t0 = time.time()
+    t0 = time.perf_counter()
     res = CriterionResult("8", "simultaneity", True)
     p = example_two_sliding_params(epsilon=1e-2)
     try:
         report = simultaneity_report(p)
     except BoundViolated as exc:
         res.add(False, f"bound violated: {exc}")
-        res.runtime = time.time() - t0
+        res.runtime = time.perf_counter() - t0
         return res
     res.add(report.verdict == "simultaneous",
             f"verdict {report.verdict!r} (expected 'simultaneous')")
@@ -317,14 +317,14 @@ def criterion_8() -> CriterionResult:
     res.add(svg.count("<polyline") >= 3 and "#d62728" in svg and "<circle" in svg,
             "emitted SVG contains both cycles, a sliding-colored segment and fold marks")
     res.svg = svg
-    res.runtime = time.time() - t0
+    res.runtime = time.perf_counter() - t0
     res.add(res.runtime < 60.0, f"runtime {res.runtime:.1f}s < 60s")
     return res
 
 
 def criterion_9() -> CriterionResult:
     """Reduction conjugacy on random systems; sign constraints after reduction."""
-    t0 = time.time()
+    t0 = time.perf_counter()
     res = CriterionResult("9", "reduction conjugacy", True)
     rng = np.random.default_rng(42)
     worst = 0.0
@@ -355,7 +355,7 @@ def criterion_9() -> CriterionResult:
             worst = max(worst, err / scale)
     res.add(worst < 1e-8, f"worst commutation error {worst:.3e} (required < 1e-8)")
     res.add(signs_ok, "all five sign constraints hold after every reduction")
-    res.runtime = time.time() - t0
+    res.runtime = time.perf_counter() - t0
     res.add(res.runtime < 10.0, f"runtime {res.runtime:.1f}s < 10s")
     return res
 

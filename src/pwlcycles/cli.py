@@ -84,18 +84,6 @@ def _write(output_dir: str, name: str, content: str) -> str:
     return path
 
 
-def _sliding_params_from(sys_canon: PwlSystem, params) -> SlidingParams:
-    (b1m, v1m) = sys_canon.order1_minus
-    (b1p, v1p) = sys_canon.order1_plus
-    (c2m, w2m) = sys_canon.order2_minus
-    return SlidingParams(
-        a=params.a, b=params.b, d=params.d, e=params.e, xi=params.xi,
-        b11m=b1m.m11, b22m=b1m.m22, b21m=b1m.m21, v1m=v1m.x, v2m=v1m.y,
-        v1p=v1p.x, c11m=c2m.m11, c22m=c2m.m22, c21m=c2m.m21, w2m=w2m.y,
-        epsilon=sys_canon.epsilon, b11p=b1p.m11, b22p=b1p.m22,
-    )
-
-
 def cmd_analyze(args) -> int:
     domain = _domain(args)
     sys_in = _load_system(args.input, args.epsilon)
@@ -118,20 +106,18 @@ def cmd_analyze(args) -> int:
     report["canonical"] = {"a": params.a, "b": params.b, "c": params.c,
                            "d": params.d, "e": params.e, "xi": params.xi,
                            "time_scale": change.time_scale}
-    mp_ = MelnikovParams.from_system(canon)
-    mel = melnikov_analyze(mp_, domain, RootFindOptions(grid=args.grid))
+    sp = SlidingParams.from_system(canon)
+    mel = melnikov_analyze(sp, domain, RootFindOptions(grid=args.grid))
     report["melnikov"] = mel.to_dict()
-    report["infinity"] = infinity_stability(mp_).to_dict()
+    report["infinity"] = infinity_stability(sp).to_dict()
     try:
         folds = find_folds(canon)
         report["folds"] = [{"y": f.y, "side": f.side, "visibility": f.visibility.value}
                            for f in folds]
     except PwlError:
         report["folds"] = []
-    if mp_.constrained:
-        sp = _sliding_params_from(canon, params)
-        sim = simultaneity_report(sp, domain=domain,
-                                  opts=RootFindOptions(grid=args.grid))
+    if sp.constrained:
+        sim = simultaneity_report(sp, domain=domain, opts=RootFindOptions(grid=args.grid))
         report["sliding"] = sim.to_dict()
     else:
         report["sliding"] = {"note": "first-order left trace is nonzero; "
@@ -157,9 +143,9 @@ def cmd_melnikov(args) -> int:
 
 def cmd_sliding(args) -> int:
     sys_in = _load_system(args.input, args.epsilon)
-    params, change = canonicalize(sys_in)
-    base = _sliding_params_from(change.push_system(sys_in), params)
-    if not base.trace_constrained:
+    _, change = canonicalize(sys_in)
+    base = SlidingParams.from_system(change.push_system(sys_in))
+    if not base.constrained:
         print("first-order left trace is nonzero; no sliding cycle exists", file=_sys.stderr)
         _write(args.output_dir, "sweep.csv", "tau,ordering,cycle\n")
         return 0

@@ -95,12 +95,7 @@ def example_two_params() -> MelnikovParams:
 
 
 def example_two_sliding_params(epsilon: float = 1e-2) -> SlidingParams:
-    return SlidingParams(
-        a=-1.0, b=-1.0, d=2.0, e=1.0, xi=1.0,
-        b11m=1.0, b22m=-1.0, b21m=0.0, v1m=0.2, v2m=0.0, v1p=-0.5,
-        c11m=0.03, c22m=0.02, c21m=0.0, w2m=0.0,
-        epsilon=epsilon, b11p=1.5, b22p=-0.4,
-    )
+    return SlidingParams.from_system(example_two(epsilon))
 
 
 def example_two_nominal_m1(y0):

@@ -87,6 +87,11 @@ class MelnikovParams:
     def trace_plus(self) -> float:
         return self.b11p + self.b22p
 
+    @property
+    def drift(self) -> float:
+        """b*v1m + v1p; its sign separates sliding from escaping."""
+        return self.b * self.v1m + self.v1p
+
     @cached_property
     def constrained(self) -> bool:
         """Whether the first-order left trace vanishes (b11m = -b22m)."""
@@ -203,7 +208,7 @@ class ReducedParams:
         beta = p.d / alpha
         sm, sp = p.trace_minus, p.trace_plus
         b, xi = p.b, p.xi
-        K0 = 2.0 * beta * (2.0 * xi * xi * (p.v1m * b + p.v1p)
+        K0 = 2.0 * beta * (2.0 * xi * xi * p.drift
                            - alpha * b * xi * sm + alpha * b * beta * sp)
         K1 = alpha * b * xi * sm
         K2 = -b * alpha * beta * beta * sp
@@ -239,6 +244,12 @@ DEDUPE_REL = 1e-9   # roots closer than this (relative) are one root
 class RootFindOptions:
     grid: int = 4096
     refine_tol: float = 1e-12
+
+    def __post_init__(self):
+        if not self.grid >= 2:
+            raise ValueError("RootFindOptions.grid must be >= 2")
+        if not (math.isfinite(self.refine_tol) and self.refine_tol > 0):
+            raise ValueError("RootFindOptions.refine_tol must be finite and positive")
 
 
 @lru_cache(maxsize=8)
@@ -361,7 +372,7 @@ def classify_stability(p: MelnikovParams, roots) -> MelnikovReport:
     sgn_inf = infinity_sign(p)
     # the lowest cycle is stable when M1 < 0 near 0+
     sgn_low = (scaled_sign(p.trace_minus, p.b11m, p.b22m)
-               or scaled_sign(p.b * p.v1m + p.v1p, p.b * p.v1m, p.v1p))
+               or scaled_sign(p.drift, p.b * p.v1m, p.v1p))
     ordered = sorted(roots, key=lambda r: r[0])
     n = len(ordered)
     # a cycle's sign is the highest one's (the negated infinity sign) or the

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, replace
 from enum import Enum
 
 from .core import PwlSystem, canonical_system
@@ -38,7 +38,6 @@ from .melnikov import (
     MelnikovParams,
     RootFindOptions,
     Stability,
-    _require_finite,
     find_roots,
     m1_constrained,
     scaled_sign,
@@ -55,37 +54,32 @@ class CycleKind(Enum):
     NONE = "None"
 
 
-@dataclass(frozen=True)
-class SlidingParams:
-    """Normal-form scalars plus the perturbation entries entering the
-    section marks.  Entries not listed do not move S0..S3 through second
-    order and are taken to vanish in generated systems."""
+@dataclass(frozen=True, kw_only=True)
+class SlidingParams(MelnikovParams):
+    """``MelnikovParams`` plus the entries entering the section marks
+    through second order.  Entries not listed do not move S0..S3 and are
+    taken to vanish in generated systems; the right-zone first-order
+    traces b11p, b22p drive only the crossing-cycle count and default to 0."""
 
     a: float
-    b: float
-    d: float
-    e: float
-    xi: float
-    b11m: float
-    b22m: float
     b21m: float
-    v1m: float
     v2m: float
-    v1p: float
     c11m: float
     c22m: float
     c21m: float
     w2m: float
     epsilon: float
-    # right-zone first-order traces: irrelevant to the section marks but
-    # they drive the crossing-cycle count of the simultaneity analysis
     b11p: float = 0.0
     b22p: float = 0.0
 
-    def __post_init__(self):
-        _require_finite(self)
-        if not (self.b < 0 and self.d > 0 and self.e > 0 and self.xi > 0):
-            raise ValueError("need b < 0, d > 0, e > 0, xi > 0")
+    @staticmethod
+    def from_system(sys: PwlSystem) -> "SlidingParams":
+        """Read parameters off a system already in normal coordinates."""
+        first = MelnikovParams.from_system(sys)
+        (a0p, _), (b1m, v1m), (c2m, w2m) = sys.order0_plus, sys.order1_minus, sys.order2_minus
+        return SlidingParams(
+            **asdict(first), a=0.5 * (a0p.m11 - a0p.m22), b21m=b1m.m21, v2m=v1m.y,
+            c11m=c2m.m11, c22m=c2m.m22, c21m=c2m.m21, w2m=w2m.y, epsilon=sys.epsilon)
 
     @property
     def c(self) -> float:
@@ -93,18 +87,9 @@ class SlidingParams:
         return -(self.xi * self.xi + self.a * self.a) / self.b
 
     @property
-    def trace_constrained(self) -> bool:
-        return scaled_sign(self.b11m + self.b22m, self.b11m, self.b22m) == 0
-
-    @property
     def tau(self) -> float:
         """Second-order left trace c11m + c22m."""
         return self.c11m + self.c22m
-
-    @property
-    def drift(self) -> float:
-        """b*v1m + v1p; its sign separates sliding from escaping."""
-        return self.b * self.v1m + self.v1p
 
     def to_system(self, epsilon: float | None = None) -> PwlSystem:
         eps = self.epsilon if epsilon is None else epsilon
@@ -118,11 +103,6 @@ class SlidingParams:
             w_minus=[0.0, self.w2m],
             epsilon=eps,
         )
-
-    def melnikov_params(self) -> MelnikovParams:
-        return MelnikovParams(b=self.b, d=self.d, e=self.e, xi=self.xi,
-                              b11m=self.b11m, b22m=self.b22m, v1m=self.v1m,
-                              b11p=self.b11p, b22p=self.b22p, v1p=self.v1p)
 
 
 def thresholds(p: SlidingParams) -> float:
@@ -162,7 +142,7 @@ def s_maps(p: SlidingParams, epsilon: float | None = None) -> SMapSeries:
     term is 2*b21m*e - 2*v2m and the second-order terms differ by the
     threshold combinations described in the module docstring.
     """
-    if not p.trace_constrained:
+    if not p.constrained:
         raise ConstraintViolated("s_maps needs b11m = -b22m")
     eps = p.epsilon if epsilon is None else epsilon
     e, b = p.e, p.b
@@ -279,13 +259,46 @@ def _mirror(p: SlidingParams) -> SlidingParams:
     """Time reversal composed with y -> -y: escaping data becomes sliding
     data of the transformed system (all perturbation orders negate, then
     conjugation by diag(1, -1) restores the normal rotation)."""
-    return SlidingParams(
-        a=-p.a, b=p.b, d=p.d, e=p.e, xi=p.xi,
-        b11m=-p.b11m, b22m=-p.b22m, b21m=p.b21m,
-        v1m=-p.v1m, v2m=p.v2m, v1p=-p.v1p,
-        c11m=-p.c11m, c22m=-p.c22m, c21m=-p.c21m, w2m=p.w2m,
-        epsilon=p.epsilon, b11p=-p.b11p, b22p=-p.b22p,
-    )
+    return replace(p, a=-p.a, b11m=-p.b11m, b22m=-p.b22m, v1m=-p.v1m, v1p=-p.v1p,
+                   c11m=-p.c11m, c22m=-p.c22m, c21m=-p.c21m, b11p=-p.b11p, b22p=-p.b22p)
+
+
+_ESCAPING = {CycleKind.SLIDING_TYPE_I: CycleKind.ESCAPING_TYPE_I,
+             CycleKind.SLIDING_TYPE_II: CycleKind.ESCAPING_TYPE_II}
+# the ordering of the section marks each kind predicts; an escaping cycle's
+# marks are those of its mirror image, a sliding cycle of the same type
+_ORDERINGS = {
+    CycleKind.SLIDING_TYPE_I: "S3 < S2 < S1 < S0", CycleKind.ESCAPING_TYPE_I: "S3 < S2 < S1 < S0",
+    CycleKind.SLIDING_TYPE_II: "S3 < S1 < S2 < S0", CycleKind.ESCAPING_TYPE_II: "S3 < S1 < S2 < S0",
+}
+
+
+def _window(p: SlidingParams, work: SlidingParams) -> tuple:
+    """(cycle, threshold_lo, threshold_hi, reason) of ``p``, decided on
+    ``work``: ``p`` itself when the drift is negative, else ``_mirror(p)``.
+
+    Only the two sliding windows are tested.  The mirror negates tau and
+    keeps T, so an escaping cycle is a sliding cycle of the mirror, and
+    its window is the sliding one mapped by (lo, hi) -> (-hi, -lo).
+    """
+    if p.d + p.b * p.e <= 0:
+        return CycleKind.NONE, 0.0, 0.0, "d + b*e <= 0: the sliding direction condition fails"
+    if scaled_sign(p.drift, p.b * p.v1m, p.v1p) == 0:
+        return CycleKind.NONE, 0.0, 0.0, "b*v1m + v1p = 0: fold points collide at first order"
+    T, tau = thresholds(p), work.tau
+    margin = SIGN_TOL * max(1.0, abs(tau), T)
+    if margin < tau < T - margin:
+        cycle, lo, hi = CycleKind.SLIDING_TYPE_I, 0.0, T
+    elif T + margin < tau < 4.0 * T - margin:
+        cycle, lo, hi = CycleKind.SLIDING_TYPE_II, T, 4.0 * T
+    else:
+        windows = (f"sliding windows (0, {T:.6g}) and ({T:.6g}, {4 * T:.6g})" if work is p
+                   else f"escaping windows (-{T:.6g}, 0) and (-{4 * T:.6g}, -{T:.6g})")
+        return CycleKind.NONE, 0.0, 0.0, f"c11m + c22m = {p.tau:.6g} outside the {windows}"
+    if work is p:
+        return cycle, lo, hi, ""
+    # 0.0 - lo, not -lo: Escaping Type I ends at +0.0 (json.dumps prints -0.0 as such)
+    return _ESCAPING[cycle], -hi, 0.0 - lo, ""
 
 
 def detect_sliding_cycle(p: SlidingParams) -> SlidingReport:
@@ -295,11 +308,10 @@ def detect_sliding_cycle(p: SlidingParams) -> SlidingReport:
     terms already break the ordering).  With it, the window containing
     c11m + c22m relative to T decides the kind; the ordering predicted by
     the series is cross-checked against the exact section marks at the
-    requested perturbation size.
+    requested perturbation size, or at eps = 1e-2 when ``p.epsilon`` is 0.
     """
     eps = p.epsilon if p.epsilon > 0 else 1e-2
-    T = thresholds(p)
-    if not p.trace_constrained:
+    if not p.constrained:
         reason = ("first-order section marks split: S1 differs from S0/S2/S3 "
                   f"by pi*e*(b11m+b22m) = {math.pi * p.e * (p.b11m + p.b22m):.3e}, "
                   "so either S1 > S0 or S1 < S3 for small eps")
@@ -310,44 +322,14 @@ def detect_sliding_cycle(p: SlidingParams) -> SlidingReport:
             ordering_consistent=True, reason=reason)
 
     drift = p.drift
-    tau = p.tau
-    margin = SIGN_TOL * max(1.0, abs(tau), T)
-
-    cycle = CycleKind.NONE
-    lo = hi = 0.0
-    reason = ""
-    if p.d + p.b * p.e <= 0:
-        reason = "d + b*e <= 0: the sliding direction condition fails"
-    elif scaled_sign(drift, p.b * p.v1m, p.v1p) == 0:
-        reason = "b*v1m + v1p = 0: fold points collide at first order"
-    elif drift < 0:
-        if margin < tau < T - margin:
-            cycle, lo, hi = CycleKind.SLIDING_TYPE_I, 0.0, T
-        elif T + margin < tau < 4.0 * T - margin:
-            cycle, lo, hi = CycleKind.SLIDING_TYPE_II, T, 4.0 * T
-        else:
-            reason = f"c11m + c22m = {tau:.6g} outside the sliding windows (0, {T:.6g}) and ({T:.6g}, {4 * T:.6g})"
-    else:
-        if -T + margin < tau < -margin:
-            cycle, lo, hi = CycleKind.ESCAPING_TYPE_I, -T, 0.0
-        elif -4.0 * T + margin < tau < -T - margin:
-            cycle, lo, hi = CycleKind.ESCAPING_TYPE_II, -4.0 * T, -T
-        else:
-            reason = f"c11m + c22m = {tau:.6g} outside the escaping windows (-{T:.6g}, 0) and (-{4 * T:.6g}, -{T:.6g})"
-
     work = p if drift < 0 else _mirror(p)
+    cycle, lo, hi, reason = _window(p, work)
     sys = work.to_system(eps)
     y1, y2, y3 = folds = _fold_positions(sys, work.xi)
     sims = _section_marks(sys, folds)
     ordering = _ordering_tag(sims)
 
-    expected = {
-        CycleKind.SLIDING_TYPE_I: "S3 < S2 < S1 < S0",
-        CycleKind.SLIDING_TYPE_II: "S3 < S1 < S2 < S0",
-        CycleKind.ESCAPING_TYPE_I: "S3 < S2 < S1 < S0",
-        CycleKind.ESCAPING_TYPE_II: "S3 < S1 < S2 < S0",
-    }
-    consistent = (cycle is CycleKind.NONE) or (ordering == expected[cycle])
+    consistent = (cycle is CycleKind.NONE) or (ordering == _ORDERINGS[cycle])
     if drift > 0:
         # report fold data of the original (escaping) frame: mirror back
         y1, y2, y3 = -y1, -y2, -y3
@@ -408,10 +390,9 @@ def simultaneity_report(p: SlidingParams, domain=(1e-1, 1e2),
     most one simple zero; more than one root is a build-failing event.
     The crossing cycle, when present, repels iff v1m + v1p/b > 0.
     """
-    if not p.trace_constrained:
+    if not p.constrained:
         raise ConstraintViolated("simultaneity analysis needs b11m = -b22m")
-    mp_ = p.melnikov_params()
-    roots = find_roots(lambda y: m1_constrained(mp_, y), domain, opts)
+    roots = find_roots(lambda y: m1_constrained(p, y), domain, opts)
     if len(roots) > 1:
         raise BoundViolated(
             f"constrained Melnikov function produced {len(roots)} roots; at most one is possible")

@@ -12,6 +12,7 @@ scan: a differential reference that shares the package's event set-up.
 from __future__ import annotations
 
 import math
+from functools import lru_cache
 
 import numpy as np
 from scipy.integrate import quad, solve_ivp
@@ -107,6 +108,17 @@ def sliding_time(sys, ya, yb):
     return value
 
 
+@lru_cache(maxsize=8)
+def _expm_grid(m_bytes: bytes, shape: tuple, direction: float, t_end: float, n: int):
+    """The grid of ``velocity_zeros`` and expm(M t) on it, t = direction*tau,
+    in one batched call; it depends on neither the start nor the component."""
+    M = np.frombuffer(m_bytes).reshape(shape)
+    taus = np.linspace(0.0, t_end, n)
+    flows = expm(M[None] * (direction * taus)[:, None, None])
+    flows.setflags(write=False)
+    return taus, flows
+
+
 def velocity_zeros(M, u, x0, direction, t_end, component, n=4000):
     """Times tau in (0, t_end) at which the coordinate of X' = M X + u
     flowed from x0 over t = direction*tau is stationary.
@@ -121,8 +133,8 @@ def velocity_zeros(M, u, x0, direction, t_end, component, n=4000):
     def velocity(tau):
         return (expm(M * (direction * tau)) @ v0)[component]
 
-    taus = np.linspace(0.0, t_end, n)
-    vals = (expm(M[None] * (direction * taus)[:, None, None]) @ v0)[:, component]
+    taus, flows = _expm_grid(M.tobytes(), M.shape, direction, t_end, n)
+    vals = (flows @ v0)[:, component]
     return [brentq(velocity, taus[i], taus[i + 1], xtol=1e-15, rtol=4 * np.finfo(float).eps)
             for i in range(n - 1) if vals[i] * vals[i + 1] < 0]
 

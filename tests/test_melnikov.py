@@ -275,6 +275,24 @@ class TestFindRoots:
         assert find_roots(lambda y: y + 1.0, (0.5, 2.0)) == []
 
 
+class TestRootFindOptions:
+    @pytest.mark.parametrize("grid", [1, 0, -3])
+    def test_rejects_grid_below_two(self, grid):
+        # a one-point grid brackets nothing and an empty one has no maximum:
+        # both used to reach find_roots (example 1 came back with no roots)
+        with pytest.raises(ValueError, match=r"RootFindOptions\.grid must be >= 2"):
+            RootFindOptions(grid=grid)
+
+    @pytest.mark.parametrize("tol", [0.0, -1e-12, math.nan, math.inf])
+    def test_rejects_refine_tol_not_finite_and_positive(self, tol):
+        with pytest.raises(ValueError, match=r"RootFindOptions\.refine_tol must be finite"):
+            RootFindOptions(refine_tol=tol)
+
+    def test_two_point_grid_still_brackets(self):
+        roots = find_roots(lambda y: y - 5.0, (1.0, 10.0), RootFindOptions(grid=2))
+        assert [r for r, _ in roots] == [pytest.approx(5.0, abs=1e-11)]
+
+
 class TestSharedGrid:
     @staticmethod
     def grid_seen(domain, grid):

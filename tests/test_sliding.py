@@ -1,6 +1,8 @@
+import json
 import math
-from dataclasses import replace
+from dataclasses import fields, replace
 
+import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
@@ -10,10 +12,11 @@ from pwlcycles.errors import ConstraintViolated
 from pwlcycles.flow import simulate
 from pwlcycles.examples import (
     EXAMPLE2_SYSTEM_ROOT,
+    example_two,
     example_two_sliding_params,
     type_one_sliding_params,
 )
-from pwlcycles.melnikov import Stability
+from pwlcycles.melnikov import SIGN_TOL, MelnikovParams, Stability, m1_constrained, scaled_sign
 from pwlcycles.sliding import (
     CycleKind,
     SlidingParams,
@@ -27,11 +30,47 @@ from pwlcycles.sliding import (
 )
 
 
+def _hexes(p) -> dict:
+    return {f.name: getattr(p, f.name).hex() for f in fields(p)}
+
+
 class TestParams:
     @pytest.mark.parametrize("name", ["b22m", "v1m", "c11m", "epsilon"])
     def test_rejects_non_finite_fields(self, name):
         with pytest.raises(ValueError, match=f"SlidingParams.{name} must be finite"):
             replace(example_two_sliding_params(), **{name: math.nan})
+
+    @pytest.mark.parametrize("eps", [1e-2, 5e-3, 0.0])
+    def test_example_two_read_off_its_system(self, eps):
+        # the coefficients example 2's sliding record was once typed out with
+        literal = SlidingParams(
+            a=-1.0, b=-1.0, d=2.0, e=1.0, xi=1.0,
+            b11m=1.0, b22m=-1.0, b21m=0.0, v1m=0.2, v2m=0.0, v1p=-0.5,
+            c11m=0.03, c22m=0.02, c21m=0.0, w2m=0.0,
+            epsilon=eps, b11p=1.5, b22p=-0.4,
+        )
+        assert _hexes(example_two_sliding_params(eps)) == _hexes(literal)
+        assert _hexes(SlidingParams.from_system(example_two(eps))) == _hexes(literal)
+
+    def test_from_system_round_trips(self):
+        p = type_one_sliding_params()
+        assert _hexes(SlidingParams.from_system(p.to_system())) == _hexes(p)
+
+    def test_from_system_needs_normal_coordinates(self):
+        sys = type_one_sliding_params().to_system()
+        (m, u) = sys.order0_minus
+        with pytest.raises(ValueError, match="not in normal coordinates"):
+            SlidingParams.from_system(replace(sys, order0_minus=(m, replace(u, x=0.1))))
+
+    def test_is_a_melnikov_params(self):
+        p = example_two_sliding_params()
+        assert isinstance(p, MelnikovParams)
+        assert p.constrained and p.drift == p.b * p.v1m + p.v1p
+        mp = MelnikovParams(**{f.name: getattr(p, f.name) for f in fields(MelnikovParams)})
+        ys = np.geomspace(1e-1, 1e2, 257)
+        assert m1_constrained(p, ys).tobytes() == m1_constrained(mp, ys).tobytes()
+        assert all(m1_constrained(p, y).hex() == m1_constrained(mp, y).hex()
+                   for y in (0.3, 1.0, 2.12882852534382, 40.0))
 
 
 class TestThresholds:
@@ -187,6 +226,98 @@ class TestDetect:
             order = sorted(range(4), key=lambda i: sims[i])
             names = " < ".join(f"S{i}" for i in order)
             assert names == expect
+
+
+def _four_windows(p):
+    """The window decision as it was written before the mirror: the two
+    sliding and the two escaping windows, each tested on p's own tau."""
+    T = thresholds(p)
+    drift = p.b * p.v1m + p.v1p
+    tau = p.c11m + p.c22m
+    margin = SIGN_TOL * max(1.0, abs(tau), T)
+    cycle = CycleKind.NONE
+    lo = hi = 0.0
+    reason = ""
+    if p.d + p.b * p.e <= 0:
+        reason = "d + b*e <= 0: the sliding direction condition fails"
+    elif scaled_sign(drift, p.b * p.v1m, p.v1p) == 0:
+        reason = "b*v1m + v1p = 0: fold points collide at first order"
+    elif drift < 0:
+        if margin < tau < T - margin:
+            cycle, lo, hi = CycleKind.SLIDING_TYPE_I, 0.0, T
+        elif T + margin < tau < 4.0 * T - margin:
+            cycle, lo, hi = CycleKind.SLIDING_TYPE_II, T, 4.0 * T
+        else:
+            reason = (f"c11m + c22m = {tau:.6g} outside the sliding windows "
+                      f"(0, {T:.6g}) and ({T:.6g}, {4 * T:.6g})")
+    else:
+        if -T + margin < tau < -margin:
+            cycle, lo, hi = CycleKind.ESCAPING_TYPE_I, -T, 0.0
+        elif -4.0 * T + margin < tau < -T - margin:
+            cycle, lo, hi = CycleKind.ESCAPING_TYPE_II, -4.0 * T, -T
+        else:
+            reason = (f"c11m + c22m = {tau:.6g} outside the escaping windows "
+                      f"(-{T:.6g}, 0) and (-{4 * T:.6g}, -{T:.6g})")
+    return cycle, lo, hi, reason
+
+
+def _window_draws(n: int, seed: int = 19):
+    """Seeded parameter sets; four in five put c11m + c22m on a window edge
+    (mostly of the drift's side), +- the margin, +- one ulp, and the rest
+    anywhere in (-5T, 5T)."""
+    rng = np.random.default_rng(seed)
+    u = rng.uniform(size=(n, 16))
+    edges = rng.choice([0.0, 1.0, 4.0], size=n)
+    offsets = rng.integers(-1, 2, size=(n, 2))
+    for k in range(n):
+        r = u[k]
+        b, e = -0.2 - 2.8 * r[0], 0.1 + 2.9 * r[1]
+        d = max(0.05, -b * e + 3.5 * r[2] - 0.5)  # d + b*e <= 0 in about one in seven
+        scale = 10.0 ** (6.0 * r[3] - 3.0)
+        v1m = scale * (2.0 * r[4] - 1.0)
+        if r[5] < 0.05:                     # the fold points collide
+            v1p = -b * v1m * (1.0 + 1e-13 * offsets[k, 0])
+        else:
+            v1p = scale * (2.0 * r[6] - 1.0)
+        drift = b * v1m + v1p
+        T = drift ** 2 / (2.0 * b ** 2 * e ** 2 * math.pi)
+        if r[7] < 0.2:
+            tau = (10.0 * r[8] - 5.0) * T
+        else:
+            side = (1.0 if drift < 0 else -1.0) * (1.0 if r[8] < 0.8 else -1.0)
+            edge = side * edges[k] * T
+            tau = edge + offsets[k, 0] * SIGN_TOL * max(1.0, abs(edge), T)
+            tau = (math.nextafter(tau, -math.inf), tau,
+                   math.nextafter(tau, math.inf))[offsets[k, 1] + 1]
+        b11m = 2.0 * r[9] - 1.0
+        yield SlidingParams(
+            a=2.0 * r[10] - 1.0, b=b, d=d, e=e, xi=0.2 + 1.8 * r[11],
+            b11m=b11m, b22m=-b11m, b21m=2.0 * r[12] - 1.0, v1m=v1m,
+            v2m=2.0 * r[13] - 1.0, v1p=v1p, c11m=tau, c22m=0.0,
+            c21m=2.0 * r[14] - 1.0, w2m=2.0 * r[15] - 1.0, epsilon=1e-2)
+
+
+class TestWindowDecision:
+    def test_mirrored_windows_match_the_four_windows(self):
+        # the escaping windows are the sliding windows of the mirror image;
+        # thresholds compare by float.hex, so -0.0 is not +0.0
+        seen = dict.fromkeys(CycleKind, 0)
+        for p in _window_draws(20_000):
+            work = p if p.drift < 0 else sliding._mirror(p)
+            cycle, lo, hi, reason = sliding._window(p, work)
+            want = _four_windows(p)
+            assert (cycle, lo.hex(), hi.hex(), reason) == \
+                (want[0], want[1].hex(), want[2].hex(), want[3]), p
+            seen[cycle] += 1
+        assert min(seen.values()) > 300, seen
+
+    def test_escaping_type_one_ends_at_positive_zero(self):
+        base = type_one_sliding_params()
+        report = detect_sliding_cycle(sliding._mirror(base))
+        assert report.cycle is CycleKind.ESCAPING_TYPE_I
+        assert report.threshold_lo == -thresholds(base)
+        assert math.copysign(1.0, report.threshold_hi) == 1.0
+        assert '"threshold_hi": 0.0,' in json.dumps(report.to_dict(), indent=0)
 
 
 class TestSimulatedCycles:

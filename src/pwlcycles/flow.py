@@ -9,7 +9,15 @@ section -- are located on a closed-form coordinate function: its critical
 times, also closed-form, split the time interval into monotone pieces, and
 the first sign change is bisected to adjacent doubles, so no event is
 skipped and no generic stepping error enters the simulation; on a spiral
-the envelope of the extrema skips the pieces that cannot hold one.  Motion
+the envelope of the extrema skips the pieces that cannot hold one.  On an
+oscillatory arc a rounding bound of the coordinate (libm's exp, sin and
+cos within 1 ulp, as glibc documents them for x86_64, and first-order
+propagation, doubled) lets the bisection skip the midpoints whose computed
+sign is already fixed: a half-cosine step, Illinois steps and two probes
+find the values nearest the root that lie beyond twice the bound, and only
+the midpoints between them are evaluated, so the event time is the full
+bisection's to the bit; hyperbolic and near-nilpotent arcs and the sliding
+travel-time inversion have no bound and evaluate every midpoint.  Motion
 inside sliding/escaping segments of the switching line follows the
 Filippov law of ``sigma._SlidingSpeed``; its travel time is integrated in
 closed form and inverted by bisection.  ``simulate`` records samples of
@@ -52,6 +60,8 @@ SAMPLE_STRIDE = 32    # recorded samples per zone arc or sliding segment
 RETURN_SEGMENTS = 64  # segment budget of a first return or a sliding loop
 _NOISE = 64.0 * 2.0**-52  # rounding noise of a coordinate per unit of scale
 _TINY = 2.0**-1022        # smallest normal double
+_TWO_U = 2.0**-52         # twice the unit roundoff 2**-53
+_ILLINOIS_STEPS = 20      # most root estimates of _certificates before its probes
 
 
 # ---------------------------------------------------------------------------
@@ -151,24 +161,107 @@ def _abs_max(pair):
 # event location on a closed-form coordinate
 # ---------------------------------------------------------------------------
 
-def _refine_crossing(g, t_lo, t_hi, tol):
+def _refine_crossing(g, t_lo, t_hi, g_lo, g_hi=math.nan, band=math.inf, tol=0.0):
     """Bisection of a bracketed sign change of g down to |t_hi-t_lo| < tol,
-    or to adjacent doubles, whichever comes first."""
-    g_lo = g(t_lo)
+    or to adjacent doubles, whichever comes first, from the end values
+    g_lo = g(t_lo) and g_hi = g(t_hi) the caller holds.
+
+    ``band`` bounds |g - exact g| on the bracket, on which the exact g is
+    monotone (``_Coordinate.band``).  A computed value beyond 2*band on
+    either side of the root then fixes the computed sign of every midpoint
+    farther out, so ``_certificates`` looks for the nearest such values
+    and only the midpoints between them are evaluated: the result is that
+    of the bisection that evaluates every midpoint, to the bit.  The search
+    runs only when both end values lie beyond 2*band, so that the sign also
+    holds between an end and a rounded critical time just inside it;
+    otherwise, and with band = inf, every midpoint is evaluated.
+    """
+    up = g_lo > 0  # the sign every midpoint reads on the t_lo side of the root
+    # midpoints at or below a read as up and at or above b as not up, unevaluated;
+    # t_lo <= a < b <= t_hi throughout, so a midpoint strictly between them
+    # lies strictly inside the bracket
+    a, b = t_lo, t_hi
+    if abs(g_lo) > 2.0 * band and abs(g_hi) > 2.0 * band:
+        a, b = _certificates(g, t_lo, t_hi, g_lo, g_hi, 2.0 * band)
     for _ in range(200):
         if t_hi - t_lo < tol:
             break
         t_mid = 0.5 * (t_lo + t_hi)
-        if not t_lo < t_mid < t_hi:
-            break
-        g_mid = g(t_mid)
-        if g_mid == 0.0:
-            return t_mid
-        if (g_mid > 0) == (g_lo > 0):
-            t_lo, g_lo = t_mid, g_mid
-        else:
+        if t_mid <= a:
+            if t_mid <= t_lo:  # adjacent doubles
+                break
+            t_lo = t_mid
+        elif t_mid >= b:
+            if t_mid >= t_hi:
+                break
             t_hi = t_mid
+        else:
+            g_mid = g(t_mid)
+            if g_mid == 0.0:
+                return t_mid
+            if (g_mid > 0) == up:
+                t_lo = a = t_mid
+            else:
+                t_hi = b = t_mid
     return 0.5 * (t_lo + t_hi)
+
+
+def _certificates(g, t_lo, t_hi, g_lo, g_hi, level):
+    """(a, b) with t_lo <= a < root < b <= t_hi: the points nearest the
+    root found whose value lies beyond ``level``, on the t_lo and the t_hi
+    side, or the ends.
+
+    The first point is the root of the half cosine through the end values,
+    exact on an undamped arc between two extrema; Illinois steps follow
+    until a value falls within ``level``.  Then one probe on each side,
+    2*level/slope from the last point, reaches for the nearest values
+    beyond it; the slope is the secant of the last two points evaluated, or
+    the half cosine's when only one was.  Every point evaluated lies
+    strictly inside (a, b), so inside the bracket.
+    """
+    up = g_lo > 0
+    a, b = t_lo, t_hi
+    x0, f0, x1, f1 = t_lo, g_lo, t_hi, g_hi  # the Illinois bracket, f0 scaled
+    s = math.acos((g_lo + g_hi) / (g_hi - g_lo)) / math.pi
+    x = t_lo + (t_hi - t_lo) * s
+    slope = 0.5 * (g_lo - g_hi) * math.pi / (t_hi - t_lo) * math.sin(math.pi * s)
+    r = g_r = None  # the last point evaluated and its value
+    for _ in range(_ILLINOIS_STEPS):
+        if not a < x < b:
+            break
+        f = g(x)
+        if r is not None:
+            slope = (f - g_r) / (x - r)
+        r, g_r = x, f
+        if not abs(f) > level:
+            break
+        if (f > 0) == up:
+            a = x
+        else:
+            b = x
+        if (f > 0) == (f1 > 0):
+            f0 *= 0.5
+        else:
+            x0, f0 = x1, f1
+        x1, f1 = x, f
+        x = x1 - f1 * (x1 - x0) / (f1 - f0)
+    if r is None or not abs(slope) > 0.0:
+        return a, b
+    step = 2.0 * level / abs(slope)
+    for p in (r - step, r + step):
+        if a < p < b:
+            f = g(p)
+            if abs(f) > level:
+                if (f > 0) == up:
+                    a = p
+                else:
+                    b = p
+    return a, b
+
+
+def _no_band(t_lo, t_hi):
+    """The rounding bound of a coordinate that has none."""
+    return math.inf
 
 
 def _ieee(zone, m, P, Q, R, tau):
@@ -187,6 +280,15 @@ class _Coordinate:
     R = equilibrium[k] - target.  Q is numpy's product, whose sum is fused.
     ``value`` is g on a float, as ``_cs(tau, math)`` computes it or as
     ``_ieee`` does where ``math`` raises; ``first`` is set on oscillatory arcs.
+
+    ``band(t_lo, t_hi)`` bounds |value - g| on [t_lo, t_hi], 0 <= t_lo <
+    t_hi.  On an oscillatory arc it is 2u (e^{max(m t_lo, m t_hi)}
+    (|P| + |Q|/om) (om t_hi + |m| t_hi + 10) + |R|) with u = 2**-53: the
+    first-order propagation of one rounding per operation, of om*tau and
+    m*tau into the angle and the exponent, and of libm's exp, sin and cos
+    within 1 ulp (as glibc documents them for x86_64), doubled.  It is inf
+    where e^{m tau} leaves the normal range, and on the hyperbolic and
+    near-nilpotent branches.
     """
 
     def __init__(self, zone: AffineFlow, X0, direction: float, component: int,
@@ -200,6 +302,7 @@ class _Coordinate:
         self.R = R = e - target
         w2, om, exp = zone.w2, zone.omega, math.exp
         self.first = None
+        self.band = _no_band
         if abs(w2) > 1e-14:
             cos, sin = (math.cos, math.sin) if w2 < 0.0 else (math.cosh, math.sinh)
 
@@ -214,6 +317,14 @@ class _Coordinate:
                 q = Q / om
                 phi = math.atan2(m * q - om * P, m * P + om * q)
                 self.first = (phi + 0.5 * math.pi) % math.pi
+                size = abs(P) + abs(q)
+
+                def band(t_lo, t_hi):
+                    top, bottom = (m * t_hi, m * t_lo) if m > 0.0 else (m * t_lo, m * t_hi)
+                    if not (-708.0 < bottom and top < 709.0):  # e^{m tau} not normal
+                        return math.inf
+                    return _TWO_U * (exp(top) * size * ((om + abs(m)) * t_hi + 10.0) + abs(R))
+                self.band = band
         else:
             def value(tau):
                 z = w2 * tau * tau
@@ -284,7 +395,7 @@ def first_component_zero(zone: AffineFlow, X0, direction: float, t_budget: float
     noise = _NOISE * scale
     ref = 0.0  # the first value above the noise floor
     seen = -1  # breakpoints after the one that set ref, or after the start
-    t_lo, t, crit = 0.0, 0.0, coord.critical_times(t_budget)
+    t_lo, v_lo, t, crit = 0.0, None, 0.0, coord.critical_times(t_budget)
     while True:  # the start, the critical times, then t_budget
         v = coord.value(t)
         if ref == 0.0:
@@ -295,10 +406,12 @@ def first_component_zero(zone: AffineFlow, X0, direction: float, t_budget: float
             if t != t_budget:
                 return direction * t, "graze"
         elif ref * v < 0.0:
-            return direction * _refine_crossing(coord.value, t_lo, t, 0.0), "cross"
+            v_lo = coord.value(t_lo) if v_lo is None else v_lo
+            return direction * _refine_crossing(coord.value, t_lo, t, v_lo, v,
+                                                coord.band(t_lo, t)), "cross"
         if t == t_budget:
             return None, "none"
-        t_lo, seen = t, seen + 1
+        t_lo, v_lo, seen = t, v, seen + 1
         if seen == 2 and coord.first is not None:
             m, first, om = coord.m, coord.first, zone.omega
             S = abs(coord.P * math.cos(first) + coord.Q / om * math.sin(first))
@@ -312,7 +425,8 @@ def first_component_zero(zone: AffineFlow, X0, direction: float, t_budget: float
                 return None, "none"
             j = math.floor(max(k0, 0.0)) - 2
             if (first + math.pi * (j - 1)) / om > t_lo:
-                t_lo, crit = (first + math.pi * (j - 1)) / om, coord.critical_times(t_budget, j)
+                t_lo, v_lo = (first + math.pi * (j - 1)) / om, None
+                crit = coord.critical_times(t_budget, j)
         t = next(crit, t_budget)
 
 
@@ -571,7 +685,7 @@ def _slide(sys, folds, X, direction, t_budget, traj, t_abs, record):
                 if y_s == y_lim:  # rounded onto a limit the budget does not reach
                     return math.inf
                 return direction * law.time(y0, y_s) - t_budget
-            s = _refine_crossing(excess, 0.0, 1.0, np.finfo(float).eps)
+            s = _refine_crossing(excess, 0.0, 1.0, excess(0.0), tol=np.finfo(float).eps)
             y, t_used, end = y0 + s * (y_lim - y0), t_budget, "t_max"
 
     if record:

@@ -273,9 +273,16 @@ _ORDERINGS = {
 }
 
 
+def _frame(p: SlidingParams) -> SlidingParams:
+    """The record the sliding analysis works on: ``p`` itself when its drift
+    is negative by the tie rule of ``_window``, else ``_mirror(p)``; a drift
+    that ties with 0 (colliding folds) works in the mirror for either sign."""
+    return p if scaled_sign(p.drift, p.b * p.v1m, p.v1p) < 0 else _mirror(p)
+
+
 def _window(p: SlidingParams, work: SlidingParams) -> tuple:
     """(cycle, threshold_lo, threshold_hi, reason) of ``p``, decided on
-    ``work``: ``p`` itself when the drift is negative, else ``_mirror(p)``.
+    ``work = _frame(p)``.
 
     Only the two sliding windows are tested.  The mirror negates tau and
     keeps T, so an escaping cycle is a sliding cycle of the mirror, and
@@ -321,8 +328,7 @@ def detect_sliding_cycle(p: SlidingParams) -> SlidingReport:
             extra_crossing_bound=3, threshold_lo=0.0, threshold_hi=0.0,
             ordering_consistent=True, reason=reason)
 
-    drift = p.drift
-    work = p if drift < 0 else _mirror(p)
+    work = _frame(p)
     cycle, lo, hi, reason = _window(p, work)
     sys = work.to_system(eps)
     y1, y2, y3 = folds = _fold_positions(sys, work.xi)
@@ -330,8 +336,8 @@ def detect_sliding_cycle(p: SlidingParams) -> SlidingReport:
     ordering = _ordering_tag(sims)
 
     consistent = (cycle is CycleKind.NONE) or (ordering == _ORDERINGS[cycle])
-    if drift > 0:
-        # report fold data of the original (escaping) frame: mirror back
+    if work is not p:
+        # report fold data of the original frame: mirror back
         y1, y2, y3 = -y1, -y2, -y3
     bound = 1 if cycle is not CycleKind.NONE else 3
     return SlidingReport(
@@ -350,7 +356,7 @@ def simulate_sliding_cycle(p: SlidingParams, eps: float | None = None):
     start.
     """
     eps = p.epsilon if eps is None else eps
-    work = p if p.drift < 0 else _mirror(p)
+    work = _frame(p)
     sys = work.to_system(eps)
     y_f1 = {f.side: f.y for f in find_folds(sys)}["minus"]
     t_max = 3.0 * (2.0 * math.pi + math.pi / p.xi)

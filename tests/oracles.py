@@ -139,17 +139,37 @@ def velocity_zeros(M, u, x0, direction, t_end, component, n=4000):
             for i in range(n - 1) if vals[i] * vals[i + 1] < 0]
 
 
+def plain_bisection(g, t_lo, t_hi):
+    """Bisection of a bracketed sign change of g down to adjacent doubles,
+    evaluating every midpoint: the refinement the event search must match
+    to the bit."""
+    g_lo = g(t_lo)
+    for _ in range(200):
+        t_mid = 0.5 * (t_lo + t_hi)
+        if not t_lo < t_mid < t_hi:
+            break
+        g_mid = g(t_mid)
+        if g_mid == 0.0:
+            return t_mid
+        if (g_mid > 0) == (g_lo > 0):
+            t_lo, g_lo = t_mid, g_mid
+        else:
+            t_hi = t_mid
+    return 0.5 * (t_lo + t_hi)
+
+
 def first_component_zero_reference(zone, X0, direction, t_budget, component=0, target=0.0):
     """``flow.first_component_zero`` as a full scan: every critical time in
     the budget is listed, all breakpoints are evaluated in one numpy array,
     and the first sign change is bisected on the ``math`` form of the
     coordinate, with numpy's +-inf or nan where ``math`` overflows.
 
-    A differential reference for the lazy walk and its envelope skip, not
-    an independent one: it shares ``flow._Coordinate``'s set-up and
-    critical times, the noise and graze rules and ``flow._refine_crossing``.
+    A differential reference for the lazy walk, its envelope skip and the
+    refinement, not an independent one: it shares ``flow._Coordinate``'s
+    set-up and critical times and the noise and graze rules, and bisects
+    with ``plain_bisection``, which evaluates every midpoint.
     """
-    from pwlcycles.flow import _NOISE, _Coordinate, _abs_max, _refine_crossing
+    from pwlcycles.flow import _NOISE, _Coordinate, _abs_max
 
     X0 = np.asarray(X0, dtype=float)
     coord = _Coordinate(zone, X0, direction, component, target)
@@ -179,7 +199,7 @@ def first_component_zero_reference(zone, X0, direction, t_budget, component=0, t
             if i < len(ts) - 1:
                 return direction * t, "graze"
         elif ref * v < 0.0:
-            return direction * _refine_crossing(g_float, t_prev, t, 0.0), "cross"
+            return direction * plain_bisection(g_float, t_prev, t), "cross"
         t_prev = t
     return None, "none"
 

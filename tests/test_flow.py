@@ -829,6 +829,20 @@ class TestEventBudget:
         assert first_component_zero(zone, (0.5, 0.0), 1.0, 50.0, target=target) == \
             (float.fromhex(t_hex), "cross")
 
+    def test_oracle_refines_between_certified_values(self, monkeypatch):
+        # 112 coordinate evaluations when the refinement evaluated every
+        # bisection midpoint, about 52 per event
+        counts = _coordinate_evaluations(monkeypatch)
+        melnikov_oracle(example_one(), 3.0, 1e-4)
+        assert counts["value"] <= 56
+
+    def test_section_marks_refine_between_certified_values(self, monkeypatch):
+        # 277 coordinate evaluations for the fold preimage and the four
+        # marks when every bisection midpoint was evaluated
+        counts = _coordinate_evaluations(monkeypatch)
+        detect_sliding_cycle(type_one_sliding_params())
+        assert counts["value"] <= 140
+
     def test_growing_spiral_skips_to_its_crossing(self, monkeypatch):
         # the crossing at x = 1 is 6,368 pieces in; the envelope jumps near it,
         # so the walk evaluates a few breakpoints and the bisection the rest
@@ -952,6 +966,58 @@ class TestLazyEventSearch:
         traj = simulate(sys, (2.5, 0.0), 4e6)
         assert traj.stopped == "t_max"
         assert traj.segment_kinds() == [flow.ZONE_PLUS]
+
+
+@pytest.mark.skipif(np.finfo(np.longdouble).nmant < 63,
+                    reason="the reference needs a long double of at least 64 bits")
+class TestRoundingBand:
+    def test_band_bounds_the_rounding(self):
+        # the float closure against the same closed form in long double, at
+        # random points of the first pieces and of random later ones, on the
+        # oscillatory arcs of the sweep (the branch that has a band)
+        L = np.longdouble
+        rng = np.random.default_rng(5)
+        values, worst = 0, 0.0
+        for zone, X0, direction, budget, component, target in _sweep_cases(3, 1000):
+            if not zone.w2 < -1e-14:
+                continue
+            coord = flow._Coordinate(zone, X0, direction, component, target)
+            ts = [0.0, *coord.critical_times(budget), budget]
+            pieces = sorted({*range(min(3, len(ts) - 1)), *rng.integers(len(ts) - 1, size=3)})
+            m, om, P, Q, R = (L(v) for v in (coord.m, zone.omega, coord.P, coord.Q, coord.R))
+            for i in pieces:
+                band = coord.band(ts[i], ts[i + 1])
+                taus = rng.uniform(ts[i], ts[i + 1], 8)
+                tau = taus.astype(L)
+                ref = np.exp(m * tau) * (P * np.cos(om * tau) + Q * (np.sin(om * tau) / om)) + R
+                err = np.abs(np.array([coord.value(t) for t in taus.tolist()], dtype=L) - ref)
+                assert (err <= band).all(), (zone.w2, X0, direction, component, target, i)
+                values += len(taus)
+                worst = max(worst, float(err.max()) / band)
+        assert values > 10_000 and 0.0 < worst <= 1.0
+
+    def test_band_is_inf_where_the_exponential_leaves_the_normal_range(self):
+        coord = flow._Coordinate(_fast_rotation(1.0, 1.0), (0.5, 0.0), 1.0, 0, 0.0)
+        assert coord.band(0.0, 700.0) < math.inf
+        assert coord.band(0.0, 710.0) == math.inf
+        coord = flow._Coordinate(_fast_rotation(1.0, 1.0), (0.5, 0.0), -1.0, 0, 0.0)
+        assert coord.band(0.0, 710.0) == math.inf
+
+    def test_hyperbolic_and_near_nilpotent_arcs_have_no_band(self):
+        for zone in (AffineFlow([[1.0, 0.0], [0.0, -1.0]], [-2.0, 0.0]),
+                     AffineFlow([[0.1, 1.0], [0.0, 0.1]], [0.0, 0.0])):
+            assert flow._Coordinate(zone, (1.0, 0.5), 1.0, 0, 0.0).band(0.0, 1.0) == math.inf
+
+    def test_crossing_just_before_a_flat_extremum(self):
+        # the crossing lies about 4e-8 before a flat extremum that sits 2
+        # noise past the target, at t_hi: a probe past t_hi would read the
+        # far side of the extremum as a certificate, and the refinement
+        # would return t_hi itself
+        args = next(a for a in _sweep_cases(1, 2000)
+                    if a[5] == float.fromhex("0x1.167f71c9b9873p+2"))
+        zone, budget = args[0], args[3]
+        assert zone.w2 < -1e-14 and budget == 5.0
+        assert first_component_zero(*args) == (float.fromhex("0x1.de8fb424b7471p+1"), "cross")
 
 
 def _decay_system():

@@ -303,13 +303,25 @@ class TestWindowDecision:
         # thresholds compare by float.hex, so -0.0 is not +0.0
         seen = dict.fromkeys(CycleKind, 0)
         for p in _window_draws(20_000):
-            work = p if p.drift < 0 else sliding._mirror(p)
-            cycle, lo, hi, reason = sliding._window(p, work)
+            cycle, lo, hi, reason = sliding._window(p, sliding._frame(p))
             want = _four_windows(p)
             assert (cycle, lo.hex(), hi.hex(), reason) == \
                 (want[0], want[1].hex(), want[2].hex(), want[3]), p
             seen[cycle] += 1
         assert min(seen.values()) > 300, seen
+
+    @pytest.mark.parametrize("drift", [-1e-13, 0.0, 1e-13])
+    def test_colliding_folds_at_either_drift_sign(self, drift):
+        # a drift that ties with 0 works in the mirror frame and mirrors the
+        # folds back whatever its sign: at 0 the mirror's folds were reported,
+        # and at -1e-13 the unmirrored frame raised EventStall
+        base = example_two_sliding_params()
+        p = replace(base, v1m=0.5, v1p=-0.5 * base.b + drift)
+        report = detect_sliding_cycle(p)
+        assert report.cycle is CycleKind.NONE
+        assert report.reason == "b*v1m + v1p = 0: fold points collide at first order"
+        assert_allclose((report.fold_y1, report.fold_y2, report.fold_y3),
+                        (0.005, 0.005, -0.52326316562513), rtol=0.0, atol=1e-12)
 
     def test_escaping_type_one_ends_at_positive_zero(self):
         base = type_one_sliding_params()

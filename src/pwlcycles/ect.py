@@ -5,30 +5,18 @@ A family (g0, ..., gk) on an interval is an extended complete Chebyshev
 system when every leading Wronskian W(g0..gs) is nonvanishing there; any
 nontrivial combination then has at most k zeros counting multiplicity.
 The checks here are numeric evidence on a grid, never proofs, and the
-verdicts say so.
+verdicts say so.  Every family carries analytic derivatives of the orders
+its Wronskians read; finite differences are a test reference
+(``stencil_family`` in ``tests/oracles.py``), not a fallback.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
-
-from .errors import DerivativeUnavailable
-
-# 4th-order central stencils, offsets -3..3, divided by h^order
-_STENCILS = {
-    1: ([-2, -1, 1, 2], [1 / 12, -8 / 12, 8 / 12, -1 / 12]),
-    2: ([-2, -1, 0, 1, 2], [-1 / 12, 16 / 12, -30 / 12, 16 / 12, -1 / 12]),
-    3: ([-3, -2, -1, 1, 2, 3], [1 / 8, -1, 13 / 8, -13 / 8, 1, -1 / 8]),
-    4: ([-3, -2, -1, 0, 1, 2, 3], [-1 / 6, 2, -13 / 2, 28 / 3, -13 / 2, 2, -1 / 6]),
-}
-
-# noise-optimal steps for a 4th-order stencil of the k-th derivative,
-# eps_machine^(1/(4+k)); a fixed small step would drown high orders in
-# rounding noise (error ~ eps/h^k)
-_FD_STEP = {k: float(np.finfo(float).eps ** (1.0 / (4 + k))) for k in _STENCILS}
 
 PUNCTURE_RADIUS = 1e-6  # scan grids skip points this close to a puncture
 ECT_GRID = 1024        # points of the Wronskian scan of check_ect
@@ -36,36 +24,37 @@ ECT_GRID = 1024        # points of the Wronskian scan of check_ect
 
 @dataclass(frozen=True)
 class FunctionFamily:
-    """Ordered scalar functions on an open interval.
+    """Ordered scalar functions on an open interval, with their derivatives.
 
     Members and derivatives take a float array and return an array of its
     shape, or a scalar (``lambda s: 1.0``), which is broadcast.
-    ``derivatives[i][k-1]`` is the k-th derivative of member i when analytic
-    derivatives are supplied; otherwise fourth-order central differences
-    with step ``_FD_STEP[k] * max(1, |s0|)`` per point are used.
-    ``punctures`` are isolated points excluded from scan grids (removable
-    factors of closed forms).
+    ``derivatives[i][k-1]`` is the k-th derivative of member i; each member
+    has at least ``len(members) - 1`` of them, the orders the leading
+    Wronskians read.  ``interval`` is ``(lo, hi)`` with finite ends and
+    ``lo < hi``.  ``punctures`` are isolated points excluded from scan grids
+    (removable factors of closed forms).  A family that breaks these rules
+    raises ``ValueError`` naming the field.
     """
 
     members: tuple
     interval: tuple
-    derivatives: tuple | None = None
+    derivatives: tuple
     punctures: tuple = ()
+
+    def __post_init__(self):
+        lo, hi = self.interval
+        if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
+            raise ValueError(f"interval must have finite ends lo < hi, got {self.interval}")
+        need = len(self.members) - 1
+        if len(self.derivatives) != len(self.members) \
+                or any(len(ds) < need for ds in self.derivatives):
+            raise ValueError(f"derivatives must give each of the {len(self.members)} "
+                             f"members its first {need} derivatives")
 
     def deriv(self, i: int, k: int, s0):
         """k-th derivative of member i at a float s0, or over an array of points."""
-        if k == 0:
-            val = self.members[i](s0)
-        elif self.derivatives is not None and k <= len(self.derivatives[i]):
-            val = self.derivatives[i][k - 1](s0)
-        elif k not in _STENCILS:
-            raise DerivativeUnavailable(f"no stencil for derivative order {k}")
-        else:
-            h = _FD_STEP[k] * np.maximum(1.0, np.abs(s0))
-            offs, coefs = _STENCILS[k]
-            val = sum(c * np.asarray(self.members[i](s0 + o * h), dtype=float)
-                      for o, c in zip(offs, coefs)) / h ** k
-        val = np.asarray(val, dtype=float)
+        g = self.derivatives[i][k - 1] if k else self.members[i]
+        val = np.asarray(g(s0), dtype=float)
         if val.shape != np.shape(s0):
             val = np.broadcast_to(val, np.shape(s0))
         return val if val.shape else float(val)
@@ -83,8 +72,9 @@ def _matrices(fam: FunctionFamily, n: int, s) -> np.ndarray:
 def wronskian(fam: FunctionFamily, order: int, s0):
     """Determinant of the (order+1)x(order+1) derivative matrix at s0, a
     float (giving a float) or an array of points (giving an array)."""
-    if order >= len(fam.members):
-        raise ValueError("order must be < number of members")
+    if not 0 <= order < len(fam.members):
+        raise ValueError(f"order must be in [0, {len(fam.members)}), the number of "
+                         f"members, got {order}")
     lo, hi = fam.interval
     s = np.asarray(s0, dtype=float)
     outside = s[~((lo < s) & (s < hi))]
@@ -220,8 +210,12 @@ def amplitude_family(beta: float, interval=(1e-2, 1e2)) -> FunctionFamily:
     Spans the rescaled Melnikov combination of the unconstrained case;
     analytic derivatives through third order are supplied.  The points
     s0 = 1 and s0 = 1/beta are punctured from scan grids (removable
-    factors of the closed-form Wronskians).
+    factors of the closed-form Wronskians).  beta = d/(e xi) must be finite
+    and positive, else ``ValueError``: the last member is even in beta, and
+    its first derivative's ``2 beta`` term stands for ``2 |beta|``.
     """
+    if not (math.isfinite(beta) and beta > 0.0):
+        raise ValueError(f"beta must be finite and positive, got {beta}")
     b2 = beta * beta
 
     f0 = lambda s: s

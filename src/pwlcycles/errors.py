@@ -63,7 +63,3 @@ class ConstraintViolated(PwlError):
 
 class BoundViolated(PwlError):
     """A proved root-count bound was numerically exceeded (build-failing)."""
-
-
-class DerivativeUnavailable(PwlError):
-    """No analytic or stable numeric derivative of the requested order."""

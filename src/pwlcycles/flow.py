@@ -502,7 +502,7 @@ def _fold_map(sys: PwlSystem) -> dict:
         return {}
 
 
-def simulate(sys: PwlSystem, start, t_max: float, *, backward: bool = False,
+def simulate(sys: PwlSystem, start, t_max: float, *,
              max_segments: int = 10_000) -> Trajectory:
     """Event-driven trajectory of the Filippov system from ``start``.
 
@@ -515,7 +515,7 @@ def simulate(sys: PwlSystem, start, t_max: float, *, backward: bool = False,
     raise ``MaxSegmentsExceeded``, a state that overflows ``EventStall``;
     a non-finite start or a t_max outside (0, inf) raises ``ValueError``.
     """
-    traj = Trajectory(direction=-1.0 if backward else 1.0)
+    traj = Trajectory()
     for _ in _run(sys, start, t_max, max_segments, traj, record=True):
         pass
     return traj

@@ -7,6 +7,8 @@ system at infinity is stepped by fixed-step RK4 on the polar field of the
 plane inversion, ``polar_bendixson_rhs`` below.  The one exception is
 ``first_component_zero_reference``, the event search as a full numpy
 scan: a differential reference that shares the package's event set-up.
+``stencil_family`` gives a function family finite-difference derivatives,
+the reference for the analytic derivatives of the shipped families.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ from scipy.linalg import expm
 from scipy.optimize import brentq
 
 from pwlcycles.core import PwlSystem
+from pwlcycles.ect import FunctionFamily
 from pwlcycles.errors import PwlError
 
 
@@ -340,3 +343,39 @@ def right_radial_correction(sys: PwlSystem, rho0: float, theta) -> np.ndarray:
            - co2 * (math.pi * b * (b + c) * sp + 2.0 * xi * (c * c2 - b * d1))
            + math.pi * b * (b - c) * sp + 2.0 * b * d1 * xi - 2.0 * c * c2 * xi)
     return pref * val
+
+
+# 4th-order central stencils, offsets -3..3, divided by h^order
+_STENCILS = {
+    1: ([-2, -1, 1, 2], [1 / 12, -8 / 12, 8 / 12, -1 / 12]),
+    2: ([-2, -1, 0, 1, 2], [-1 / 12, 16 / 12, -30 / 12, 16 / 12, -1 / 12]),
+    3: ([-3, -2, -1, 1, 2, 3], [1 / 8, -1, 13 / 8, -13 / 8, 1, -1 / 8]),
+    4: ([-3, -2, -1, 0, 1, 2, 3], [-1 / 6, 2, -13 / 2, 28 / 3, -13 / 2, 2, -1 / 6]),
+}
+
+# noise-optimal steps for a 4th-order stencil of the k-th derivative,
+# eps_machine^(1/(4+k)); a fixed small step would drown high orders in
+# rounding noise (error ~ eps/h^k)
+_FD_STEP = {k: float(np.finfo(float).eps ** (1.0 / (4 + k))) for k in _STENCILS}
+
+
+def _stencil(g, k: int):
+    """k-th derivative of g by the fourth-order central stencil, with step
+    ``_FD_STEP[k] * max(1, |s0|)`` per point."""
+    offs, coefs = _STENCILS[k]
+
+    def d(s0):
+        h = _FD_STEP[k] * np.maximum(1.0, np.abs(s0))
+        return sum(c * np.asarray(g(s0 + o * h), dtype=float)
+                   for o, c in zip(offs, coefs)) / h ** k
+    return d
+
+
+def stencil_family(members, interval, punctures=()) -> FunctionFamily:
+    """The family of ``members`` with stencil derivatives of the orders its
+    Wronskians read, each calling the members themselves."""
+    orders = range(1, len(members))
+    return FunctionFamily(members=tuple(members), interval=interval,
+                          derivatives=tuple(tuple(_stencil(g, k) for k in orders)
+                                            for g in members),
+                          punctures=tuple(punctures))

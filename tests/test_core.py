@@ -436,6 +436,12 @@ class TestPublicApi:
         ("sliding", "s_maps_general_order1"),
     }
 
+    @staticmethod
+    def _trees(folder):
+        """Syntax tree of each module in ``folder``, by module name."""
+        import ast
+        return {p.stem: ast.parse(p.read_text()) for p in sorted(folder.glob("*.py"))}
+
     def test_every_public_definition_is_used(self):
         # a guard against regrowth: each public module-level function or
         # class in src/ is referenced by src/ code outside its own
@@ -447,8 +453,7 @@ class TestPublicApi:
         import pathlib
 
         import pwlcycles
-        root = pathlib.Path(pwlcycles.__file__).parent
-        trees = {p.stem: ast.parse(p.read_text()) for p in sorted(root.glob("*.py"))}
+        trees = self._trees(pathlib.Path(pwlcycles.__file__).parent)
         uses = []  # (top-level statement, the names it references)
         for mod, tree in trees.items():
             if mod == "__init__":
@@ -472,3 +477,26 @@ class TestPublicApi:
                   and (mod, name) not in self.KEPT_CLOSED_FORMS
                   and not any(name in names for other, names in uses if other is not stmt)]
         assert unused == []
+
+    def test_every_keyword_only_parameter_is_passed(self):
+        # a guard against regrowth: each keyword-only parameter of a public
+        # module-level function in src/ is passed by name at a call of that
+        # function in src/ or perfbench/, so no keyword is set by tests alone
+        import ast
+        import pathlib
+
+        import pwlcycles
+        src = self._trees(pathlib.Path(pwlcycles.__file__).parent)
+        bench = self._trees(pathlib.Path(__file__).resolve().parents[1] / "perfbench")
+        assert bench
+        passed = set()
+        for tree in [*src.values(), *bench.values()]:
+            for node in ast.walk(tree):
+                if isinstance(node, ast.Call):
+                    name = getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+                    passed.update((name, kw.arg) for kw in node.keywords)
+        keywords = [(stmt.name, arg.arg) for tree in src.values() for stmt in tree.body
+                    if isinstance(stmt, ast.FunctionDef) and not stmt.name.startswith("_")
+                    for arg in stmt.args.kwonlyargs]
+        assert ("simulate", "max_segments") in keywords
+        assert [k for k in keywords if k not in passed] == []

@@ -1,7 +1,10 @@
+import math
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from oracles import stencil_family
 from pwlcycles.ect import (
     EctVerdict,
     FunctionFamily,
@@ -28,8 +31,13 @@ class TestWronskian:
         assert wronskian(fam, 0, 1.0) == pytest.approx(1.0)
         assert wronskian(fam, 1, 1.0) == pytest.approx(3.0)  # beta^2 s^2 - 1
 
+    @pytest.mark.parametrize("order", [-2, -1, 4])
+    def test_order_outside_the_members_rejected(self, order):
+        with pytest.raises(ValueError, match=r"order must be in \[0, 4\)"):
+            wronskian(amplitude_family(2.0), order, 1.5)
+
     def test_constant_family(self):
-        fam = FunctionFamily(members=(lambda s: 1.0,), interval=(0.0, 10.0))
+        fam = stencil_family((lambda s: 1.0,), (0.0, 10.0))
         assert wronskian(fam, 0, 3.0) == pytest.approx(1.0)
 
     def test_third_order_against_closed_form(self):
@@ -55,8 +63,7 @@ class TestWronskian:
         # strip the analytic derivatives and recompute with stencils
         for beta in (0.5, 2.0):
             fam = amplitude_family(beta)
-            bare = FunctionFamily(members=fam.members, interval=fam.interval,
-                                  punctures=fam.punctures)
+            bare = stencil_family(fam.members, fam.interval, fam.punctures)
             rng = np.random.default_rng(4)
             for _ in range(50):
                 s0 = float(rng.uniform(0.2, 5.0))
@@ -87,6 +94,46 @@ class TestWronskian:
             assert np.all(sign == np.sign(beta ** 3 * (beta ** 2 - 1)))
 
 
+class TestFamilyRules:
+    @pytest.mark.parametrize("beta", [0.0, -2.0, math.nan, math.inf, -math.inf])
+    def test_amplitude_beta_must_be_finite_and_positive(self, beta):
+        # beta = d/(e xi) > 0; at beta = -2 the last member's first
+        # derivative took 2*beta where 2|beta| is needed
+        with pytest.raises(ValueError, match="beta must be finite and positive"):
+            amplitude_family(beta)
+
+    @pytest.mark.parametrize("interval", [(100.0, 0.01), (1.0, 1.0), (math.nan, 1.0),
+                                          (0.01, math.nan), (0.0, math.inf)])
+    def test_interval_must_be_finite_and_increasing(self, interval):
+        # (-1, 1) and (0, 10) stay valid: the stencil families above use them
+        with pytest.raises(ValueError, match="interval"):
+            amplitude_family(2.0, interval)
+
+    def test_every_wronskian_order_needs_its_derivatives(self):
+        fam = amplitude_family(2.0)
+        with pytest.raises(ValueError, match="derivatives"):
+            FunctionFamily(members=fam.members, interval=fam.interval,
+                           derivatives=tuple(ds[:1] for ds in fam.derivatives))
+        with pytest.raises(ValueError, match="derivatives"):
+            FunctionFamily(members=fam.members, interval=fam.interval,
+                           derivatives=fam.derivatives[:3])
+
+    @pytest.mark.parametrize("beta", [0.5, 2.0, 3.0, None])
+    def test_shipped_derivatives_against_stencils(self, beta):
+        # each analytic derivative, order by order, against the stencil of
+        # the same member; an order-3 stencil rounds to about 6e-9 times
+        # the member's size, so atol scales with it
+        fam = constrained_family() if beta is None else amplitude_family(beta)
+        ref = stencil_family(fam.members, fam.interval, fam.punctures)
+        ss = np.geomspace(0.02, 50.0, 200)
+        ss = ss[np.min([np.abs(ss - p) for p in fam.punctures], axis=0) > 1e-2]
+        for i in range(len(fam.members)):
+            size = np.maximum(1.0, np.abs(fam.deriv(i, 0, ss)))
+            for k in range(1, len(fam.members)):
+                err = np.abs(fam.deriv(i, k, ss) - ref.deriv(i, k, ss))
+                assert np.all(err <= 1e-8 * size + 1e-6 * np.abs(ref.deriv(i, k, ss))), (i, k)
+
+
 class TestCheckEct:
     def test_amplitude_family_verdicts(self):
         # W1 = beta^2 s0^2 - 1 vanishes at 1/beta and W2 crosses near
@@ -106,8 +153,7 @@ class TestCheckEct:
         assert np.all(amplitude_w3(0.5, ss) < 0)
 
     def test_polynomials_are_ect(self):
-        fam = FunctionFamily(members=(lambda s: 1.0, lambda s: s, lambda s: s * s),
-                             interval=(0.1, 10.0))
+        fam = stencil_family((lambda s: 1.0, lambda s: s, lambda s: s * s), (0.1, 10.0))
         _, verdict = check_ect(fam)
         assert verdict is EctVerdict.ECT
 
@@ -120,8 +166,7 @@ class TestCheckEct:
         assert profile.sign_changes[-1] == 0
 
     def test_single_last_order_zero_gives_accuracy_verdict(self):
-        fam = FunctionFamily(members=(lambda s: 1.0, lambda s: s, lambda s: s ** 3),
-                             interval=(-1.0, 1.0))
+        fam = stencil_family((lambda s: 1.0, lambda s: s, lambda s: s ** 3), (-1.0, 1.0))
         _, verdict = check_ect(fam)
         assert verdict is EctVerdict.ET_WITH_ACCURACY
 
@@ -138,9 +183,11 @@ class TestGridPath:
     @staticmethod
     def families():
         fam = amplitude_family(2.0)
-        bare = FunctionFamily(members=fam.members, interval=fam.interval,
-                              punctures=fam.punctures)
-        return {"analytic": fam, "stencil": bare, "constrained": constrained_family()}
+        return {"analytic": fam,
+                "stencil": stencil_family(fam.members, fam.interval, fam.punctures),
+                "constrained": constrained_family(),
+                "cubic": stencil_family((lambda s: 1.0, lambda s: s, lambda s: s ** 3),
+                                        (-1.0, 1.0))}
 
     @pytest.mark.parametrize("name", ["analytic", "stencil", "constrained"])
     def test_grid_matches_points(self, name):
@@ -172,8 +219,7 @@ class TestGridPath:
     def test_refinement_is_plain_bisection(self, name):
         # reference: the per-bracket scalar bisection, 80 halvings keeping the
         # end whose sign W has at the bracket's left end
-        fam = self.families().get(name) or FunctionFamily(
-            members=(lambda s: 1.0, lambda s: s, lambda s: s ** 3), interval=(-1.0, 1.0))
+        fam = self.families()[name]
         profile, _ = check_ect(fam)
         want = []
         for k, v in enumerate(profile.values):
@@ -205,22 +251,24 @@ class TestGridPath:
                 return g(s)
             return h
 
-        wrapped = FunctionFamily(
-            members=tuple(counted(f"g{i}", g) for i, g in enumerate(fam.members)),
-            interval=fam.interval,
-            derivatives=None if fam.derivatives is None else tuple(
-                tuple(counted(f"d{k + 1}g{i}", g) for k, g in enumerate(ds))
-                for i, ds in enumerate(fam.derivatives)),
-            punctures=fam.punctures)
+        members = tuple(counted(f"g{i}", g) for i, g in enumerate(fam.members))
+        if name == "stencil":  # the stencils call the counted members
+            wrapped = stencil_family(members, fam.interval, fam.punctures)
+        else:
+            wrapped = FunctionFamily(
+                members=members, interval=fam.interval,
+                derivatives=tuple(tuple(counted(f"d{k + 1}g{i}", g) for k, g in enumerate(ds))
+                                  for i, ds in enumerate(fam.derivatives)),
+                punctures=fam.punctures)
         profile, verdict = check_ect(wrapped)
         ref_profile, ref_verdict = check_ect(fam)
         assert verdict is ref_verdict
         assert profile.sign_changes == ref_profile.sign_changes
         # one matrix for the grid, one per refinement round and one for the
         # slope test; a stencil evaluates a member 1 + 4 + 5 + 6 times per matrix
-        per_matrix = 1 if fam.derivatives is not None else 16
+        per_matrix = 1 if name == "analytic" else 16
         matrices = 1 + _BISECT_STEPS // _BISECT_DEPTH + 1
-        assert len(calls) == (16 if fam.derivatives is not None else 4)
+        assert len(calls) == (16 if name == "analytic" else 4)
         assert max(calls.values()) <= per_matrix * matrices
 
 

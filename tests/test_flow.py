@@ -74,11 +74,21 @@ def _return_case(case):
                             B_plus=B_plus, v_plus=v_plus).with_epsilon(1e-4)
 
 
+def _simulate_backward(sys, start, t_max, max_segments=10_000):
+    """``simulate`` run backward in time: the recording run of ``flow._run``
+    on a backward ``Trajectory``, as ``flow._first_return`` drives it."""
+    traj = flow.Trajectory(direction=-1.0)
+    for _ in flow._run(sys, start, t_max, max_segments, traj, record=True):
+        pass
+    return traj
+
+
 def _full_run_return(sys, y0, backward):
     """(y of the first return, the recording run, t_max) of a ``simulate``
     run over the first-return budget; y is None without a return."""
     t_max = 3.0 * (2.0 * math.pi + math.pi / flow._xi_of(sys))
-    traj = simulate(sys, (0.0, y0), t_max, max_segments=64, backward=backward)
+    run = _simulate_backward if backward else simulate
+    traj = run(sys, (0.0, y0), t_max, max_segments=64)
     y_ret = next((ev.y for ev in traj.crossings
                   if ev.t != 0.0 and (ev.y > 0) == (y0 > 0)), None)
     return y_ret, traj, t_max
@@ -259,14 +269,14 @@ class TestSimulate:
         start = (0.0, 1.3)
         fwd = simulate(sys, start, 5.0)
         end = fwd.samples[-1]
-        back = simulate(sys, (end[1], end[2]), 5.0, backward=True)
+        back = _simulate_backward(sys, (end[1], end[2]), 5.0)
         final = back.samples[-1]
         assert_allclose((final[1], final[2]), start, atol=1e-8)
         assert "Sliding" not in fwd.segment_kinds()
 
     @pytest.mark.parametrize("t_max", [8.0, 40.0])
     def test_backward_csv_labels_every_row(self, t_max):
-        traj = simulate(example_one(1e-2), (0.0, 1.5), t_max, backward=True)
+        traj = _simulate_backward(example_one(1e-2), (0.0, 1.5), t_max)
         rows = [line.split(",") for line in traj.to_csv().splitlines()[1:]]
         assert len(rows) == len(traj.samples)
         seg_iter = iter(traj.segments)
@@ -1056,14 +1066,14 @@ class TestSlidingMotion:
         # N = 2y^2 + 1.6y - 1.2 until it is within rounding of it
         sys = _slide_system(1.0, -0.2, 0.0, -1.0)
         root = (-1.6 + math.sqrt(1.6 ** 2 + 9.6)) / 4.0
-        traj = simulate(sys, (0.0, 0.6), 60.0, backward=True)
+        traj = _simulate_backward(sys, (0.0, 0.6), 60.0)
         assert traj.stopped == "t_max"
         t, _x, y = traj.samples[-1]
         assert t == -60.0
         assert abs(y - root) < 1e-14
 
     def test_backward_slide_reaches_fold(self):
-        traj = simulate(_decay_system(), (0.0, 0.5), 5.0, backward=True)
+        traj = _simulate_backward(_decay_system(), (0.0, 0.5), 5.0)
         seg, = traj.segments
         assert seg.kind == "Sliding"
         assert abs(seg.t_end + math.log(2.0)) < 1e-12
@@ -1252,5 +1262,5 @@ class TestEngineBits:
     @pytest.mark.parametrize("i", range(3))
     def test_simulate_csv(self, i):
         sys, start, t_max, backward = _bit_simulations()[i]
-        csv = simulate(sys, start, t_max, backward=backward).to_csv()
+        csv = (_simulate_backward if backward else simulate)(sys, start, t_max).to_csv()
         assert hashlib.sha256(csv.encode()).hexdigest() == self.CSV_SHA256[i]

@@ -18,6 +18,8 @@ from enum import Enum
 
 import numpy as np
 
+from .melnikov import _ARC_TERM
+
 PUNCTURE_RADIUS = 1e-6  # scan grids skip points this close to a puncture
 ECT_GRID = 1024        # points of the Wronskian scan of check_ect
 
@@ -53,8 +55,10 @@ class FunctionFamily:
 
     def deriv(self, i: int, k: int, s0):
         """k-th derivative of member i at a float s0, or over an array of points."""
-        g = self.derivatives[i][k - 1] if k else self.members[i]
-        val = np.asarray(g(s0), dtype=float)
+        fs = (self.members[i], *self.derivatives[i])
+        if not 0 <= k < len(fs):
+            raise ValueError(f"k must be in [0, {len(fs) - 1}] for member {i}, got {k}")
+        val = np.asarray(fs[k](s0), dtype=float)
         if val.shape != np.shape(s0):
             val = np.broadcast_to(val, np.shape(s0))
         return val if val.shape else float(val)
@@ -199,69 +203,54 @@ def _bisect(fam: FunctionFamily, order, a, b, positive) -> np.ndarray:
 # the two concrete families behind the cycle counts
 # ---------------------------------------------------------------------------
 
-def _acos_u(u):
-    return np.arccos(2.0 / u - 1.0)
+def _arc_interval(interval) -> tuple:
+    """``interval`` if it lies on s > 0, where G is M1's arc term."""
+    if not interval[0] > 0:
+        raise ValueError(f"interval must lie on s > 0, got {interval}")
+    return interval
+
+
+def _arc_at(beta: float, k: int):
+    """s -> the k-th derivative of G(beta s), beta^k G^(k)(beta s)."""
+    scale, g = beta ** k, _ARC_TERM[k]
+    return lambda s: scale * g(beta * s)
 
 
 def amplitude_family(beta: float, interval=(1e-2, 1e2)) -> FunctionFamily:
-    """(s0, 1 + beta^2 s0^2, u*arccos(2/u - 1), ub*arccos(2/ub - 1)) with
-    u = s0^2+1, ub = beta^2 s0^2 + 1.
+    """(s0, 1 + beta^2 s0^2, G(s0), G(beta s0)) with M1's arc term
+    G(s) = (s^2+1)*arccos(2/(s^2+1) - 1) = 2(s^2+1)*arctan(s).
 
     Spans the rescaled Melnikov combination of the unconstrained case;
     analytic derivatives through third order are supplied.  The points
     s0 = 1 and s0 = 1/beta are punctured from scan grids (removable
     factors of the closed-form Wronskians).  beta = d/(e xi) must be finite
-    and positive, else ``ValueError``: the last member is even in beta, and
-    its first derivative's ``2 beta`` term stands for ``2 |beta|``.
+    and positive, and the interval must lie on s0 > 0, else ``ValueError``.
     """
     if not (math.isfinite(beta) and beta > 0.0):
         raise ValueError(f"beta must be finite and positive, got {beta}")
     b2 = beta * beta
-
-    f0 = lambda s: s
-    f1 = lambda s: 1.0 + b2 * s * s
-    f2 = lambda s: (s * s + 1.0) * _acos_u(s * s + 1.0)
-    f3 = lambda s: (b2 * s * s + 1.0) * _acos_u(b2 * s * s + 1.0)
-
-    d_f0 = (lambda s: 1.0, lambda s: 0.0, lambda s: 0.0)
-    d_f1 = (lambda s: 2.0 * b2 * s, lambda s: 2.0 * b2, lambda s: 0.0)
-    d_f2 = (
-        lambda s: 2.0 * s * _acos_u(s * s + 1.0) + 2.0,
-        lambda s: 2.0 * _acos_u(s * s + 1.0) + 4.0 * s / (s * s + 1.0),
-        lambda s: 8.0 / (s * s + 1.0) ** 2,
-    )
-    d_f3 = (
-        lambda s: 2.0 * b2 * s * _acos_u(b2 * s * s + 1.0) + 2.0 * beta,
-        lambda s: 2.0 * b2 * _acos_u(b2 * s * s + 1.0)
-        + 4.0 * beta ** 3 * s / (b2 * s * s + 1.0),
-        lambda s: 8.0 * beta ** 3 / (b2 * s * s + 1.0) ** 2,
-    )
     return FunctionFamily(
-        members=(f0, f1, f2, f3),
-        interval=interval,
-        derivatives=(d_f0, d_f1, d_f2, d_f3),
+        members=(lambda s: s, lambda s: 1.0 + b2 * s * s, _ARC_TERM[0], _arc_at(beta, 0)),
+        interval=_arc_interval(interval),
+        derivatives=((lambda s: 1.0, lambda s: 0.0, lambda s: 0.0),
+                     (lambda s: 2.0 * b2 * s, lambda s: 2.0 * b2, lambda s: 0.0),
+                     _ARC_TERM[1:],
+                     tuple(_arc_at(beta, k) for k in (1, 2, 3))),
         punctures=(1.0, 1.0 / beta),
     )
 
 
 def constrained_family(interval=(1e-2, 1e2)) -> FunctionFamily:
-    """(s0, (s0^2+1)*arccos(1 - 2/(s0^2+1))): spans the constrained-case
-    rescaled Melnikov combination up to an affine substitution."""
-    def a_(u):
-        return np.arccos(1.0 - 2.0 / u)
+    """(s0, pi(s0^2+1) - G(s0)), with G as in ``amplitude_family``.
 
-    f0 = lambda s: s
-    f1 = lambda s: (s * s + 1.0) * a_(s * s + 1.0)
-    d_f0 = (lambda s: 1.0, lambda s: 0.0, lambda s: 0.0)
-    d_f1 = (
-        lambda s: 2.0 * s * a_(s * s + 1.0) - 2.0,
-        lambda s: 2.0 * a_(s * s + 1.0) - 4.0 * s / (s * s + 1.0),
-        lambda s: -8.0 / (s * s + 1.0) ** 2,
-    )
+    The second member is s0^2 G(1/s0): M1's constrained span {s0, G(s0)}
+    under s0 -> 1/s0, times s0^2 > 0, which keeps zero counts.  The
+    interval must lie on s0 > 0, else ``ValueError``.
+    """
     return FunctionFamily(
-        members=(f0, f1),
-        interval=interval,
-        derivatives=(d_f0, d_f1),
+        members=(lambda s: s, lambda s: math.pi * (s * s + 1.0) - _ARC_TERM[0](s)),
+        interval=_arc_interval(interval),
+        derivatives=((lambda s: 1.0,), (lambda s: 2.0 * math.pi * s - _ARC_TERM[1](s),)),
         punctures=(1.0,),
     )
 
@@ -280,7 +269,7 @@ def amplitude_w1(beta: float, s0):
 def amplitude_w2(beta: float, s0):
     s0 = np.asarray(s0, dtype=float)
     u = s0 * s0 + 1.0
-    return (2.0 * (beta * beta - 1.0) * np.arccos(2.0 / u - 1.0)
+    return (2.0 * (beta * beta - 1.0) * 2.0 * np.arctan(s0)
             - 4.0 * (beta * beta + 1.0) * s0 / u)
 
 
@@ -289,7 +278,7 @@ def amplitude_w3(beta: float, s0):
     u = s0 * s0 + 1.0
     ub = beta * beta * s0 * s0 + 1.0
     num = 16.0 * beta ** 3 * (beta * beta - 1.0) * (
-        2.0 * s0 * (s0 * s0 - 1.0) + u * u * np.arccos(2.0 / u - 1.0))
+        2.0 * s0 * (s0 * s0 - 1.0) + u * u * 2.0 * np.arctan(s0))
     return num / (u * u * ub * ub)
 
 
@@ -302,8 +291,7 @@ def amplitude_w3_tilde_slope(beta: float, s0):
 
 def constrained_w1(s0):
     s0 = np.asarray(s0, dtype=float)
-    u = s0 * s0 + 1.0
-    return -2.0 * s0 + (s0 * s0 - 1.0) * np.arccos(1.0 - 2.0 / u)
+    return -2.0 * s0 + (s0 * s0 - 1.0) * (math.pi - 2.0 * np.arctan(s0))
 
 
 def constrained_w1_tilde_slope(s0):

@@ -144,6 +144,17 @@ def _acos(arg):
     return math.acos(min(max(arg, -1.0), 1.0))
 
 
+# M1's arc term G(s) = (s^2+1)*arccos(2/(s^2+1) - 1) = 2(s^2+1)*arctan(s) on s > 0,
+# in the form that keeps its digits as s -> 0: _ARC_TERM[k](s, atan) is G^(k)(s),
+# with atan np.arctan (the same bits for a number and an array) or math.atan.
+_ARC_TERM = (
+    lambda s, atan=np.arctan: 2.0 * (s * s + 1.0) * atan(s),
+    lambda s, atan=np.arctan: 4.0 * s * atan(s) + 2.0,
+    lambda s, atan=np.arctan: 4.0 * atan(s) + 4.0 * s / (1.0 + s * s),
+    lambda s, atan=np.arctan: 8.0 / (1.0 + s * s) ** 2,
+)
+
+
 def m1(p: MelnikovParams, y0):
     """First-order Melnikov function at amplitude y0 > 0: a float (``math``)
     for a number, an array (numpy) for an array; NaN amplitudes give NaN."""
@@ -186,12 +197,11 @@ class ReducedParams:
     y0 = d*s0/xi = alpha*beta*s0/xi, under which
 
         mtilde1(s0) = 2*b*beta*xi^2*s0 * M1(d*s0/xi)
-                    = K0*s0
-                      + K1*(beta^2 s0^2 + 1)*(arccos(2/(beta^2 s0^2+1) - 1) - 2 pi)
-                      + K2*(s0^2 + 1)*arccos(2/(s0^2+1) - 1).
+                    = K0*s0 + K1*(G(beta s0) - 2 pi (beta^2 s0^2 + 1)) + K2*G(s0)
 
+    with the arc term G(s) = (s^2+1)*arccos(2/(s^2+1) - 1) = 2(s^2+1)*arctan(s).
     k0, k1 are the analogous constants of the constrained case, where
-    s0 * M1(d*s0/xi) = k0*s0 + k1*(s0^2+1)*arccos(2/(s0^2+1) - 1).
+    s0 * M1(d*s0/xi) = k0*s0 + k1*G(s0).
     """
 
     alpha: float
@@ -220,11 +230,10 @@ class ReducedParams:
 def m1_reduced(red: ReducedParams, s0):
     """The rescaled combination mtilde1(s0); zeros coincide with M1's."""
     s0 = _positive(s0, "m1_reduced needs s0 > 0")
-    ub = red.beta * red.beta * s0 * s0 + 1.0
-    u = s0 * s0 + 1.0
-    return (red.K0 * s0
-            + red.K1 * ub * (_acos(2.0 / ub - 1.0) - 2.0 * math.pi)
-            + red.K2 * u * _acos(2.0 / u - 1.0))
+    g, bs = _ARC_TERM[0], red.beta * s0
+    atan = np.arctan if isinstance(s0, np.ndarray) else math.atan
+    return (red.K0 * s0 + red.K1 * (g(bs, atan) - 2.0 * math.pi * (bs * bs + 1.0))
+            + red.K2 * g(s0, atan))
 
 
 def reduced_limit_at_zero(red: ReducedParams) -> float:

@@ -7,7 +7,9 @@ and requires the raw error (1.0315% at eps = 1e-4, amplitude 5) to halve as
 eps halves.  See README.md.
 """
 
-from pwlcycles import acceptance
+import pytest
+
+from pwlcycles import acceptance, sliding
 
 
 def _report(result):
@@ -59,3 +61,13 @@ def test_criterion_8_simultaneity():
 def test_criterion_9_reduction_conjugacy():
     r = acceptance.criterion_9()
     assert r.passed, _report(r)
+
+
+@pytest.mark.parametrize("criterion", [acceptance.criterion_2, acceptance.criterion_3,
+                                       acceptance.criterion_8])
+def test_lost_roots_fail_without_an_exception(monkeypatch, criterion):
+    # a regression that loses every root must read FAIL, so that
+    # verify-examples prints it and exits 2, not die on an IndexError
+    monkeypatch.setattr(acceptance, "find_roots", lambda *args: [])
+    monkeypatch.setattr(sliding, "find_roots", lambda *args: [])
+    assert criterion().passed is False

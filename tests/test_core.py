@@ -478,6 +478,26 @@ class TestPublicApi:
                   and not any(name in names for other, names in uses if other is not stmt)]
         assert unused == []
 
+    def test_one_home_for_the_arc_term(self):
+        # a guard against a second copy of M1's arc term G, whose one home is
+        # melnikov._ARC_TERM in arctan form: arccos is named only by the
+        # clamped arccos of m1 and m1_constrained, the flow's half-cosine
+        # step, which is not the arc term, and the verbatim legacy fixture
+        import ast
+        import pathlib
+
+        import pwlcycles
+        naming = set()
+        for mod, tree in self._trees(pathlib.Path(pwlcycles.__file__).parent).items():
+            for stmt in tree.body:
+                for node in ast.walk(stmt):
+                    name = (getattr(node, "id", None) or getattr(node, "attr", None)
+                            or getattr(node, "name", None))
+                    if name in ("arccos", "acos"):
+                        naming.add(f"{mod}.{getattr(stmt, 'name', stmt.lineno)}")
+        assert naming == {"melnikov._acos", "flow._certificates",
+                          "examples.example_two_nominal_m1"}
+
     def test_every_keyword_only_parameter_is_passed(self):
         # a guard against regrowth: each keyword-only parameter of a public
         # module-level function in src/ is passed by name at a call of that

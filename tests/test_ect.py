@@ -103,11 +103,23 @@ class TestFamilyRules:
             amplitude_family(beta)
 
     @pytest.mark.parametrize("interval", [(100.0, 0.01), (1.0, 1.0), (math.nan, 1.0),
-                                          (0.01, math.nan), (0.0, math.inf)])
+                                          (0.01, math.nan), (0.0, math.inf), (-1.0, 1.0),
+                                          (0.0, 10.0)])
     def test_interval_must_be_finite_and_increasing(self, interval):
-        # (-1, 1) and (0, 10) stay valid: the stencil families above use them
+        # and on s > 0, where G is the arc term: 2(s^2+1) arctan(s) is odd
+        # where (s^2+1) arccos(2/(s^2+1) - 1) is even.  A FunctionFamily
+        # itself takes (-1, 1) and (0, 10): the stencil families above do
         with pytest.raises(ValueError, match="interval"):
             amplitude_family(2.0, interval)
+        with pytest.raises(ValueError, match="interval"):
+            constrained_family(interval)
+
+    @pytest.mark.parametrize("k", [-1, 4])
+    def test_derivative_order_outside_the_supplied_rejected(self, k):
+        # k = -1 read the derivatives from the end and returned the second
+        # derivative; k = 4 raised a bare IndexError
+        with pytest.raises(ValueError, match=r"k must be in \[0, 3\].*got " + str(k)):
+            amplitude_family(2.0).deriv(2, k, 1.5)
 
     def test_every_wronskian_order_needs_its_derivatives(self):
         fam = amplitude_family(2.0)

@@ -6,6 +6,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from pwlcycles import melnikov
+from pwlcycles.ect import constrained_family
 from pwlcycles.errors import ConstraintViolated, MelnikovDomainError
 from pwlcycles.examples import (
     EXAMPLE1_M1_ROOTS,
@@ -17,6 +18,7 @@ from pwlcycles.examples import (
 )
 from pwlcycles.melnikov import (
     SIGN_TOL,
+    _ARC_TERM,
     _acos,
     MelnikovParams,
     MelnikovReport,
@@ -111,6 +113,17 @@ class TestFloatAndArrayPaths:
             p = random_params(rng, constrained)
             arr = f(p, ys)
             flt = [f(p, float(y)) for y in ys]
+            assert all(type(v) is float for v in flt)
+            assert_allclose(flt, arr, rtol=1e-15, atol=1e-15 * np.abs(arr).max())
+
+    def test_reduced_values_agree(self):
+        # m1_reduced reads G with math.atan for a number, np.arctan for an array
+        rng = np.random.default_rng(5)
+        ss = np.geomspace(1e-3, 1e3, 257)
+        for _ in range(50):
+            red = ReducedParams.from_params(random_params(rng))
+            arr = m1_reduced(red, ss)
+            flt = [m1_reduced(red, float(s)) for s in ss]
             assert all(type(v) is float for v in flt)
             assert_allclose(flt, arr, rtol=1e-15, atol=1e-15 * np.abs(arr).max())
 
@@ -224,6 +237,50 @@ class TestReduced:
             r1, r2 = 2 * f[1] - f[0], 2 * f[2] - f[1]
             extrap = (4.0 * r2 - r1) / 3.0
             assert_allclose(extrap, target, rtol=1e-6, atol=1e-9)
+
+
+class TestArcTerm:
+    """M1's arc term G(s) = (s^2+1) arccos(2/(s^2+1) - 1) = 2(s^2+1) arctan(s)
+    and its first three derivatives, the one home of ect's families and
+    m1_reduced."""
+
+    def test_equals_the_arccos_form(self):
+        # the arccos form's argument 2/u - 1 carries up to an ulp of 2, which
+        # arccos amplifies by 1/sin(theta): that form, not G, loses digits as
+        # s -> 0 (6.9e-13 relative at s = 1e-2)
+        ss = np.geomspace(1e-2, 1e2, 4096)
+        u = ss * ss + 1.0
+        theta = np.arccos(2.0 / u - 1.0)
+        rel = np.abs(_ARC_TERM[0](ss) / (u * theta) - 1.0)
+        assert np.all(rel <= 1e-13 + 2.0 * np.finfo(float).eps / (theta * np.sin(theta)))
+
+    @pytest.mark.parametrize("s", [1e-4, 1e-6])
+    def test_full_accuracy_near_zero(self, s):
+        # G = 2s + 4s^3/3 - 4s^5/15 + ..., and the s^5 term is below an ulp;
+        # the arccos form is off by 3.6e-9 at 1e-4 and 4.4e-5 at 1e-6
+        series = 2.0 * s + 4.0 * s ** 3 / 3.0
+        g = _ARC_TERM[0]
+        for value in (g(s), g(s, math.atan), g(np.array([s]))[0]):
+            assert abs(value - series) <= 2.0 * math.ulp(series)
+
+    def test_derivatives_by_complex_step(self):
+        # Im f(s + h i)/h is f'(s) to rounding at h = 1e-30, with no
+        # difference taken.  The step of G'' sums 4/(1+s^2) and
+        # 4(1-s^2)/(1+s^2)^2, which cancel to G''' = 8/(1+s^2)^2 at large s,
+        # hence the absolute term
+        ss = np.geomspace(1e-2, 1e2, 4096)
+        for k in (1, 2, 3):
+            step = _ARC_TERM[k - 1](ss + 1e-30j).imag / 1e-30
+            err = np.abs(_ARC_TERM[k](ss) - step)
+            assert np.all(err <= 1e-14 * (np.abs(step) + 1.0 / (1.0 + ss * ss))), k
+        # the constrained family's second member is s^2 G(1/s), M1's
+        # constrained span under s -> 1/s; pi(s^2+1) - G(s) cancels to about
+        # eps*s relative at large s, and its derivative crosses 0 near s = 0.7
+        fam = constrained_family()
+        mirrored = lambda s: s * s * _ARC_TERM[0](1.0 / s)
+        assert_allclose(fam.deriv(1, 0, ss), mirrored(ss), rtol=1e-12)
+        assert_allclose(fam.deriv(1, 1, ss), mirrored(ss + 1e-30j).imag / 1e-30,
+                        rtol=1e-12, atol=1e-13)
 
 
 class TestConstrained:

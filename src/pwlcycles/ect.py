@@ -244,13 +244,15 @@ def constrained_family(interval=(1e-2, 1e2)) -> FunctionFamily:
     """(s0, pi(s0^2+1) - G(s0)), with G as in ``amplitude_family``.
 
     The second member is s0^2 G(1/s0): M1's constrained span {s0, G(s0)}
-    under s0 -> 1/s0, times s0^2 > 0, which keeps zero counts.  The
-    interval must lie on s0 > 0, else ``ValueError``.
+    under s0 -> 1/s0, times s0^2 > 0, which keeps zero counts.  It and its
+    derivative are written with pi - 2 arctan(s0) = 2 arctan(1/s0), which
+    does not cancel at large s0.  The interval must lie on s0 > 0, else
+    ``ValueError``.
     """
     return FunctionFamily(
-        members=(lambda s: s, lambda s: math.pi * (s * s + 1.0) - _ARC_TERM[0](s)),
+        members=(lambda s: s, lambda s: 2.0 * (s * s + 1.0) * np.arctan(1.0 / s)),
         interval=_arc_interval(interval),
-        derivatives=((lambda s: 1.0,), (lambda s: 2.0 * math.pi * s - _ARC_TERM[1](s),)),
+        derivatives=((lambda s: 1.0,), (lambda s: 4.0 * s * np.arctan(1.0 / s) - 2.0,)),
         punctures=(1.0,),
     )
 
@@ -291,7 +293,7 @@ def amplitude_w3_tilde_slope(beta: float, s0):
 
 def constrained_w1(s0):
     s0 = np.asarray(s0, dtype=float)
-    return -2.0 * s0 + (s0 * s0 - 1.0) * (math.pi - 2.0 * np.arctan(s0))
+    return -2.0 * s0 + (s0 * s0 - 1.0) * 2.0 * np.arctan(1.0 / s0)
 
 
 def constrained_w1_tilde_slope(s0):

@@ -15,6 +15,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property, lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -59,6 +60,33 @@ def _require_finite(params) -> None:
             raise ValueError(f"{type(params).__name__}.{name} must be finite")
 
 
+class _M1Terms(NamedTuple):
+    """The products of ``m1`` and ``m1_constrained`` that read the
+    parameters alone, named after their formulas: sm and sp are the
+    first-order traces, ee = e*e, ee2 = 2*e*e, dd = d*d, dd2 = 2*d*d,
+    xx = xi*xi, xi3 = xi**3, bxi3 = b*xi**3, bd2 = -2*b*d, v1p4 = 4*v1p,
+    v1m4 = 4*v1m, sm2 = 2*sm, bsp = b*sp, and k0 = 2 v1m + 2 v1p/b + d sp/xi^2
+    is the constant of ``m1_constrained``."""
+
+    e: float
+    xi: float
+    sm: float
+    sp: float
+    ee: float
+    ee2: float
+    dd: float
+    dd2: float
+    xx: float
+    xi3: float
+    bxi3: float
+    bd2: float
+    v1p4: float
+    v1m4: float
+    sm2: float
+    bsp: float
+    k0: float
+
+
 @dataclass(frozen=True)
 class MelnikovParams:
     """Normal-form scalars plus the first-order entries entering M1."""
@@ -96,6 +124,20 @@ class MelnikovParams:
     def constrained(self) -> bool:
         """Whether the first-order left trace vanishes (b11m = -b22m)."""
         return scaled_sign(self.trace_minus, self.b11m, self.b22m) == 0
+
+    @cached_property
+    def _terms(self) -> _M1Terms:
+        """M1's parameter-only products, resolved once per instance.  Each is
+        the leading product of its term in ``m1`` or ``m1_constrained``,
+        associated left to right, so that reading it gives the bits of
+        forming it in the call."""
+        e, d, b, xi = self.e, self.d, self.b, self.xi
+        sm, sp = self.trace_minus, self.trace_plus
+        return _M1Terms(
+            e=e, xi=xi, sm=sm, sp=sp, ee=e * e, ee2=2.0 * e * e, dd=d * d,
+            dd2=2.0 * d * d, xx=xi * xi, xi3=xi ** 3, bxi3=b * xi ** 3, bd2=-2.0 * b * d,
+            v1p4=4.0 * self.v1p, v1m4=4.0 * self.v1m, sm2=2.0 * sm, bsp=b * sp,
+            k0=2.0 * self.v1m + 2.0 * self.v1p / b + d * sp / (xi * xi))
 
     @staticmethod
     def from_system(sys: PwlSystem) -> "MelnikovParams":
@@ -136,9 +178,13 @@ def _acos(arg):
     """arccos with clamping restricted to a 1e-14 neighborhood of +-1:
     ``math.acos`` for a float, ``np.arccos`` for an array."""
     if isinstance(arg, np.ndarray):
+        if np.abs(arg).max(initial=0.0) <= 1.0:  # no clamp to apply (NaN fails this)
+            return np.arccos(arg)
         if np.any(np.abs(arg) > 1.0 + ARCCOS_CLAMP):
             raise MelnikovDomainError("arccos argument outside [-1, 1] beyond tolerance")
         return np.arccos(np.clip(arg, -1.0, 1.0))
+    if -1.0 <= arg <= 1.0:
+        return math.acos(arg)
     if abs(arg) > 1.0 + ARCCOS_CLAMP:
         raise MelnikovDomainError("arccos argument outside [-1, 1] beyond tolerance")
     return math.acos(min(max(arg, -1.0), 1.0))
@@ -159,18 +205,16 @@ def m1(p: MelnikovParams, y0):
     """First-order Melnikov function at amplitude y0 > 0: a float (``math``)
     for a number, an array (numpy) for an array; NaN amplitudes give NaN."""
     y0 = _positive(y0, "m1 needs y0 > 0")
-    e, d, b, xi = p.e, p.d, p.b, p.xi
-    sm, sp = p.trace_minus, p.trace_plus
-    left_arg = 2.0 * e * e / (e * e + y0 * y0) - 1.0
-    right_arg = 2.0 * d * d / (d * d + xi * xi * y0 * y0) - 1.0
-    acl = _acos(left_arg)
-    acr = _acos(right_arg)
-    inner = (-2.0 * b * d * y0 * xi * sp - 4.0 * p.v1p * y0 * xi ** 3
-             + b * sp * (d * d + y0 * y0 * xi * xi) * acr)
-    return (4.0 * p.v1m * y0
-            - 2.0 * sm * (math.pi * (e * e + y0 * y0) + e * y0)
-            + sm * (e * e + y0 * y0) * acl
-            - inner / (b * xi ** 3)) / (2.0 * y0)
+    e, xi, sm, sp, ee, ee2, dd, dd2, xx, xi3, bxi3, bd2, v1p4, v1m4, sm2, bsp, _ = p._terms
+    yy = y0 * y0
+    ee_yy = ee + yy
+    # xi^2 y0^2 is xx*y0*y0 in the arccos argument and yy*xi*xi in inner:
+    # the two round apart, and each keeps the association of its term
+    acl = _acos(ee2 / ee_yy - 1.0)
+    acr = _acos(dd2 / (dd + xx * y0 * y0) - 1.0)
+    inner = bd2 * y0 * xi * sp - v1p4 * y0 * xi3 + bsp * (dd + yy * xi * xi) * acr
+    return (v1m4 * y0 - sm2 * (math.pi * ee_yy + e * y0) + sm * ee_yy * acl
+            - inner / bxi3) / (2.0 * y0)
 
 
 def m1_constrained(p: MelnikovParams, y0):
@@ -183,10 +227,9 @@ def m1_constrained(p: MelnikovParams, y0):
     if not p.constrained:
         raise ConstraintViolated("m1_constrained needs b11m = -b22m")
     y0 = _positive(y0, "m1_constrained needs y0 > 0")
-    d, b, xi, sp = p.d, p.b, p.xi, p.trace_plus
-    acr = _acos(2.0 * d * d / (d * d + xi * xi * y0 * y0) - 1.0)
-    return (2.0 * p.v1m + 2.0 * p.v1p / b + d * sp / (xi * xi)
-            - sp * (d * d + xi * xi * y0 * y0) * acr / (2.0 * y0 * xi ** 3))
+    t = p._terms
+    dd_xy = t.dd + t.xx * y0 * y0
+    return t.k0 - t.sp * dd_xy * _acos(t.dd2 / dd_xy - 1.0) / (2.0 * y0 * t.xi3)
 
 
 @dataclass(frozen=True)
@@ -222,7 +265,7 @@ class ReducedParams:
                            - alpha * b * xi * sm + alpha * b * beta * sp)
         K1 = alpha * b * xi * sm
         K2 = -b * alpha * beta * beta * sp
-        k0 = 2.0 * p.v1m + 2.0 * p.v1p / b + p.d * sp / (xi * xi)
+        k0 = p._terms.k0
         k1 = -p.d * sp / (2.0 * xi * xi)
         return ReducedParams(alpha=alpha, beta=beta, K0=K0, K1=K1, K2=K2, k0=k0, k1=k1)
 
@@ -290,33 +333,39 @@ def find_roots(f, domain, opts: RootFindOptions | None = None):
     opts = opts or RootFindOptions()
     ys = _grid(lo, hi, opts.grid)
     vals = np.asarray(f(ys), dtype=float)
-    scale = float(np.nanmax(np.abs(vals))) / (hi - lo)
-    roots = []
     sign = np.sign(vals)
     idx = np.where(sign[:-1] * sign[1:] < 0)[0]
+    on_nodes = np.where(sign == 0)[0]
+    if not (len(idx) or len(on_nodes)):
+        return []
+    scale = float(np.nanmax(np.abs(vals))) / (hi - lo)
+    tol = opts.refine_tol
+    roots = []
     for i in idx:
         a, b_ = float(ys[i]), float(ys[i + 1])
-        fa = float(vals[i])
+        positive = float(vals[i]) > 0  # the sign of f at a, kept as a moves
         for _ in range(200):
-            if b_ - a < opts.refine_tol * max(1.0, b_):
+            if b_ - a < tol * max(1.0, b_):
                 break
             mid = 0.5 * (a + b_)
             fm = _feval(f, mid)
             if fm == 0.0:
                 a = b_ = mid
                 break
-            if (fm > 0) == (fa > 0):
-                a, fa = mid, fm
+            if (fm > 0) == positive:
+                a = mid
             else:
                 b_ = mid
         root = 0.5 * (a + b_)
         h = 1e-6 * max(1.0, root)
+        if root - h < lo:  # keep the slope probe inside the domain
+            h = 0.5 * (root - lo)
         slope = (_feval(f, root + h) - _feval(f, root - h)) / (2.0 * h)
         flag = RootFlag.SUSPECT if abs(slope) < SUSPECT_REL * max(scale, 1e-300) \
             else RootFlag.SIMPLE
         roots.append((float(root), flag))
     # exact zeros sitting on grid nodes
-    for i in np.where(sign == 0)[0]:
+    for i in on_nodes:
         roots.append((float(ys[i]), RootFlag.SUSPECT))
     roots.sort(key=lambda r: r[0])
     deduped = []

@@ -9,6 +9,9 @@ plane inversion, ``polar_bendixson_rhs`` below.  The one exception is
 scan: a differential reference that shares the package's event set-up.
 ``stencil_family`` gives a function family finite-difference derivatives,
 the reference for the analytic derivatives of the shipped families.
+``m1_reference`` and ``m1_constrained_reference`` are ``M1``'s formulas with
+every product formed in the call: the bit reference for the products that
+``melnikov`` resolves once per parameter set.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ from scipy.optimize import brentq
 
 from pwlcycles.core import PwlSystem
 from pwlcycles.ect import FunctionFamily
-from pwlcycles.errors import PwlError
+from pwlcycles.errors import MelnikovDomainError, PwlError
 
 
 class OriginUndefined(PwlError):
@@ -379,3 +382,45 @@ def stencil_family(members, interval, punctures=()) -> FunctionFamily:
                           derivatives=tuple(tuple(_stencil(g, k) for k in orders)
                                             for g in members),
                           punctures=tuple(punctures))
+
+
+def _acos_reference(arg):
+    """arccos clamped within 1e-14 of +-1; MelnikovDomainError beyond."""
+    if isinstance(arg, np.ndarray):
+        if np.any(np.abs(arg) > 1.0 + 1e-14):
+            raise MelnikovDomainError("arccos argument outside [-1, 1] beyond tolerance")
+        return np.arccos(np.clip(arg, -1.0, 1.0))
+    if abs(arg) > 1.0 + 1e-14:
+        raise MelnikovDomainError("arccos argument outside [-1, 1] beyond tolerance")
+    return math.acos(min(max(arg, -1.0), 1.0))
+
+
+def _amplitude(y0):
+    """A float for a number, a float array for an array; y0 > 0 is assumed."""
+    return float(y0) if np.ndim(y0) == 0 else np.asarray(y0, dtype=float)
+
+
+def m1_reference(p, y0):
+    """``melnikov.m1`` with each parameter product formed in the call."""
+    y0 = _amplitude(y0)
+    e, d, b, xi = p.e, p.d, p.b, p.xi
+    sm, sp = p.trace_minus, p.trace_plus
+    left_arg = 2.0 * e * e / (e * e + y0 * y0) - 1.0
+    right_arg = 2.0 * d * d / (d * d + xi * xi * y0 * y0) - 1.0
+    acl = _acos_reference(left_arg)
+    acr = _acos_reference(right_arg)
+    inner = (-2.0 * b * d * y0 * xi * sp - 4.0 * p.v1p * y0 * xi ** 3
+             + b * sp * (d * d + y0 * y0 * xi * xi) * acr)
+    return (4.0 * p.v1m * y0
+            - 2.0 * sm * (math.pi * (e * e + y0 * y0) + e * y0)
+            + sm * (e * e + y0 * y0) * acl
+            - inner / (b * xi ** 3)) / (2.0 * y0)
+
+
+def m1_constrained_reference(p, y0):
+    """``melnikov.m1_constrained`` with each parameter product formed in the call."""
+    y0 = _amplitude(y0)
+    d, b, xi, sp = p.d, p.b, p.xi, p.trace_plus
+    acr = _acos_reference(2.0 * d * d / (d * d + xi * xi * y0 * y0) - 1.0)
+    return (2.0 * p.v1m + 2.0 * p.v1p / b + d * sp / (xi * xi)
+            - sp * (d * d + xi * xi * y0 * y0) * acr / (2.0 * y0 * xi ** 3))

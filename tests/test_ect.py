@@ -80,6 +80,30 @@ class TestWronskian:
             assert_allclose(wronskian(fam, 1, s0), float(constrained_w1(s0)),
                             rtol=1e-9)
 
+    def test_constrained_forms_keep_their_digits_at_large_s(self):
+        # pi - 2 arctan(s) = 2 arctan(1/s) cancelled as pi(s^2+1) - G(s):
+        # 2.2e-13 relative at s = 1e3 for the member, 6.3e-13 for its
+        # derivative and 8.7e-8 for W1, against an extended-precision reference
+        ss = np.geomspace(1.0, 1e3, 4096)
+        s = ss.astype(np.longdouble)
+        arc = 2.0 * np.arctan(1.0 / s)
+        fam = constrained_family(interval=(0.5, 2e3))
+        eps = np.finfo(float).eps
+        for got, want in ((fam.deriv(1, 0, ss), (s * s + 1.0) * arc),
+                          (fam.deriv(1, 1, ss), 2.0 * s * arc - 2.0)):
+            assert np.all(np.abs(got - want) <= 4.0 * eps * np.abs(want))
+        # W1 = -2s + (s^2 - 1) 2 arctan(1/s) is itself a difference of two
+        # terms near 2s: it keeps their rounding, not more
+        want = -2.0 * s + (s * s - 1.0) * arc
+        assert np.all(np.abs(constrained_w1(ss) - want) <= 8.0 * eps * 2.0 * ss)
+
+    def test_constrained_scan_keeps_its_verdict(self):
+        for interval in ((1e-2, 1e2), (0.05, 50.0), (1e-2, 1e3)):
+            profile, verdict = check_ect(constrained_family(interval))
+            assert verdict is EctVerdict.ECT
+            assert profile.sign_changes == [0, 0]
+            assert profile.zero_candidates == [[], []]
+
     def test_constrained_slope_is_positive(self):
         ss = np.geomspace(0.05, 50, 200)
         ss = ss[np.abs(ss - 1.0) > 1e-3]

@@ -1,10 +1,13 @@
+import hashlib
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from oracles import m1_constrained_reference, m1_reference
 from pwlcycles import melnikov
 from pwlcycles.ect import constrained_family
 from pwlcycles.errors import ConstraintViolated, MelnikovDomainError
@@ -31,6 +34,7 @@ from pwlcycles.melnikov import (
     infinity_sign_expression,
     m1,
     m1_constrained,
+    m1_csv,
     m1_reduced,
     reduced_limit_at_zero,
     scaled_sign,
@@ -189,6 +193,130 @@ class TestFloatAndArrayPaths:
         assert roots == find_roots(lambda y: y - 5.0, (1.0, 10.0))
 
 
+class TestM1Bits:
+    """``m1`` and ``m1_constrained`` to the bit: the products that read the
+    parameters alone are resolved once per ``MelnikovParams``, and every
+    value is still the formula's with each product formed in the call."""
+
+    AMPLITUDES = (0.05, 0.5, 1.0, 2.0, 3.8278, 20.0)
+    FLOATS = {
+        ("one", "m1"): ("0x1.08249f0e0b72fp+5", "0x1.8e7009cd56bb8p-1", "0x1.9e04b3fcbcc00p-9",
+                        "0x1.e8b05acb60000p-12", "-0x1.623bc34ceaa62p-8",
+                        "-0x1.13d5a0ec4e54dp+1"),
+        ("two", "m1"): ("0x1.662a55350b5aep+0", "0x1.4f3815193fc94p+0", "0x1.0cc8bf233380ep+0",
+                        "0x1.276b89b501984p-3", "-0x1.1e913aedcbc76p+1",
+                        "-0x1.d16a51ce783a6p+4"),
+        ("two", "constrained"): ("0x1.662a55350b5acp+0", "0x1.4f3815193fc94p+0",
+                                 "0x1.0cc8bf233380ep+0", "0x1.276b89b501980p-3",
+                                 "-0x1.1e913aedcbc77p+1", "-0x1.d16a51ce783a6p+4"),
+    }
+    # the array path differs from the float one where np.arccos and
+    # math.acos round apart
+    ARRAYS = {
+        **FLOATS,
+        ("two", "m1"): FLOATS["two", "m1"][:4] + ("-0x1.1e913aedcbc78p+1",
+                                                  FLOATS["two", "m1"][5]),
+        ("two", "constrained"): FLOATS["two", "constrained"][:4] + (
+            "-0x1.1e913aedcbc79p+1", FLOATS["two", "constrained"][5]),
+    }
+    CSV_SHA256 = {
+        "one": "ad7dfec9d22b307a3ac6c6187ee3415a5c02e01d02c85413dee1d3a9558825e1",
+        "two": "09822c47a3eb3fdea09894746deecffb24e89bc8e2fda3b918374f00bc140d70",
+    }
+    PARAMS = {"one": example_one_params, "two": example_two_params}
+    FUNCS = {"m1": m1, "constrained": m1_constrained}
+
+    @pytest.mark.parametrize("example, name", sorted(FLOATS))
+    def test_example_values(self, example, name):
+        p, f = self.PARAMS[example](), self.FUNCS[name]
+        assert tuple(float.hex(f(p, y)) for y in self.AMPLITUDES) == self.FLOATS[example, name]
+        arr = f(p, np.array(self.AMPLITUDES))
+        assert tuple(float.hex(float(v)) for v in arr) == self.ARRAYS[example, name]
+
+    @pytest.mark.parametrize("example", sorted(CSV_SHA256))
+    def test_m1_csv(self, example):
+        csv = m1_csv(self.PARAMS[example]())
+        assert hashlib.sha256(csv.encode()).hexdigest() == self.CSV_SHA256[example]
+
+    def test_differential_against_the_reference(self):
+        # seeded draws on both paths, compared as int64 views; amplitudes
+        # span the arccos clamp's neighbourhood at both ends
+        rng = np.random.default_rng(23)
+        ys = np.geomspace(1e-4, 1e4, 257)
+        for k in range(1000):
+            p = random_params(rng, constrained=k % 2 == 1)
+            pairs = [(m1, m1_reference)]
+            if p.constrained:
+                pairs.append((m1_constrained, m1_constrained_reference))
+            floats = [float(y) for y in np.exp(rng.uniform(-9.0, 9.0, 8))]
+            for f, ref in pairs:
+                assert np.array_equal(f(p, ys).view(np.int64), ref(p, ys).view(np.int64))
+                got = np.array([f(p, y) for y in floats])
+                want = np.array([ref(p, y) for y in floats])
+                assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
+class TestResolvedTerms:
+    def test_resolved_once_per_instance(self, monkeypatch):
+        # a deterministic cost guard: m1 read both traces (two property
+        # calls) on every evaluation
+        reads = 0
+        trace_plus = MelnikovParams.trace_plus
+
+        def counting(self):
+            nonlocal reads
+            reads += 1
+            return trace_plus.fget(self)
+
+        monkeypatch.setattr(MelnikovParams, "trace_plus", property(counting))
+        for p, f in ((example_one_params(), m1), (example_two_params(), m1_constrained)):
+            evals, reads = 0, 0
+
+            def counted(y):
+                nonlocal evals
+                evals += 1
+                return f(p, y)
+
+            assert find_roots(counted, (1e-1, 1e2))
+            assert evals > 30 and reads == 1
+
+    def test_replace_recomputes(self):
+        p = example_two_params()
+        q = replace(p, v1m=p.v1m + 0.25, b11p=p.b11p - 0.5)
+        assert q._terms != p._terms
+        for f, ref in ((m1, m1_reference), (m1_constrained, m1_constrained_reference)):
+            assert f(p, 1.5) == ref(p, 1.5) and f(q, 1.5) == ref(q, 1.5) != f(p, 1.5)
+
+    def test_equality_and_hash_unchanged(self):
+        p, q = example_one_params(), example_one_params()
+        m1(p, 1.0)  # resolves p's terms, not q's
+        assert "_terms" in vars(p) and "_terms" not in vars(q)
+        assert p == q and hash(p) == hash(q)
+        assert "_terms" not in repr(p)
+
+
+class TestArccosContract:
+    def test_nan_does_not_hide_an_out_of_range_entry(self):
+        for bad in (1.0 + 1e-13, -1.0 - 1e-13):
+            for arg in ([math.nan, bad], [bad, math.nan], [0.5, math.nan, bad]):
+                with pytest.raises(MelnikovDomainError):
+                    _acos(np.array(arg))
+
+    def test_in_range_arguments_keep_the_clamped_bits(self):
+        # an array with every entry in [-1, 1] skips the clip, and so does a
+        # float in range; the values are the clamped arccos's to the bit
+        args = [np.array([-1.0, -0.5, 0.0, 1e-300, 0.999999, 1.0]),
+                np.linspace(-1.0, 1.0, 1001), np.array([]),
+                np.array([1.0 + 1e-15, -1.0 - 1e-15, 0.25]),
+                np.array([math.nan, 0.5])]
+        for arg in args:
+            want = np.arccos(np.clip(arg, -1.0, 1.0))
+            assert np.array_equal(_acos(arg).view(np.int64), want.view(np.int64))
+            for a in arg.tolist():
+                got, clamped = _acos(a), math.acos(min(max(a, -1.0), 1.0))
+                assert got == clamped or math.isnan(got) and math.isnan(clamped)
+
+
 class TestReduced:
     def test_identity_with_m1_at_random_points(self):
         rng = np.random.default_rng(17)
@@ -274,8 +402,8 @@ class TestArcTerm:
             err = np.abs(_ARC_TERM[k](ss) - step)
             assert np.all(err <= 1e-14 * (np.abs(step) + 1.0 / (1.0 + ss * ss))), k
         # the constrained family's second member is s^2 G(1/s), M1's
-        # constrained span under s -> 1/s; pi(s^2+1) - G(s) cancels to about
-        # eps*s relative at large s, and its derivative crosses 0 near s = 0.7
+        # constrained span under s -> 1/s, and its derivative crosses 0 near
+        # s = 0.7
         fam = constrained_family()
         mirrored = lambda s: s * s * _ARC_TERM[0](1.0 / s)
         assert_allclose(fam.deriv(1, 0, ss), mirrored(ss), rtol=1e-12)
@@ -330,6 +458,44 @@ class TestFindRoots:
 
     def test_empty_result_allowed(self):
         assert find_roots(lambda y: y + 1.0, (0.5, 2.0)) == []
+
+    def test_all_nan_gives_no_roots_and_no_warning(self):
+        # with no bracket and no zero node the grid scale is never needed;
+        # nanmax of an all-NaN grid warned
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert find_roots(lambda y: np.full(np.shape(y), math.nan), (0.5, 2.0)) == []
+
+    def test_slope_probe_stays_in_the_domain(self):
+        # a root below 1e-6 put the probe's lower point at root - 1e-6 <= 0,
+        # where m1_constrained raised "needs y0 > 0" out of find_roots; the
+        # arccos form is rounding noise that low, so M1 changes sign many
+        # times there and 2 v1m - 0.6 = (5e-7)^2 sets the leading term's root
+        p = MelnikovParams(b=-1, d=1, e=1, xi=1, b11m=0.5, b22m=-0.5, v1m=0.3 + 1.25e-13,
+                           b11p=1, b22p=0.5, v1p=0.3)
+        lo, seen = 1e-8, []
+
+        def f(y):
+            seen.append(np.min(y))
+            return m1_constrained(p, y)
+
+        roots = find_roots(f, (lo, 1.0))
+        assert any(r < 1e-6 for r, _ in roots)
+        assert min(seen) >= lo and all(lo < r < 1.0 for r, _ in roots)
+
+    def test_slope_step_unchanged_inside_the_domain(self):
+        # the step shrinks only where root - 1e-6 max(1, root) < lo
+        p = example_one_params()
+        seen = []
+
+        def f(y):
+            seen.append(y)
+            return m1(p, y)
+
+        roots = find_roots(f, (1e-2, 1e2))
+        probes = [y for y in seen if type(y) is float][-2:]
+        r = roots[-1][0]
+        assert probes == [r + 1e-6 * r, r - 1e-6 * r]
 
 
 class TestRootFindOptions:

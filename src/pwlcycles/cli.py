@@ -71,6 +71,9 @@ def _domain(args) -> tuple:
         raise ValueError("y0 range needs finite bounds and lo > 0")
     if lo >= hi:
         raise ValueError("y0 range needs lo < hi")
+    tiny = _sys.float_info.min  # below it, M1's denominators can round to 0
+    if lo < tiny:
+        raise ValueError(f"y0 range needs a normal lo >= {tiny!r}")
     if args.grid < 256:
         raise ValueError("grid must be >= 256")
     return (lo, hi)

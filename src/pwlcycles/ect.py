@@ -33,9 +33,10 @@ class FunctionFamily:
     ``derivatives[i][k-1]`` is the k-th derivative of member i; each member
     has at least ``len(members) - 1`` of them, the orders the leading
     Wronskians read.  ``interval`` is ``(lo, hi)`` with finite ends and
-    ``lo < hi``.  ``punctures`` are isolated points excluded from scan grids
-    (removable factors of closed forms).  A family that breaks these rules
-    raises ``ValueError`` naming the field.
+    ``0 < lo < hi``: the families behind the bounds live on amplitudes
+    s > 0, and the scan grid is log-spaced.  ``punctures`` are isolated
+    points excluded from scan grids (removable factors of closed forms).  A
+    family that breaks these rules raises ``ValueError`` naming the field.
     """
 
     members: tuple
@@ -45,8 +46,8 @@ class FunctionFamily:
 
     def __post_init__(self):
         lo, hi = self.interval
-        if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
-            raise ValueError(f"interval must have finite ends lo < hi, got {self.interval}")
+        if not 0 < lo < hi < math.inf:
+            raise ValueError(f"interval must have finite ends 0 < lo < hi, got {self.interval}")
         need = len(self.members) - 1
         if len(self.derivatives) != len(self.members) \
                 or any(len(ds) < need for ds in self.derivatives):
@@ -120,12 +121,8 @@ def check_ect(fam: FunctionFamily):
     simple zero.  Anything else is Inconclusive.  Numeric evidence only.
     """
     lo, hi = fam.interval
-    # keep the scan strictly inside the open interval
-    pad = (hi - lo) * 1e-9
-    if lo <= 0:
-        grid = np.linspace(lo + pad, hi - pad, ECT_GRID)
-    else:
-        grid = np.geomspace(lo * (1 + 1e-12), hi * (1 - 1e-12), ECT_GRID)
+    # log-spaced, strictly inside the open interval
+    grid = np.geomspace(lo * (1 + 1e-12), hi * (1 - 1e-12), ECT_GRID)
     for p in fam.punctures:
         grid = grid[np.abs(grid - p) > PUNCTURE_RADIUS]
     orders = len(fam.members)
@@ -203,13 +200,6 @@ def _bisect(fam: FunctionFamily, order, a, b, positive) -> np.ndarray:
 # the two concrete families behind the cycle counts
 # ---------------------------------------------------------------------------
 
-def _arc_interval(interval) -> tuple:
-    """``interval`` if it lies on s > 0, where G is M1's arc term."""
-    if not interval[0] > 0:
-        raise ValueError(f"interval must lie on s > 0, got {interval}")
-    return interval
-
-
 def _arc_at(beta: float, k: int):
     """s -> the k-th derivative of G(beta s), beta^k G^(k)(beta s)."""
     scale, g = beta ** k, _ARC_TERM[k]
@@ -231,7 +221,7 @@ def amplitude_family(beta: float, interval=(1e-2, 1e2)) -> FunctionFamily:
     b2 = beta * beta
     return FunctionFamily(
         members=(lambda s: s, lambda s: 1.0 + b2 * s * s, _ARC_TERM[0], _arc_at(beta, 0)),
-        interval=_arc_interval(interval),
+        interval=interval,
         derivatives=((lambda s: 1.0, lambda s: 0.0, lambda s: 0.0),
                      (lambda s: 2.0 * b2 * s, lambda s: 2.0 * b2, lambda s: 0.0),
                      _ARC_TERM[1:],
@@ -251,7 +241,7 @@ def constrained_family(interval=(1e-2, 1e2)) -> FunctionFamily:
     """
     return FunctionFamily(
         members=(lambda s: s, lambda s: 2.0 * (s * s + 1.0) * np.arctan(1.0 / s)),
-        interval=_arc_interval(interval),
+        interval=interval,
         derivatives=((lambda s: 1.0,), (lambda s: 4.0 * s * np.arctan(1.0 / s) - 2.0,)),
         punctures=(1.0,),
     )

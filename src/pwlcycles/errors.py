@@ -53,10 +53,6 @@ class NoReturn(PwlError):
     """The orbit never returns to the section within the budget."""
 
 
-class MelnikovDomainError(PwlError):
-    """An arccos argument left [-1, 1] beyond the clamping tolerance."""
-
-
 class ConstraintViolated(PwlError):
     """Parameter constraint required by the requested operation fails."""
 

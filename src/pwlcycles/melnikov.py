@@ -20,9 +20,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .core import PwlSystem
-from .errors import ConstraintViolated, MelnikovDomainError
+from .errors import ConstraintViolated
 
-ARCCOS_CLAMP = 1e-14
 SIGN_TOL = 1e-12
 
 
@@ -89,7 +88,13 @@ class _M1Terms(NamedTuple):
 
 @dataclass(frozen=True)
 class MelnikovParams:
-    """Normal-form scalars plus the first-order entries entering M1."""
+    """Normal-form scalars plus the first-order entries entering M1.
+
+    Fields are finite, b < 0, xi > 0 and d, e in [2**-511, 2**511], else
+    ``ValueError``.  There x*x is normal and 2.0*x*x exactly twice it for
+    x = d, e, so M1's arccos arguments 2x^2/(x^2 + t) - 1, t >= 0, round
+    into [-1, 1] at every y0 > 0: x^2 + t rounds to at least x*x.
+    """
 
     b: float
     d: float
@@ -106,6 +111,9 @@ class MelnikovParams:
         _require_finite(self)
         if not (self.b < 0 and self.d > 0 and self.e > 0 and self.xi > 0):
             raise ValueError("need b < 0, d > 0, e > 0, xi > 0")
+        for name in ("d", "e"):
+            if not 2.0 ** -511 <= getattr(self, name) <= 2.0 ** 511:
+                raise ValueError(f"{type(self).__name__}.{name} must lie in [2**-511, 2**511]")
 
     @property
     def trace_minus(self) -> float:
@@ -175,19 +183,9 @@ def _positive(x, message: str):
 
 
 def _acos(arg):
-    """arccos with clamping restricted to a 1e-14 neighborhood of +-1:
-    ``math.acos`` for a float, ``np.arccos`` for an array."""
-    if isinstance(arg, np.ndarray):
-        if np.abs(arg).max(initial=0.0) <= 1.0:  # no clamp to apply (NaN fails this)
-            return np.arccos(arg)
-        if np.any(np.abs(arg) > 1.0 + ARCCOS_CLAMP):
-            raise MelnikovDomainError("arccos argument outside [-1, 1] beyond tolerance")
-        return np.arccos(np.clip(arg, -1.0, 1.0))
-    if -1.0 <= arg <= 1.0:
-        return math.acos(arg)
-    if abs(arg) > 1.0 + ARCCOS_CLAMP:
-        raise MelnikovDomainError("arccos argument outside [-1, 1] beyond tolerance")
-    return math.acos(min(max(arg, -1.0), 1.0))
+    """``np.arccos`` for an array, ``math.acos`` for a float; the arguments
+    of M1 lie in [-1, 1] or are NaN (see ``MelnikovParams``)."""
+    return np.arccos(arg) if isinstance(arg, np.ndarray) else math.acos(arg)
 
 
 # M1's arc term G(s) = (s^2+1)*arccos(2/(s^2+1) - 1) = 2(s^2+1)*arctan(s) on s > 0,
@@ -328,8 +326,8 @@ def find_roots(f, domain, opts: RootFindOptions | None = None):
     grid scale are flagged SUSPECT (possible multiplicity).
     """
     lo, hi = domain
-    if not (0 < lo < hi):
-        raise ValueError("need 0 < lo < hi")
+    if not (0 < lo < hi < math.inf):
+        raise ValueError("need finite 0 < lo < hi")
     opts = opts or RootFindOptions()
     ys = _grid(lo, hi, opts.grid)
     vals = np.asarray(f(ys), dtype=float)

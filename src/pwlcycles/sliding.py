@@ -135,8 +135,8 @@ class SMapSeries:
         return (self.s0, self.s1, self.s2, self.s3)
 
 
-def s_maps(p: SlidingParams, epsilon: float | None = None) -> SMapSeries:
-    """Second-order series of the four section marks plus values at eps.
+def s_maps(p: SlidingParams) -> SMapSeries:
+    """Second-order series of the four section marks plus values at p.epsilon.
 
     Requires the vanishing first-order left trace; the common first-order
     term is 2*b21m*e - 2*v2m and the second-order terms differ by the
@@ -144,8 +144,7 @@ def s_maps(p: SlidingParams, epsilon: float | None = None) -> SMapSeries:
     """
     if not p.constrained:
         raise ConstraintViolated("s_maps needs b11m = -b22m")
-    eps = p.epsilon if epsilon is None else epsilon
-    e, b = p.e, p.b
+    e, b, eps = p.e, p.b, p.epsilon
     b22 = p.b22m
     c0 = -2.0 * e
     c1 = 2.0 * p.b21m * e - 2.0 * p.v2m

@@ -11,7 +11,9 @@ scan: a differential reference that shares the package's event set-up.
 the reference for the analytic derivatives of the shipped families.
 ``m1_reference`` and ``m1_constrained_reference`` are ``M1``'s formulas with
 every product formed in the call: the bit reference for the products that
-``melnikov`` resolves once per parameter set.
+``melnikov`` resolves once per parameter set.  Their arccos keeps a clamp
+within 1e-14 of +-1 and raises ``MelnikovDomainError`` beyond it, so an
+argument that left [-1, 1] would show against ``melnikov``'s plain arccos.
 """
 
 from __future__ import annotations
@@ -26,7 +28,11 @@ from scipy.optimize import brentq
 
 from pwlcycles.core import PwlSystem
 from pwlcycles.ect import FunctionFamily
-from pwlcycles.errors import MelnikovDomainError, PwlError
+from pwlcycles.errors import PwlError
+
+
+class MelnikovDomainError(PwlError):
+    """An arccos argument left [-1, 1] beyond the clamping tolerance."""
 
 
 class OriginUndefined(PwlError):

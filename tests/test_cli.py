@@ -336,8 +336,10 @@ class TestArguments:
         assert not out.exists()
 
     @pytest.mark.parametrize("command", ["analyze", "melnikov"])
-    @pytest.mark.parametrize("lo, hi", [("0", "5"), ("1", "inf"), ("nan", "5"), ("5", "1")])
+    @pytest.mark.parametrize("lo, hi", [("0", "5"), ("1", "inf"), ("nan", "5"), ("5", "1"),
+                                        ("1e-323", "1")])
     def test_bad_y0_range_exits_one(self, command, lo, hi, ex1_path, tmp_path, capsys):
+        # a subnormal lo let m1_constrained's 2*y0*xi^3 round to 0 on the grid
         out = tmp_path / "bad"
         assert main([command, ex1_path, "--y0-range", lo, hi, "-o", str(out)]) == 1
         err = capsys.readouterr().err.splitlines()

@@ -481,7 +481,7 @@ class TestPublicApi:
     def test_one_home_for_the_arc_term(self):
         # a guard against a second copy of M1's arc term G, whose one home is
         # melnikov._ARC_TERM in arctan form: arccos is named only by the
-        # clamped arccos of m1 and m1_constrained, the flow's half-cosine
+        # arccos dispatch of m1 and m1_constrained, the flow's half-cosine
         # step, which is not the arc term, and the verbatim legacy fixture
         import ast
         import pathlib

@@ -37,7 +37,7 @@ class TestWronskian:
             wronskian(amplitude_family(2.0), order, 1.5)
 
     def test_constant_family(self):
-        fam = stencil_family((lambda s: 1.0,), (0.0, 10.0))
+        fam = stencil_family((lambda s: 1.0,), (0.1, 10.0))
         assert wronskian(fam, 0, 3.0) == pytest.approx(1.0)
 
     def test_third_order_against_closed_form(self):
@@ -131,12 +131,14 @@ class TestFamilyRules:
                                           (0.0, 10.0)])
     def test_interval_must_be_finite_and_increasing(self, interval):
         # and on s > 0, where G is the arc term: 2(s^2+1) arctan(s) is odd
-        # where (s^2+1) arccos(2/(s^2+1) - 1) is even.  A FunctionFamily
-        # itself takes (-1, 1) and (0, 10): the stencil families above do
+        # where (s^2+1) arccos(2/(s^2+1) - 1) is even.  The rule is the
+        # FunctionFamily's own, so a bare family refuses (-1, 1) and (0, 10) too
         with pytest.raises(ValueError, match="interval"):
             amplitude_family(2.0, interval)
         with pytest.raises(ValueError, match="interval"):
             constrained_family(interval)
+        with pytest.raises(ValueError, match=r"interval must have finite ends 0 < lo < hi"):
+            FunctionFamily(members=(lambda s: 1.0,), interval=interval, derivatives=((),))
 
     @pytest.mark.parametrize("k", [-1, 4])
     def test_derivative_order_outside_the_supplied_rejected(self, k):
@@ -202,9 +204,13 @@ class TestCheckEct:
         assert profile.sign_changes[-1] == 0
 
     def test_single_last_order_zero_gives_accuracy_verdict(self):
-        fam = stencil_family((lambda s: 1.0, lambda s: s, lambda s: s ** 3), (-1.0, 1.0))
-        _, verdict = check_ect(fam)
+        # W2 = 6(s - 1) changes sign once, at a simple zero
+        fam = stencil_family((lambda s: 1.0, lambda s: s, lambda s: (s - 1.0) ** 3), (0.5, 2.0))
+        profile, verdict = check_ect(fam)
         assert verdict is EctVerdict.ET_WITH_ACCURACY
+        assert profile.sign_changes == [0, 0, 1]
+        assert profile.zero_candidates[:2] == [[], []]
+        assert profile.zero_candidates[2] == [pytest.approx(1.0, abs=1e-12)]
 
     def test_profile_csv(self):
         fam = amplitude_family(2.0, interval=(0.1, 10.0))
@@ -222,8 +228,8 @@ class TestGridPath:
         return {"analytic": fam,
                 "stencil": stencil_family(fam.members, fam.interval, fam.punctures),
                 "constrained": constrained_family(),
-                "cubic": stencil_family((lambda s: 1.0, lambda s: s, lambda s: s ** 3),
-                                        (-1.0, 1.0))}
+                "cubic": stencil_family((lambda s: 1.0, lambda s: s, lambda s: (s - 1.0) ** 3),
+                                        (0.5, 2.0))}
 
     @pytest.mark.parametrize("name", ["analytic", "stencil", "constrained"])
     def test_grid_matches_points(self, name):

@@ -32,7 +32,7 @@ from pwlcycles.flow import (
 )
 from pwlcycles.infinity import poincare_displacement
 from pwlcycles.melnikov import m1
-from pwlcycles.sigma import find_folds
+from pwlcycles.sigma import RegionKind, Visibility, _SlidingSpeed, classify_point, find_folds
 from pwlcycles.sliding import (
     detect_sliding_cycle,
     s_maps_simulated,
@@ -1085,13 +1085,18 @@ class TestSlidingMotion:
         ((1.0, -0.2, 0.0, -1.0), 0.0, -0.5, "real"),
         ((0.0, 1.0, -1.0, 1.0), -0.4, 1.0, "complex"),  # N = y^2 + 2
         ((0.5, 1.0, 1.0, 0.3), 0.0, 1.0, "linear"),     # N = 3.2y + 1.3
+        ((0.5, 0.25, 0.0, 6.0), -0.4, 1.0, "double"),   # N = (y - 2.5)^2
+        ((0.0, 0.5, 0.0, 1.0), 0.0, 1.0, "constant"),   # N = 1.5
     ])
     def test_slide_time_against_quadrature(self, coeffs, start, fold, case):
         be_p, de_p, be_m, de_m = coeffs
         A = 2.0 * be_p - be_m
         B = 2.0 * de_p + be_p - de_m + be_m
         disc = B * B - 4.0 * A * (de_p + de_m)
-        assert case == ("linear" if A == 0 else "real" if disc > 0 else "complex")
+        if A == 0:
+            assert case == ("constant" if B == 0 else "linear")
+        else:
+            assert case == ("real" if disc > 0 else "double" if disc == 0 else "complex")
         sys = _slide_system(*coeffs)
         traj = simulate(sys, (0.0, start), 10.0)
         seg = traj.segments[0]
@@ -1100,6 +1105,15 @@ class TestSlidingMotion:
         assert end[2] == fold
         ref = sliding_time(sys, start, fold)
         assert abs((seg.t_end - seg.t_start) - ref) < 1e-12 * ref
+
+    def test_degenerate_numerators_keep_their_roots(self):
+        # a double root of N is one pseudo-equilibrium, and a constant N has none
+        double = _SlidingSpeed(_slide_system(0.5, 0.25, 0.0, 6.0))
+        assert (double.A, double.B, double.C, double.disc) == (1.0, -5.0, 6.25, 0.0)
+        assert double.roots == (2.5,)
+        constant = _SlidingSpeed(_slide_system(0.0, 0.5, 0.0, 1.0))
+        assert (constant.A, constant.B, constant.C) == (0.0, 0.0, 1.5)
+        assert constant.roots == ()
 
     def test_first_type_one_slide_against_quadrature(self):
         p = type_one_sliding_params()
@@ -1110,6 +1124,70 @@ class TestSlidingMotion:
         ref = sliding_time(p.to_system(1e-2), y_land, y_fold)
         assert ref == pytest.approx(0.00470930478175, rel=1e-11)
         assert abs((seg.t_end - seg.t_start) - ref) < 1e-10 * ref
+
+
+def _line_system(plus, minus):
+    """Zones ((m11, m12, m21, m22), (u1, u2)) for plus and minus; on x = 0
+    a zone's field is (m12*y + u1, m22*y + u2)."""
+    (mp, up), (mm, um) = plus, minus
+    return PwlSystem((Mat2(*mp), Vec2(*up)), (Mat2(*mm), Vec2(*um)))
+
+
+class TestSwitchingLineCorners:
+    """Runs that start where the switching line is neither crossing nor sliding."""
+
+    # Z+h = y and Z-h = y - 1: (0, 1) escapes, with the Filippov speed
+    # dy/dt = 2y - 1 from the y-components -1 and 1; both folds are invisible
+    ESCAPING = ((0.0, 1.0, -1.0, 0.0), (0.0, -1.0)), ((0.0, 1.0, -1.0, 0.0), (-1.0, 1.0))
+
+    @pytest.mark.parametrize("y0, fold", [(0.75, 1.0), (0.25, 0.0)])
+    def test_escaping_segment_runs_to_an_invisible_fold(self, y0, fold):
+        # forward in time the motion leaves the pseudo-equilibrium y = 1/2,
+        # reaching either fold after (1/2) ln 2
+        sys = _line_system(*self.ESCAPING)
+        assert classify_point(sys, y0) is RegionKind.ESCAPING
+        traj = simulate(sys, (0.0, y0), 5.0)
+        seg, = traj.segments
+        assert (seg.kind, traj.stopped) == ("Sliding", "sliding_endpoint")
+        assert seg.t_end == pytest.approx(0.5 * math.log(2.0), rel=1e-15)
+        assert traj.samples[-1][1:] == (0.0, fold)
+
+    @pytest.mark.parametrize("y0", [0.75, 0.25])
+    def test_escaping_segment_backward_nears_the_pseudo_equilibrium(self, y0):
+        # backward, y - 1/2 = (y0 - 1/2) e^(2t) decays toward the repeller
+        traj = _simulate_backward(_line_system(*self.ESCAPING), (0.0, y0), 5.0)
+        assert traj.segment_kinds() == ["Sliding"] and traj.stopped == "t_max"
+        t, x, y = traj.samples[-1]
+        assert (t, x) == (-5.0, 0.0)
+        assert y - 0.5 == pytest.approx((y0 - 0.5) * math.exp(-10.0), rel=1e-9)
+
+    def test_escaping_pseudo_equilibrium_start_stalls(self):
+        traj = simulate(_line_system(*self.ESCAPING), (0.0, 0.5), 5.0)
+        assert traj.stopped == "sliding_stall"
+
+    def test_double_tangency_stops_the_run(self):
+        # Z+h = Z-h = y: both fields are tangent to x = 0 at the origin
+        sys = _line_system(((0.0, 1.0, -1.0, 0.0), (0.0, 1.0)),
+                           ((0.0, 1.0, -1.0, 0.0), (0.0, -1.0)))
+        assert classify_point(sys, 0.0) is RegionKind.DOUBLE_TANGENCY
+        traj = simulate(sys, (0.0, 0.0), 5.0)
+        assert traj.stopped == "double_tangency"
+        assert traj.segments == [] and traj.samples == [(0.0, 0.0, 0.0)]
+
+    def test_start_on_the_invisible_fold_slides(self):
+        # example 2's right fold is invisible: the run slides from it to the
+        # visible left fold, then follows the left zone
+        sys = example_two(0.01)
+        folds = {f.side: f for f in find_folds(sys)}
+        start, end = folds["plus"], folds["minus"]
+        assert start.visibility is Visibility.INVISIBLE
+        assert end.visibility is Visibility.VISIBLE
+        traj = simulate(sys, (0.0, start.y), 1.0)
+        assert traj.segment_kinds() == ["Sliding", "ZoneMinus"]
+        slide = traj.segments[0]
+        assert slide.t_end - slide.t_start == pytest.approx(
+            sliding_time(sys, start.y, end.y), rel=1e-10)
+        assert [s for s in traj.samples if s[0] == slide.t_end][0][1:] == (0.0, end.y)
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,7 @@ from numpy.testing import assert_allclose
 from oracles import m1_constrained_reference, m1_reference
 from pwlcycles import melnikov
 from pwlcycles.ect import constrained_family
-from pwlcycles.errors import ConstraintViolated, MelnikovDomainError
+from pwlcycles.errors import ConstraintViolated
 from pwlcycles.examples import (
     EXAMPLE1_M1_ROOTS,
     EXAMPLE2_NOMINAL_ROOT,
@@ -18,6 +18,7 @@ from pwlcycles.examples import (
     example_one_params,
     example_two_params,
     example_two_nominal_m1,
+    example_two_sliding_params,
 )
 from pwlcycles.melnikov import (
     SIGN_TOL,
@@ -139,17 +140,6 @@ class TestFloatAndArrayPaths:
                 f(p, bad)
             with pytest.raises(ValueError, match="needs y0 > 0"):
                 f(p, np.array([1.0, bad]))
-
-    def test_arccos_clamp_on_both_paths(self):
-        # the M1 arguments stay in [-1, 1] up to rounding; past the 1e-14
-        # clamp both paths refuse rather than return NaN
-        for arg in (1.0 + 1e-13, -1.0 - 1e-13):
-            with pytest.raises(MelnikovDomainError):
-                _acos(arg)
-            with pytest.raises(MelnikovDomainError):
-                _acos(np.array([0.0, arg]))
-        assert _acos(1.0 + 1e-15) == 0.0 and _acos(np.array([1.0 + 1e-15]))[0] == 0.0
-        assert _acos(-1.0 - 1e-15) == math.pi
 
     @pytest.mark.parametrize("f, constrained", VARIANTS, ids=["m1", "constrained"])
     def test_nan_amplitude_gives_nan(self, f, constrained):
@@ -296,18 +286,13 @@ class TestResolvedTerms:
 
 
 class TestArccosContract:
-    def test_nan_does_not_hide_an_out_of_range_entry(self):
-        for bad in (1.0 + 1e-13, -1.0 - 1e-13):
-            for arg in ([math.nan, bad], [bad, math.nan], [0.5, math.nan, bad]):
-                with pytest.raises(MelnikovDomainError):
-                    _acos(np.array(arg))
+    """M1's arccos arguments lie in [-1, 1] by the rules of MelnikovParams."""
 
     def test_in_range_arguments_keep_the_clamped_bits(self):
-        # an array with every entry in [-1, 1] skips the clip, and so does a
-        # float in range; the values are the clamped arccos's to the bit
+        # an array with every entry in [-1, 1] and a float in range give the
+        # clamped arccos's values to the bit
         args = [np.array([-1.0, -0.5, 0.0, 1e-300, 0.999999, 1.0]),
                 np.linspace(-1.0, 1.0, 1001), np.array([]),
-                np.array([1.0 + 1e-15, -1.0 - 1e-15, 0.25]),
                 np.array([math.nan, 0.5])]
         for arg in args:
             want = np.arccos(np.clip(arg, -1.0, 1.0))
@@ -315,6 +300,73 @@ class TestArccosContract:
             for a in arg.tolist():
                 got, clamped = _acos(a), math.acos(min(max(a, -1.0), 1.0))
                 assert got == clamped or math.isnan(got) and math.isnan(clamped)
+
+    @pytest.mark.parametrize("name, value", [("d", 1e-158), ("d", 1e-162), ("e", 1.2e154),
+                                             ("d", 2.0 ** 511 * (1 + 2.0 ** -52)),
+                                             ("e", 2.0 ** -511 * (1 - 2.0 ** -53))])
+    def test_d_and_e_outside_the_range_are_refused(self, name, value):
+        # these reached the clamp: d = 1e-158 at y0 = 1e-170 and e = 1.2e154
+        # (2e^2 overflows) raised MelnikovDomainError, and d = 1e-162 (d*d
+        # underflows to 0) a bare ZeroDivisionError; the last two are the
+        # doubles next to the ends
+        with pytest.raises(ValueError, match=f"MelnikovParams.{name} must lie in"):
+            replace(example_one_params(), **{name: value})
+        with pytest.raises(ValueError, match=f"SlidingParams.{name} must lie in"):
+            replace(example_two_sliding_params(), **{name: value})
+
+    def test_the_ends_are_taken(self):
+        for d, e in ((2.0 ** -511, 2.0 ** 511), (2.0 ** 511, 2.0 ** -511)):
+            p = replace(example_two_params(), d=d, e=e)
+            assert math.isfinite(m1(p, 1.0)) and math.isfinite(m1_constrained(p, 1.0))
+
+    def test_arguments_in_range_over_the_whole_domain(self, monkeypatch):
+        # d and e log-uniform over [2**-511, 2**511] with its four corners, xi
+        # in [1e-100, 1e100] and amplitudes over (5e-324, 1.7e308) plus NaN:
+        # every argument either path hands to arccos is in [-1, 1], or NaN
+        # exactly where y0 is, and arccos raises no floating-point flag.  The
+        # rest of M1 may overflow at such amplitudes, which is not checked here
+        rng = np.random.default_rng(2024)
+        lo, hi = 2.0 ** -511, 2.0 ** 511
+
+        def log_uniform(a, b, n):
+            return np.exp(rng.uniform(math.log(a), math.log(b), n)).tolist()
+
+        ds = [lo, lo, hi, hi, *log_uniform(lo, hi, 196)]
+        es = [lo, hi, lo, hi, *log_uniform(lo, hi, 196)]
+        ys = np.array([5e-324, 1.7e308, math.nan, *log_uniform(5e-324, 1.7e308, 61)])
+        y_nan = np.isnan(ys)
+        real, seen = melnikov._acos, []
+
+        def recording(arg):
+            seen.append(np.array(arg, dtype=float))
+            with np.errstate(all="raise"):
+                return real(arg)
+
+        monkeypatch.setattr(melnikov, "_acos", recording)
+        checked = 0
+        for k, (d, e) in enumerate(zip(ds, es)):
+            xi = math.exp(rng.uniform(math.log(1e-100), math.log(1e100)))
+            b11m = float(rng.uniform(-2, 2))
+            p = MelnikovParams(b=-float(rng.uniform(0.2, 3)), d=d, e=e, xi=xi,
+                               b11m=b11m, b22m=-b11m if k % 2 else 0.5,
+                               v1m=0.3, b11p=0.7, b22p=-0.2, v1p=-0.4)
+            f = m1_constrained if p.constrained else m1
+            with np.errstate(all="ignore"):
+                seen.clear()
+                f(p, ys)
+                for arg in seen:
+                    assert np.all((np.abs(arg) <= 1.0) | y_nan)
+                    assert np.array_equal(np.isnan(arg), y_nan)
+                checked += len(seen)
+                for y in ys.tolist():
+                    if f is m1_constrained and 2.0 * y * p.xi ** 3 == 0.0:
+                        continue  # the amplitude denominator underflows, not the arccos
+                    seen.clear()
+                    f(p, y)
+                    assert all(abs(a) <= 1.0 or math.isnan(a) and math.isnan(y)
+                               for a in map(float, seen))
+                    checked += len(seen)
+        assert checked > 15_000
 
 
 class TestReduced:
@@ -458,6 +510,24 @@ class TestFindRoots:
 
     def test_empty_result_allowed(self):
         assert find_roots(lambda y: y + 1.0, (0.5, 2.0)) == []
+
+    @pytest.mark.parametrize("domain", [(1e-3, math.inf), (1e-2, math.nan), (math.nan, 1.0),
+                                        (0.0, 1.0), (2.0, 1.0)])
+    def test_domain_needs_finite_ends(self, domain):
+        # (1e-3, inf) passed the 0 < lo < hi test, warned in geomspace and
+        # reported example 1 without roots
+        with pytest.raises(ValueError, match=r"need finite 0 < lo < hi"):
+            find_roots(lambda y: m1(example_one_params(), y), domain)
+        with pytest.raises(ValueError, match=r"need finite 0 < lo < hi"):
+            melnikov.analyze(example_one_params(), domain)
+
+    def test_exact_zero_on_a_grid_node(self):
+        # a zero that lands on a node has no bracket: it is reported at the
+        # node itself and flagged SUSPECT, and its neighbours bracket nothing
+        ys = np.geomspace(0.5, 2.0, 9)
+        node = float(ys[3])
+        roots = find_roots(lambda y: y - node, (0.5, 2.0), RootFindOptions(grid=9))
+        assert roots == [(node, RootFlag.SUSPECT)]
 
     def test_all_nan_gives_no_roots_and_no_warning(self):
         # with no bracket and no zero node the grid scale is never needed;
@@ -681,6 +751,20 @@ class TestStability:
             assert low.stability is expected
             checked += 1
         assert checked > 10
+
+    def test_infinity_tie_labels_from_the_lowest_cycle(self):
+        # xi*(b11m + b22m) + b11p + b22p = 0: infinity is undetermined, and
+        # the labels follow the lowest cycle, stable because M1 < 0 near 0+
+        # when b11m + b22m > 0, then alternate
+        p = MelnikovParams(b=-1.0, d=1.0, e=1.0, xi=0.5, b11m=0.5, b22m=0.5,
+                           v1m=0.3, b11p=-0.25, b22p=-0.25, v1p=0.4)
+        assert melnikov.infinity_sign(p) == 0
+        assert m1(p, 1e-3) < 0
+        roots = [(0.5, RootFlag.SIMPLE), (2.0, RootFlag.SIMPLE), (1.0, RootFlag.SIMPLE)]
+        report = classify_stability(p, roots)
+        assert report.infinity_stability is Stability.UNDETERMINED
+        assert [(r.y0, r.stability) for r in report.roots] == [
+            (0.5, Stability.STABLE), (1.0, Stability.UNSTABLE), (2.0, Stability.STABLE)]
 
     def test_report_serialization(self):
         p = example_one_params()

@@ -92,7 +92,7 @@ class TestThresholds:
 class TestSMapSeries:
     def test_common_leading_term(self):
         p = type_one_sliding_params()
-        sm = s_maps(p, 0.0)
+        sm = s_maps(replace(p, epsilon=0.0))
         assert all(v == pytest.approx(-2.0 * p.e, abs=1e-15) for v in sm.values)
 
     def test_common_first_order_coefficient(self):
@@ -445,6 +445,24 @@ class TestSimultaneity:
         rep = simultaneity_report(p)
         assert rep.verdict == "sliding only"
         assert rep.crossing_roots == ()
+
+    def test_crossing_only_outside_the_windows(self):
+        # c11m + c22m = 1.02 lies past both sliding windows (up to 4T = 0.312)
+        p = replace(example_two_sliding_params(), c11m=1.0)
+        rep = simultaneity_report(p)
+        assert rep.verdict == "crossing only"
+        assert rep.sliding.cycle is CycleKind.NONE
+        assert rep.crossing_roots == (pytest.approx(EXAMPLE2_SYSTEM_ROOT, abs=1e-6),)
+        assert rep.crossing_stability is Stability.UNSTABLE
+
+    def test_none_without_either_cycle(self):
+        # b11p + b22p = 0 leaves M1 the constant 2 v1m + 2 v1p/b = 1.4
+        p = replace(example_two_sliding_params(), c11m=1.0, b11p=0.0, b22p=0.0)
+        rep = simultaneity_report(p)
+        assert rep.verdict == "none"
+        assert rep.sliding.cycle is CycleKind.NONE
+        assert rep.crossing_roots == ()
+        assert rep.crossing_stability is Stability.UNDETERMINED
 
     def test_crossing_stability_follows_drift_sign(self):
         # v1m + v1p/b = 0.7 > 0 for the bundled constrained system

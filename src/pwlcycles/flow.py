@@ -64,6 +64,11 @@ _TWO_U = 2.0**-52         # twice the unit roundoff 2**-53
 _ILLINOIS_STEPS = 20      # most root estimates of _certificates before its probes
 
 
+def _return_horizon(xi: float) -> float:
+    """Time budget of a first return or a sliding loop: 3(2 pi + pi/xi)."""
+    return 3.0 * (TWO_PI + math.pi / xi)
+
+
 # ---------------------------------------------------------------------------
 # exact affine zone flow (any perturbation order folded in)
 # ---------------------------------------------------------------------------
@@ -90,21 +95,23 @@ class AffineFlow:
         # N = M - mu*I entry by entry, rounded as the array expression
         self._n = (a - mu, b - mu * 0.0, c - mu * 0.0, d - mu)
         self.N = np.array(self._n).reshape(2, 2)
-        self.w2 = -_det2(*self._n)  # N^2 = w2 * I
-        self.omega = math.sqrt(abs(self.w2)) if abs(self.w2) > 0 else 0.0
-
-    def _cs(self, t, lib=np):
-        """Scalar pair (c, s) with e^{Nt} = c I + s N; ``lib`` is numpy for
-        arrays or math for a float."""
-        w2 = self.w2
+        self.w2 = w2 = -_det2(*self._n)  # N^2 = w2 * I
+        self.omega = om = math.sqrt(abs(w2)) if abs(w2) > 0 else 0.0
+        # the branch, decided here once: _cs(t, lib) is the scalar pair (c, s)
+        # with e^{Nt} = c I + s N, lib numpy for arrays or math for a float
         if w2 < -1e-14:
-            om = self.omega
-            return lib.cos(om * t), lib.sin(om * t) / om
-        if w2 > 1e-14:
-            om = self.omega
-            return lib.cosh(om * t), lib.sinh(om * t) / om
-        z = w2 * t * t
-        return 1.0 + z / 2.0 + z * z / 24.0, t * (1.0 + z / 6.0 + z * z / 120.0)
+            self._branch = "oscillatory"
+            self._cs = lambda t, lib=np: (lib.cos(om * t), lib.sin(om * t) / om)
+        elif w2 > 1e-14:
+            self._branch = "hyperbolic"
+            self._cs = lambda t, lib=np: (lib.cosh(om * t), lib.sinh(om * t) / om)
+        else:
+            self._branch = "near-nilpotent"
+
+            def _cs(t, lib=np):
+                z = w2 * t * t
+                return 1.0 + z / 2.0 + z * z / 24.0, t * (1.0 + z / 6.0 + z * z / 120.0)
+            self._cs = _cs
 
     def state(self, X0, t):
         """Flow of X0 after time t: the (2,) state for a float t, (n, 2) states
@@ -264,13 +271,6 @@ def _no_band(t_lo, t_hi):
     return math.inf
 
 
-def _ieee(zone, m, P, Q, R, tau):
-    """g at tau in numpy's arithmetic: +-inf or nan, and no warning."""
-    with np.errstate(all="ignore"):
-        c, s = zone._cs(tau, np)
-        return float(np.exp(m * tau) * (P * c + Q * s) + R)
-
-
 class _Coordinate:
     """One coordinate of a zone flow run forward in tau = |t|, minus a target.
 
@@ -278,8 +278,9 @@ class _Coordinate:
     in t, the coordinate is g(tau) = e^{m tau} (P c(tau) + Q s(tau)) + R with
     P = (X0 - equilibrium)[k], Q = direction*(N (X0 - equilibrium))[k] and
     R = equilibrium[k] - target.  Q is numpy's product, whose sum is fused.
-    ``value`` is g on a float, as ``_cs(tau, math)`` computes it or as
-    ``_ieee`` does where ``math`` raises; ``first`` is set on oscillatory arcs.
+    ``value`` is g on a float through ``_cs(tau, math)``, or through
+    ``_cs(tau, np)`` where ``math`` raises: numpy's +-inf or nan, and no
+    warning.  ``first`` is set on oscillatory arcs.
 
     ``band(t_lo, t_hi)`` bounds |value - g| on [t_lo, t_hi], 0 <= t_lo <
     t_hi.  On an oscillatory arc it is 2u (e^{max(m t_lo, m t_hi)}
@@ -300,50 +301,43 @@ class _Coordinate:
         self.P = P = X0.tolist()[component] - e
         self.Q = Q = direction * float(zone.N[component] @ (X0 - zone._eq))
         self.R = R = e - target
-        w2, om, exp = zone.w2, zone.omega, math.exp
-        self.first = None
-        self.band = _no_band
-        if abs(w2) > 1e-14:
-            cos, sin = (math.cos, math.sin) if w2 < 0.0 else (math.cosh, math.sinh)
+        cs, exp = zone._cs, math.exp
 
-            def value(tau):
-                try:
-                    return exp(m * tau) * (P * cos(om * tau) + Q * (sin(om * tau) / om)) + R
-                except (OverflowError, ValueError):
-                    return _ieee(zone, m, P, Q, R, tau)
-            if w2 < 0.0:
-                # g' e^{-m tau} = (mP + om q) cos(om tau) + (mq - om P) sin(om tau)
-                # with q = Q/om, a single cosine A cos(om tau - phi)
-                q = Q / om
-                phi = math.atan2(m * q - om * P, m * P + om * q)
-                self.first = (phi + 0.5 * math.pi) % math.pi
-                size = abs(P) + abs(q)
-
-                def band(t_lo, t_hi):
-                    top, bottom = (m * t_hi, m * t_lo) if m > 0.0 else (m * t_lo, m * t_hi)
-                    if not (-708.0 < bottom and top < 709.0):  # e^{m tau} not normal
-                        return math.inf
-                    return _TWO_U * (exp(top) * size * ((om + abs(m)) * t_hi + 10.0) + abs(R))
-                self.band = band
-        else:
-            def value(tau):
-                z = w2 * tau * tau
-                try:
-                    return exp(m * tau) * (P * (1.0 + z / 2.0 + z * z / 24.0)
-                                           + Q * (tau * (1.0 + z / 6.0 + z * z / 120.0))) + R
-                except OverflowError:
-                    return _ieee(zone, m, P, Q, R, tau)
+        def value(tau):
+            try:
+                c, s = cs(tau, math)
+                return exp(m * tau) * (P * c + Q * s) + R
+            except (OverflowError, ValueError):
+                with np.errstate(all="ignore"):
+                    c, s = cs(tau, np)
+                    return float(np.exp(m * tau) * (P * c + Q * s) + R)
         self.value = value
+        self.band = _no_band
+        if zone._branch == "oscillatory":
+            # g' e^{-m tau} = (mP + om q) cos(om tau) + (mq - om P) sin(om tau)
+            # with q = Q/om, a single cosine A cos(om tau - phi)
+            om = zone.omega
+            q = Q / om
+            phi = math.atan2(m * q - om * P, m * P + om * q)
+            self.first = (phi + 0.5 * math.pi) % math.pi
+            size = abs(P) + abs(q)
+
+            def band(t_lo, t_hi):
+                top, bottom = (m * t_hi, m * t_lo) if m > 0.0 else (m * t_lo, m * t_hi)
+                if not (-708.0 < bottom and top < 709.0):  # e^{m tau} not normal
+                    return math.inf
+                return _TWO_U * (exp(top) * size * ((om + abs(m)) * t_hi + 10.0) + abs(R))
+            self.band = band
 
     def critical_times(self, t_end: float, k: int = 0):
         """The zeros of g' in (0, t_end) in increasing order, in closed form
         per branch of _cs, generated one by one; on an oscillatory arc, from
         the k-th critical time of its phase on."""
-        zone, m, P, Q = self.zone, self.m, self.P, self.Q
-        w2, om, first = zone.w2, zone.omega, self.first
+        zone, m, P, Q, om = self.zone, self.m, self.P, self.Q, self.zone.omega
         if P == 0.0 and Q == 0.0:  # the coordinate stays at its equilibrium value
             return
-        if first is not None:
+        if zone._branch == "oscillatory":
+            first = self.first
             n = (om * t_end - first) / math.pi  # the critical times are those of k < n
             while k < n:
                 tau = (first + math.pi * k) / om
@@ -351,7 +345,7 @@ class _Coordinate:
                 if 0.0 < tau < t_end:
                     yield tau
             return
-        if w2 > 1e-14:
+        if zone._branch == "hyperbolic":
             # g' e^{-m tau} = (mP + om q) cosh(om tau) + (mq + om P) sinh(om tau)
             q = Q / om
             den = m * q + om * P
@@ -412,7 +406,7 @@ def first_component_zero(zone: AffineFlow, X0, direction: float, t_budget: float
         if t == t_budget:
             return None, "none"
         t_lo, v_lo, seen = t, v, seen + 1
-        if seen == 2 and coord.first is not None:
+        if seen == 2 and zone._branch == "oscillatory":
             m, first, om = coord.m, coord.first, zone.omega
             S = abs(coord.P * math.cos(first) + coord.Q / om * math.sin(first))
             # level: the least deviation from R of an extremum that holds an event;
@@ -733,9 +727,9 @@ def _first_return(sys: PwlSystem, y0: float, backward: bool = False) -> float:
     The simulation stops at that crossing; the crossing at the start does
     not count.  It records no samples: only the crossings and the stop
     reason are read.  Raises ``NoReturn`` when the run ends first, within
-    t_max = 3(2 pi + pi/xi) or ``RETURN_SEGMENTS`` segments.
+    ``_return_horizon`` or ``RETURN_SEGMENTS`` segments.
     """
-    t_max = 3.0 * (TWO_PI + math.pi / _xi_of(sys))
+    t_max = _return_horizon(_xi_of(sys))
     traj = Trajectory(direction=-1.0 if backward else 1.0)
     try:
         for ev in _run(sys, (0.0, y0), t_max, RETURN_SEGMENTS, traj, record=False):

@@ -93,7 +93,10 @@ class MelnikovParams:
     Fields are finite, b < 0, xi > 0 and d, e in [2**-511, 2**511], else
     ``ValueError``.  There x*x is normal and 2.0*x*x exactly twice it for
     x = d, e, so M1's arccos arguments 2x^2/(x^2 + t) - 1, t >= 0, round
-    into [-1, 1] at every y0 > 0: x^2 + t rounds to at least x*x.
+    into [-1, 1] at every y0 > 0: x^2 + t rounds to at least x*x.  So
+    that M1 divides by no zero and raises no overflow, xi*xi, xi**3 and
+    b*xi**3 are finite normal doubles, else ``ValueError`` naming xi, or b
+    for the last.
     """
 
     b: float
@@ -114,6 +117,14 @@ class MelnikovParams:
         for name in ("d", "e"):
             if not 2.0 ** -511 <= getattr(self, name) <= 2.0 ** 511:
                 raise ValueError(f"{type(self).__name__}.{name} must lie in [2**-511, 2**511]")
+        try:
+            xi3 = self.xi ** 3
+        except OverflowError:  # a float power raises where it overflows
+            xi3 = math.inf
+        for name, value in (("xi", self.xi * self.xi), ("xi", xi3), ("b", self.b * xi3)):
+            if not 2.0 ** -1022 <= abs(value) < math.inf:
+                raise ValueError(f"{type(self).__name__}.{name} must keep xi*xi, xi**3 "
+                                 "and b*xi**3 finite normal doubles")
 
     @property
     def trace_minus(self) -> float:

@@ -32,7 +32,14 @@ from enum import Enum
 
 from .core import PwlSystem, canonical_system
 from .errors import BoundViolated, ConstraintViolated, EventStall
-from .flow import RETURN_SEGMENTS, SLIDING, AffineFlow, first_component_zero, simulate
+from .flow import (
+    RETURN_SEGMENTS,
+    SLIDING,
+    AffineFlow,
+    _return_horizon,
+    first_component_zero,
+    simulate,
+)
 from .melnikov import (
     SIGN_TOL,
     MelnikovParams,
@@ -358,8 +365,7 @@ def simulate_sliding_cycle(p: SlidingParams, eps: float | None = None):
     work = _frame(p)
     sys = work.to_system(eps)
     y_f1 = {f.side: f.y for f in find_folds(sys)}["minus"]
-    t_max = 3.0 * (2.0 * math.pi + math.pi / p.xi)
-    traj = simulate(sys, (0.0, y_f1), t_max, max_segments=RETURN_SEGMENTS)
+    traj = simulate(sys, (0.0, y_f1), _return_horizon(p.xi), max_segments=RETURN_SEGMENTS)
     kinds = traj.segment_kinds()
     # the loop is superstable (every slide ends at the fold), so closure is the
     # spread of consecutive landings on the sliding segment: the slides' starts

@@ -498,6 +498,25 @@ class TestPublicApi:
         assert naming == {"melnikov._acos", "flow._certificates",
                           "examples.example_two_nominal_m1"}
 
+    def test_one_home_for_the_branch_rule(self):
+        # a guard against a second copy of the zone flow's branch rule: only
+        # AffineFlow compares w2, with the threshold that picks the branch
+        # of _cs (oscillatory, hyperbolic or near-nilpotent); the event search
+        # reads the branch it decided
+        import ast
+        import pathlib
+
+        import pwlcycles
+        comparing = set()
+        for mod, tree in self._trees(pathlib.Path(pwlcycles.__file__).parent).items():
+            for stmt in tree.body:
+                for node in ast.walk(stmt):
+                    if isinstance(node, ast.Compare) and any(
+                            "w2" in (getattr(n, "id", None), getattr(n, "attr", None))
+                            for n in ast.walk(node)):
+                        comparing.add(f"{mod}.{getattr(stmt, 'name', stmt.lineno)}")
+        assert comparing == {"flow.AffineFlow"}
+
     def test_every_keyword_only_parameter_is_passed(self):
         # a guard against regrowth: each keyword-only parameter of a public
         # module-level function in src/ is passed by name at a call of that

@@ -978,6 +978,61 @@ class TestLazyEventSearch:
         assert traj.segment_kinds() == [flow.ZONE_PLUS]
 
 
+class TestBranchBoundary:
+    """Zones whose w2 lies a few ulps on either side of the branch
+    threshold +-1e-14: the coordinate and its critical times take the branch
+    that ``AffineFlow`` decided, so they agree with ``_cs`` there."""
+
+    @staticmethod
+    def _zones(monkeypatch):
+        """(branch expected, zone) for w2 = +-1e-14 moved by up to 3 ulps,
+        in the zone 2e-7 I + [[0, 1], [w2, 0]].  ``_det2`` rounds through
+        exp(log), so the w2 it gives near 1e-14 lie about 45 ulps apart; the
+        exact determinant of these entries, a*d - b*c, sets each w2 itself."""
+        monkeypatch.setattr(flow, "_det2", lambda a, b, c, d: a * d - b * c)
+        for threshold, outside in ((-1e-14, "oscillatory"), (1e-14, "hyperbolic")):
+            for k in range(-3, 4):
+                w2 = threshold
+                for _ in range(abs(k)):  # k > 0 steps away from zero, beyond the threshold
+                    w2 = math.nextafter(w2, math.copysign(math.inf, threshold * k))
+                zone = AffineFlow([[2e-7, 1.0], [w2, 2e-7]], [0.0, 0.0])
+                assert zone.w2 == w2
+                yield (outside if k > 0 else "near-nilpotent"), zone
+
+    def test_each_side_takes_its_branch(self, monkeypatch):
+        seen = set()
+        for branch, zone in self._zones(monkeypatch):
+            assert zone._branch == branch, zone.w2
+            seen.add(branch)
+        assert seen == {"oscillatory", "hyperbolic", "near-nilpotent"}
+
+    def test_value_is_the_cs_composite(self, monkeypatch):
+        for _, zone in self._zones(monkeypatch):
+            coord = flow._Coordinate(zone, (1.0, -1.28e-7), 1.0, 0, 0.3)
+            for tau in np.linspace(0.0, 4.0 * math.pi / zone.omega, 101).tolist():
+                c, s = zone._cs(tau, math)
+                want = math.exp(coord.m * tau) * (coord.P * c + coord.Q * s) + coord.R
+                assert float.hex(coord.value(tau)) == float.hex(want), (zone.w2, tau)
+
+    def test_critical_times_follow_the_branch(self, monkeypatch):
+        # from this start the three rules part: the oscillatory extrema are
+        # pi/omega apart, the hyperbolic one is at omega*tau ~ 0.5 and the
+        # near-nilpotent one is the zero of mP + Q + mQ tau, near 2.8e6
+        for branch, zone in self._zones(monkeypatch):
+            coord = flow._Coordinate(zone, (1.0, -1.28e-7), 1.0, 0, 0.0)
+            crit = list(coord.critical_times(4.0 * math.pi / zone.omega))
+            if branch == "near-nilpotent":
+                assert crit == [-(coord.m * coord.P + coord.Q) / (coord.m * coord.Q)]
+                continue
+            assert len(crit) >= 3 if branch == "oscillatory" else len(crit) == 1
+            assert_allclose(np.diff(crit), math.pi / zone.omega, rtol=1e-12)
+            for tau in crit:  # an extremum of the value
+                mid, lo, hi = (coord.value(t) for t in (tau, tau * 0.999, tau * 1.001))
+                assert (lo - mid) * (hi - mid) > 0.0, (zone.w2, tau)
+            if branch == "hyperbolic":
+                assert 0.4 < zone.omega * crit[0] < 0.6
+
+
 @pytest.mark.skipif(np.finfo(np.longdouble).nmant < 63,
                     reason="the reference needs a long double of at least 64 bits")
 class TestRoundingBand:

@@ -314,6 +314,27 @@ class TestArccosContract:
         with pytest.raises(ValueError, match=f"SlidingParams.{name} must lie in"):
             replace(example_two_sliding_params(), **{name: value})
 
+    @pytest.mark.parametrize("name, b, xi", [("xi", -1.0, 1e-110), ("xi", -1.0, 1e120),
+                                             ("xi", -1.0, 2.0 ** -511.5), ("xi", -1.0, 2.0 ** 342),
+                                             ("b", -1e300, 1e100), ("b", -1e-300, 1e-100)])
+    def test_xi_and_b_that_break_the_denominators_are_refused(self, name, b, xi):
+        # xi = 1e-110 (xi**3 underflows to 0) gave a bare ZeroDivisionError
+        # from m1 at y0 = 2, and xi = 1e120 an OverflowError from xi**3; the
+        # rest leave xi*xi, xi**3 or b*xi**3 outside the normal doubles
+        kwargs = dict(b=b, d=1.0, e=1.0, xi=xi, b11m=0.3, b22m=0.1, v1m=0.2,
+                      b11p=0.5, b22p=0.1, v1p=0.3)
+        with pytest.raises(ValueError, match=f"MelnikovParams.{name} must keep"):
+            MelnikovParams(**kwargs)
+        with pytest.raises(ValueError, match=f"SlidingParams.{name} must keep"):
+            replace(example_two_sliding_params(), b=b, xi=xi)
+
+    def test_the_sweep_range_of_xi_is_taken(self):
+        # the domain sweep below draws xi from [1e-100, 1e100] and b from
+        # [-3, -0.2]; its corners keep finite M1 values
+        for b, xi in ((-3.0, 1e-100), (-0.2, 1e-100), (-3.0, 1e100), (-0.2, 1e100)):
+            p = replace(example_one_params(), b=b, xi=xi)
+            assert math.isfinite(m1(p, 2.0)) and math.isfinite(m1(p, np.array([2.0]))[0])
+
     def test_the_ends_are_taken(self):
         for d, e in ((2.0 ** -511, 2.0 ** 511), (2.0 ** 511, 2.0 ** -511)):
             p = replace(example_two_params(), d=d, e=e)

@@ -49,9 +49,11 @@ class Mat2:
     m22: float
 
     def __post_init__(self):
-        for name in ("m11", "m12", "m21", "m22"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"Mat2.{name} must be finite")
+        if not (math.isfinite(self.m11) and math.isfinite(self.m12)
+                and math.isfinite(self.m21) and math.isfinite(self.m22)):
+            name = next(n for n in ("m11", "m12", "m21", "m22")
+                        if not math.isfinite(getattr(self, n)))
+            raise ValueError(f"Mat2.{name} must be finite")
 
     @property
     def array(self) -> np.ndarray:
@@ -302,9 +304,15 @@ class ChangeOfVariables:
         return PwlSystem(p0, m0, p1, m1, p2, m2, epsilon=sys.epsilon)
 
     def _push_pairs(self, pairs) -> list[ZonePair]:
+        """Each pair (M, u) pushed by ``_pushed``, as records."""
+        return [(Mat2(m11, m12, m21, m22), Vec2(x, y))
+                for m11, m12, m21, m22, x, y in self._pushed(pairs)]
+
+    def _pushed(self, pairs) -> list[tuple[float, ...]]:
         """For Y = Q X + q, tau = rho t each pair (M, u) becomes
         (Q M Q^-1 / rho, Q (u - M Q^-1 q) / rho), in float arithmetic with
-        Q^-1 the adjugate over the determinant."""
+        Q^-1 the adjugate over the determinant; returned as the six floats
+        (m11, m12, m21, m22, x, y), which may be non-finite."""
         (q11, q12), (q21, q22) = self.linear
         det = q11 * q22 - q12 * q21
         i11, i12, i21, i22 = q22 / det, -q12 / det, -q21 / det, q11 / det
@@ -317,9 +325,9 @@ class ChangeOfVariables:
             r21, r22 = q21 * m.m11 + q22 * m.m21, q21 * m.m12 + q22 * m.m22
             w1 = u.x - (m.m11 * p1 + m.m12 * p2)
             w2 = u.y - (m.m21 * p1 + m.m22 * p2)
-            out.append((Mat2((r11 * i11 + r12 * i21) / rho, (r11 * i12 + r12 * i22) / rho,
-                             (r21 * i11 + r22 * i21) / rho, (r21 * i12 + r22 * i22) / rho),
-                        Vec2((q11 * w1 + q12 * w2) / rho, (q21 * w1 + q22 * w2) / rho)))
+            out.append(((r11 * i11 + r12 * i21) / rho, (r11 * i12 + r12 * i22) / rho,
+                        (r21 * i11 + r22 * i21) / rho, (r21 * i12 + r22 * i22) / rho,
+                        (q11 * w1 + q12 * w2) / rho, (q21 * w1 + q22 * w2) / rho))
         return out
 
 
@@ -345,7 +353,7 @@ class HypothesisReport:
 
 
 def _margin(*values: float) -> float:
-    return SIGN_MARGIN * max(1.0, *(abs(v) for v in values))
+    return SIGN_MARGIN * max(1.0, *map(abs, values))
 
 
 def _require_positive(value: float, margin: float, inside: str,
@@ -358,31 +366,24 @@ def _require_positive(value: float, margin: float, inside: str,
         raise violation(beyond)
 
 
-def _center_data(m: Mat2) -> tuple[float, float, float] | None:
+def _center_data(m11: float, m12: float, m21: float,
+                 m22: float) -> tuple[float, float, float] | None:
     """(m11, m11^2 + m12*m21, the sign margin of that discriminant) of the
-    trace-free representative, or None when the trace is structurally
-    nonzero.  A linear piece is a center iff its trace vanishes and the
-    discriminant is negative; tiny traces are symmetrized away.
+    trace-free representative of [[m11, m12], [m21, m22]], or None when the
+    trace is structurally nonzero.  A linear piece is a center iff its
+    trace vanishes and the discriminant is negative; tiny traces are
+    symmetrized away.
     """
-    scale = max(1.0, abs(m.m11), abs(m.m12), abs(m.m21), abs(m.m22))
-    if abs(m.trace) > 1e-9 * scale:
+    scale = max(1.0, abs(m11), abs(m12), abs(m21), abs(m22))
+    if abs(m11 + m22) > 1e-9 * scale:
         return None
-    m11 = 0.5 * (m.m11 - m.m22)
-    return m11, m11 * m11 + m.m12 * m.m21, _margin(m11 * m11, m.m12 * m.m21)
+    m11 = 0.5 * (m11 - m22)
+    return m11, m11 * m11 + m12 * m21, _margin(m11 * m11, m12 * m21)
 
 
 def _is_center(m: Mat2) -> bool:
-    data = _center_data(m)
+    data = _center_data(m.m11, m.m12, m.m21, m.m22)
     return data is not None and data[1] < -data[2]
-
-
-def _singular_point(m: Mat2, u: Vec2) -> tuple[float, float]:
-    det = m.det
-    if abs(det) < _margin(m.m11 * m.m22, m.m12 * m.m21):
-        raise DegenerateLinearPart("zone matrix is singular; no isolated singular point")
-    # LAPACK's solve: the reported points keep its rounding
-    return tuple(np.linalg.solve(np.array([[m.m11, m.m12], [m.m21, m.m22]], dtype=float),
-                                 -np.array([u.x, u.y], dtype=float)).tolist())
 
 
 def _tangency_shift(sys: PwlSystem) -> float:
@@ -413,7 +414,7 @@ def _raw_change(sys: PwlSystem) -> ChangeOfVariables:
     (mm, _) = sys.order0_minus
     if abs(mm.m12) < _margin(mm.m11, mm.m21, mm.m22):
         raise SwitchingLineNotPreserved("left-zone m12 vanishes")
-    data = _center_data(mm)
+    data = _center_data(mm.m11, mm.m12, mm.m21, mm.m22)
     if data is None:
         raise NotTraceFree("left zone matrix has nonzero trace; cannot be a center")
     m11, disc, margin = data
@@ -430,18 +431,22 @@ def _raw_change(sys: PwlSystem) -> ChangeOfVariables:
 def _normal_form(sys: PwlSystem, change: ChangeOfVariables) -> CanonicalParams:
     """Read (a, b, c, d, e, xi) off the order-0 pairs pushed through
     ``change`` and check the strict sign constraints of the normal form."""
-    (ap_m, ap_u), (_, am_u) = change._push_pairs((sys.order0_plus, sys.order0_minus))
-    data = _center_data(ap_m)
+    plus, minus = change._pushed((sys.order0_plus, sys.order0_minus))
+    if not math.isfinite(sum(plus) + sum(minus)):
+        # a non-finite entry: the records raise the ValueError that names it
+        change._push_pairs((sys.order0_plus, sys.order0_minus))
+    data = _center_data(*plus[:4])
     if data is None:
         raise NotTraceFree("right zone matrix has nonzero trace; cannot be a center")
     # the left side is now the unit rotation with offset (0, e)
     a, disc, _ = data
-    b, c, d, e = ap_m.m12, ap_m.m21, ap_u.y, am_u.y
+    b, c, d, e = plus[1], plus[2], plus[5], minus[5]
     margin = _margin(a, b, c, d, e)
-    checks = {"b < 0": -b, "c > 0": c, "d > 0": d, "e > 0": e, "a^2 + b*c < 0": -disc}
-    for label, val in checks.items():
-        _require_positive(val, margin, f"constraint {label} is inside the sign margin",
-                          HypothesisViolation, f"constraint {label} fails after reduction")
+    checks = (("b < 0", -b), ("c > 0", c), ("d > 0", d), ("e > 0", e), ("a^2 + b*c < 0", -disc))
+    for label, val in checks:
+        if val <= margin:  # a failing check, the only one whose messages are formatted
+            _require_positive(val, margin, f"constraint {label} is inside the sign margin",
+                              HypothesisViolation, f"constraint {label} fails after reduction")
     return CanonicalParams(a=a, b=b, c=c, d=d, e=e, xi=math.sqrt(-disc))
 
 
@@ -461,10 +466,17 @@ def check_hypotheses(sys: PwlSystem) -> HypothesisReport:
     (mp, up) = sys.order0_plus
 
     minus_center = _is_center(mm)
-    p_minus = _singular_point(mm, um)
-    p_plus = _singular_point(mp, up)
-    h1 = bool(minus_center and p_minus[0] <= _margin(p_minus[0]))
-    h2 = bool(_is_center(mp) and p_plus[0] <= _margin(p_plus[0]))
+    for m in (mm, mp):
+        if abs(m.det) < _margin(m.m11 * m.m22, m.m12 * m.m21):
+            raise DegenerateLinearPart("zone matrix is singular; no isolated singular point")
+    # one LAPACK solve for both zones: the reported points keep its rounding
+    matrices = np.array((mm.m11, mm.m12, mm.m21, mm.m22, mp.m11, mp.m12, mp.m21, mp.m22))
+    offsets = np.array((-um.x, -um.y, -up.x, -up.y))
+    xm, ym, xp, yp = np.linalg.solve(matrices.reshape(2, 2, 2),
+                                     offsets.reshape(2, 2, 1)).ravel().tolist()
+    h1 = bool(minus_center and xm <= _margin(xm))
+    h2 = bool(_is_center(mp) and xp <= _margin(xp))
+    p_minus, p_plus = (xm, ym), (xp, yp)
 
     h3 = False
     reduction = None

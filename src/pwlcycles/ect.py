@@ -66,11 +66,14 @@ class FunctionFamily:
 
 
 def _matrices(fam: FunctionFamily, n: int, s) -> np.ndarray:
-    """Derivative matrices [d^k g_i](s) for k, i < n, stacked over the points of s."""
+    """Derivative matrices [d^k g_i](s) for k, i < n, stacked over the points
+    of s.  Each function is called on s as ``deriv`` calls it, and the
+    assignment broadcasts a scalar return."""
     mat = np.empty(np.shape(s) + (n, n))
-    for k in range(n):
-        for i in range(n):
-            mat[..., k, i] = fam.deriv(i, k, s)
+    for i in range(n):
+        fs = (fam.members[i], *fam.derivatives[i])
+        for k in range(n):
+            mat[..., k, i] = fs[k](s)
     return mat
 
 

@@ -40,7 +40,7 @@ def scaled_sign(value: float, *terms: float) -> int:
     """Sign of ``value`` as -1, 0 or 1, where 0 means
     |value| <= SIGN_TOL * max(1, |terms|): the tie of a sign decision whose
     quantity is built from ``terms``."""
-    tol = SIGN_TOL * max([1.0, *(abs(t) for t in terms)])
+    tol = SIGN_TOL * max([1.0, *map(abs, terms)])
     if value > tol:
         return 1
     if value < -tol:
@@ -183,14 +183,17 @@ class MelnikovParams:
 def _positive(x, message: str):
     """``x`` as a float if it is a number or 0-d, else as a float array;
     ValueError(message) unless every entry is > 0 (NaN passes)."""
-    if isinstance(x, (int, float)):
-        if x <= 0:
-            raise ValueError(message)
-        return float(x)
-    x = float(x) if np.ndim(x) == 0 else np.asarray(x, dtype=float)
-    if np.any(x <= 0):
+    if not isinstance(x, (int, float)):
+        if np.ndim(x) == 0:
+            x = float(x)
+        else:
+            x = np.asarray(x, dtype=float)
+            if (x <= 0).any():
+                raise ValueError(message)
+            return x
+    if x <= 0:
         raise ValueError(message)
-    return x
+    return float(x)
 
 
 def _acos(arg):
@@ -212,18 +215,48 @@ _ARC_TERM = (
 
 def m1(p: MelnikovParams, y0):
     """First-order Melnikov function at amplitude y0 > 0: a float (``math``)
-    for a number, an array (numpy) for an array; NaN amplitudes give NaN."""
+    for a number, an array (numpy) for an array; NaN amplitudes give NaN.
+    Each augmented assignment updates a temporary made in the call, in
+    place for an array, so both paths round the same operations in the
+    same order."""
     y0 = _positive(y0, "m1 needs y0 > 0")
     e, xi, sm, sp, ee, ee2, dd, dd2, xx, xi3, bxi3, bd2, v1p4, v1m4, sm2, bsp, _ = p._terms
-    yy = y0 * y0
-    ee_yy = ee + yy
-    # xi^2 y0^2 is xx*y0*y0 in the arccos argument and yy*xi*xi in inner:
-    # the two round apart, and each keeps the association of its term
-    acl = _acos(ee2 / ee_yy - 1.0)
-    acr = _acos(dd2 / (dd + xx * y0 * y0) - 1.0)
-    inner = bd2 * y0 * xi * sp - v1p4 * y0 * xi3 + bsp * (dd + yy * xi * xi) * acr
-    return (v1m4 * y0 - sm2 * (math.pi * ee_yy + e * y0) + sm * ee_yy * acl
-            - inner / bxi3) / (2.0 * y0)
+    ee_yy = y0 * y0
+    # xi^2 y0^2 is yy*xi*xi in the arc term and xx*y0*y0 in the arccos
+    # argument: the two round apart, and each keeps the association of its term
+    arc = ee_yy * xi
+    arc *= xi
+    arc += dd
+    ee_yy += ee
+    acl = ee2 / ee_yy
+    acl -= 1.0
+    acl = _acos(acl)
+    acr = xx * y0
+    acr *= y0
+    acr += dd
+    acr = dd2 / acr
+    acr -= 1.0
+    arc *= bsp
+    arc *= _acos(acr)
+    inner = bd2 * y0
+    inner *= xi
+    inner *= sp
+    drift = v1p4 * y0
+    drift *= xi3
+    inner -= drift
+    inner += arc
+    inner /= bxi3
+    pi_term = ee_yy * math.pi
+    pi_term += e * y0
+    pi_term *= sm2
+    out = v1m4 * y0
+    out -= pi_term
+    ee_yy *= sm
+    ee_yy *= acl
+    out += ee_yy
+    out -= inner
+    out /= 2.0 * y0
+    return out
 
 
 def m1_constrained(p: MelnikovParams, y0):
@@ -232,13 +265,28 @@ def m1_constrained(p: MelnikovParams, y0):
     M1(y0) = 2 v1m + 2 v1p / b + d (b11p + b22p) / xi^2
              - (b11p + b22p) (d^2 + xi^2 y0^2) arccos(2 d^2/(d^2+xi^2 y0^2) - 1)
                / (2 y0 xi^3).
+
+    A float amplitude at which 2 y0 xi^3 rounds to 0 raises ValueError.
     """
     if not p.constrained:
         raise ConstraintViolated("m1_constrained needs b11m = -b22m")
     y0 = _positive(y0, "m1_constrained needs y0 > 0")
     t = p._terms
-    dd_xy = t.dd + t.xx * y0 * y0
-    return t.k0 - t.sp * dd_xy * _acos(t.dd2 / dd_xy - 1.0) / (2.0 * y0 * t.xi3)
+    dd_xy = t.xx * y0
+    dd_xy *= y0
+    dd_xy += t.dd
+    ac = t.dd2 / dd_xy
+    ac -= 1.0
+    dd_xy *= t.sp
+    dd_xy *= _acos(ac)
+    den = 2.0 * y0
+    den *= t.xi3
+    try:
+        dd_xy /= den
+    except ZeroDivisionError:  # a float only: an array's entry becomes NaN
+        raise ValueError(f"m1_constrained needs y0 = {y0!r} large enough that "
+                         "2*y0*xi**3 does not round to 0") from None
+    return t.k0 - dd_xy
 
 
 @dataclass(frozen=True)
@@ -342,12 +390,14 @@ def find_roots(f, domain, opts: RootFindOptions | None = None):
     opts = opts or RootFindOptions()
     ys = _grid(lo, hi, opts.grid)
     vals = np.asarray(f(ys), dtype=float)
-    sign = np.sign(vals)
-    idx = np.where(sign[:-1] * sign[1:] < 0)[0]
-    on_nodes = np.where(sign == 0)[0]
+    pos, neg = vals > 0, vals < 0
+    # strict sign changes, + to - or - to +: a zero or a NaN makes none
+    idx = ((pos[:-1] & neg[1:]) | (neg[:-1] & pos[1:])).nonzero()[0]
+    on_nodes = (vals == 0).nonzero()[0]
     if not (len(idx) or len(on_nodes)):
         return []
-    scale = float(np.nanmax(np.abs(vals))) / (hi - lo)
+    # np.nanmax without its all-NaN warning, which cannot arise here
+    scale = float(np.fmax.reduce(np.abs(vals))) / (hi - lo)
     tol = opts.refine_tol
     roots = []
     for i in idx:
@@ -437,9 +487,6 @@ def classify_stability(p: MelnikovParams, roots) -> MelnikovReport:
     makes it unstable.  Interior roots alternate.
     """
     sgn_inf = infinity_sign(p)
-    # the lowest cycle is stable when M1 < 0 near 0+
-    sgn_low = (scaled_sign(p.trace_minus, p.b11m, p.b22m)
-               or scaled_sign(p.drift, p.b * p.v1m, p.v1p))
     ordered = sorted(roots, key=lambda r: r[0])
     n = len(ordered)
     # a cycle's sign is the highest one's (the negated infinity sign) or the
@@ -447,6 +494,9 @@ def classify_stability(p: MelnikovParams, roots) -> MelnikovReport:
     if sgn_inf:
         labels = [stability_from_sign(-sgn_inf * (-1) ** (n - 1 - k)) for k in range(n)]
     else:
+        # the lowest cycle is stable when M1 < 0 near 0+
+        sgn_low = (scaled_sign(p.trace_minus, p.b11m, p.b22m)
+                   or scaled_sign(p.drift, p.b * p.v1m, p.v1p))
         labels = [stability_from_sign(sgn_low * (-1) ** k) for k in range(n)]
 
     bound = 1 if p.constrained else 3

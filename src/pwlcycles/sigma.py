@@ -161,14 +161,15 @@ def find_folds(sys: PwlSystem) -> list[FoldPoint]:
     folds: list[FoldPoint] = []
     for side in ("minus", "plus"):
         m, u = sys.zone(side)
-        alpha, gamma = m[0, 1], u[0]
+        (_, alpha), (_, m22) = m.tolist()
+        gamma, u2 = u.tolist()
         scale = max(1.0, abs(alpha), abs(gamma))
         if abs(alpha) < 1e-14 * scale:
             if abs(gamma) < 1e-14 * scale:
                 raise LineOfTangency(f"{side} field is tangent to x=0 identically")
             continue  # constant nonzero normal component: no tangency
         y_f = -gamma / alpha
-        ydot = m[1, 0] * 0.0 + m[1, 1] * y_f + u[1]
+        ydot = m22 * y_f + u2
         second = alpha * ydot
         if abs(second) < FOLD_TOL * max(1.0, abs(alpha) * max(1.0, abs(ydot))):
             # degenerate second contact (cusp); not modeled
@@ -177,8 +178,7 @@ def find_folds(sys: PwlSystem) -> list[FoldPoint]:
             vis = Visibility.VISIBLE if second > 0 else Visibility.INVISIBLE
         else:
             vis = Visibility.VISIBLE if second < 0 else Visibility.INVISIBLE
-        folds.append(FoldPoint(y=float(y_f), side=side, visibility=vis,
-                               second_lie=float(second)))
+        folds.append(FoldPoint(y=y_f, side=side, visibility=vis, second_lie=second))
     return folds
 
 

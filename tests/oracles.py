@@ -7,6 +7,8 @@ system at infinity is stepped by fixed-step RK4 on the polar field of the
 plane inversion, ``polar_bendixson_rhs`` below.  The one exception is
 ``first_component_zero_reference``, the event search as a full numpy
 scan: a differential reference that shares the package's event set-up.
+``singular_points_reference`` solves each zone for its singular point on
+its own, the bit reference for the stacked solve of ``check_hypotheses``.
 ``stencil_family`` gives a function family finite-difference derivatives,
 the reference for the analytic derivatives of the shipped families.
 ``m1_reference`` and ``m1_constrained_reference`` are ``M1``'s formulas with
@@ -101,6 +103,15 @@ def push_pairs_reference(change, pairs):
     rho = change.time_scale
     return [(qm @ m.array @ qinv / rho, qm @ (u.array - m.array @ (qinv @ q)) / rho)
             for m, u in pairs]
+
+
+def singular_points_reference(sys):
+    """The singular points of the order-0 left and right zones, each by its
+    own ``np.linalg.solve`` of M X = -u: the per-zone LAPACK solves whose
+    bits the stacked solve of ``check_hypotheses`` keeps."""
+    return [tuple(np.linalg.solve(np.array([[m.m11, m.m12], [m.m21, m.m22]], dtype=float),
+                                  -np.array([u.x, u.y], dtype=float)).tolist())
+            for m, u in (sys.order0_minus, sys.order0_plus)]
 
 
 def sliding_time(sys, ya, yb):

@@ -1,4 +1,5 @@
 import argparse
+import hashlib
 import json
 
 import numpy as np
@@ -285,6 +286,38 @@ class TestSlidingCommand:
         # the drift sign is fixed by the system, so the sweep crosses the
         # two sliding windows and the no-cycle region
         assert {"SlidingTypeI", "SlidingTypeII", "None"} <= cycles
+
+
+class TestFileDigests:
+    """The files ``analyze``, ``melnikov`` and ``sliding`` write for the two
+    bundled examples at eps 1e-2, pinned by sha256.  Each command reads
+    the example by the relative path ``ex1.json`` or ``ex2.json``, which is
+    what the report's ``"input"`` holds.  ``m1.csv`` is pinned by
+    ``TestM1Bits``."""
+
+    SHA256 = {
+        ("ex1", "report.json"): "7afb2e12426ad784b489200e4100120a1850f79bfe5ab12e5d8a085bac3331db",
+        ("ex1", "roots.json"): "482edc88178f39368e3ec887b79eeab8e6566e50524bdee28939176ea38bc8ed",
+        ("ex1", "sweep.csv"): "adc842c4cd0ac3240e55fd636ba155b11e42e16a386df0431f01fe78c7834388",
+        ("ex2", "report.json"): "24eeb8dd5235e87264be7a76eb857bd21dc4abfd2d10285819fcd7ceb6fe182e",
+        ("ex2", "roots.json"): "abafc768926950bea136e635a9b59416253c30713496eb34712abf8bc77efe25",
+        ("ex2", "sweep.csv"): "72f118020abfe82bcc82ccc2b111b2712c732144380917f145d53e7cbf011e8d",
+    }
+    COMMANDS = {"report.json": "analyze", "roots.json": "melnikov", "sweep.csv": "sliding"}
+
+    @pytest.mark.parametrize("example", ["ex1", "ex2"])
+    def test_files_are_pinned(self, example, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        system = {"ex1": example_one, "ex2": example_two}[example](1e-2)
+        (tmp_path / f"{example}.json").write_text(system.to_json())
+        digests = {}
+        for name, command in self.COMMANDS.items():
+            assert main([command, f"{example}.json", "-o", command]) == 0
+            digests[example, name] = hashlib.sha256(
+                (tmp_path / command / name).read_bytes()).hexdigest()
+        assert json.loads((tmp_path / "analyze" / "report.json").read_text())["input"] \
+            == f"{example}.json"
+        assert digests == {k: v for k, v in self.SHA256.items() if k[0] == example}
 
 
 class TestArguments:

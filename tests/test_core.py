@@ -4,7 +4,7 @@ import json
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
-from oracles import push_pairs_reference
+from oracles import push_pairs_reference, singular_points_reference
 
 from pwlcycles import core
 from pwlcycles.core import (
@@ -298,6 +298,90 @@ class TestFloatReduction:
         plain = dataclasses.replace(rep, reduction=None)
         assert plain == rep and hash(plain) == hash(rep)
         assert "reduction" not in repr(rep)
+
+
+class TestStackedSolve:
+    """``check_hypotheses`` finds both singular points with one stacked
+    ``np.linalg.solve``, to the bit of one solve per zone."""
+
+    @staticmethod
+    def hexes(points):
+        return [float.hex(c) for point in points for c in point]
+
+    @staticmethod
+    def reported(rep):
+        return [(rep.singular_minus.x, rep.singular_minus.y),
+                (rep.singular_plus.x, rep.singular_plus.y)]
+
+    def test_raw_coordinates_when_the_reduction_fails(self):
+        # seeded draws: random zones, and random right zones beside a left
+        # center, whose reduction then fails on the right piece
+        rng = np.random.default_rng(59)
+        checked = 0
+        for k in range(2000):
+            m = rng.normal(size=(2, 2, 2)) * np.exp(rng.uniform(-3.0, 3.0, (2, 1, 1)))
+            u = rng.normal(size=(2, 2))
+            if k % 2:
+                m[1] = [[m[1, 0, 0], -abs(m[1, 0, 1])], [abs(m[1, 1, 0]), -m[1, 0, 0]]]
+            sys = PwlSystem(order0_plus=(Mat2.from_array(m[0]), Vec2.from_array(u[0])),
+                            order0_minus=(Mat2.from_array(m[1]), Vec2.from_array(u[1])))
+            try:
+                rep = check_hypotheses(sys)
+            except DegenerateLinearPart:
+                continue
+            assert rep.reduction is None
+            assert self.hexes(self.reported(rep)) == self.hexes(singular_points_reference(sys))
+            checked += 1
+        assert checked > 1900
+
+    def test_normal_coordinates_when_the_reduction_holds(self):
+        # the report moves the raw points by the change it found, in floats
+        rng = np.random.default_rng(61)
+        for k in range(1000):
+            if k % 2:
+                sys = raw_system(rng)
+            else:
+                xi, a, b = rng.uniform(0.2, 2.0), rng.uniform(-1.0, 1.0), -rng.uniform(0.2, 3.0)
+                sys = canonical_system(a, b, -(xi * xi + a * a) / b, rng.uniform(0.1, 3.0),
+                                       rng.uniform(0.1, 3.0))
+            rep = check_hypotheses(sys)
+            assert rep.h3_global_center
+            change = rep.reduction[1]
+            (l11, l12), (l21, l22) = change.linear
+            o1, o2 = change.offset
+            want = [(l11 * x + l12 * y + o1, l21 * x + l22 * y + o2)
+                    for x, y in singular_points_reference(sys)]
+            assert self.hexes(self.reported(rep)) == self.hexes(want)
+
+    @pytest.mark.parametrize("side", ["minus", "plus"])
+    def test_a_degenerate_zone_raises(self, side):
+        center = (Mat2(0.0, -1.0, 1.0, 0.0), Vec2(0.0, 1.0))
+        pairs = {"minus": center, "plus": center,
+                 side: (Mat2(1.0, 2.0, 0.5, 1.0), Vec2(0.0, 1.0))}  # det = 0
+        sys = PwlSystem(order0_plus=pairs["plus"], order0_minus=pairs["minus"])
+        with pytest.raises(DegenerateLinearPart,
+                           match="^zone matrix is singular; no isolated singular point$"):
+            check_hypotheses(sys)
+
+    def test_one_solve_per_check(self, monkeypatch):
+        # a deterministic cost guard: one LAPACK call places both points,
+        # whether the reduction holds or fails
+        systems = [raw_system(np.random.default_rng(7)),
+                   PwlSystem(order0_plus=(Mat2(0.0, 1.0, 1.0, 0.0), Vec2(0.0, 1.0)),
+                             order0_minus=(Mat2(0.0, -1.0, 1.0, 0.0), Vec2(0.0, 1.0)))]
+        calls = 0
+        solve = np.linalg.solve
+
+        def counting(*args):
+            nonlocal calls
+            calls += 1
+            return solve(*args)
+
+        monkeypatch.setattr(np.linalg, "solve", counting)
+        for sys, holds in zip(systems, (True, False)):
+            calls = 0
+            assert check_hypotheses(sys).h3_global_center is holds
+            assert calls == 1
 
 
 class TestZone:

@@ -9,6 +9,7 @@ from numpy.testing import assert_allclose
 
 from oracles import m1_constrained_reference, m1_reference
 from pwlcycles import melnikov
+from pwlcycles.core import canonical_system
 from pwlcycles.ect import constrained_family
 from pwlcycles.errors import ConstraintViolated
 from pwlcycles.examples import (
@@ -283,6 +284,52 @@ class TestResolvedTerms:
         assert "_terms" in vars(p) and "_terms" not in vars(q)
         assert p == q and hash(p) == hash(q)
         assert "_terms" not in repr(p)
+
+
+class TestInPlaceWork:
+    """``m1`` and ``m1_constrained`` update their temporaries in place; the
+    temporaries are made in the call, so the caller's array is never one."""
+
+    @pytest.mark.parametrize("name", ["m1", "constrained"])
+    def test_a_writable_amplitude_array_is_left_alone(self, name):
+        f = {"m1": m1, "constrained": m1_constrained}[name]
+        p = example_two_params()
+        ys = np.array([0.05, 0.5, 1.0, 2.0, 3.8278, 20.0])
+        assert ys.flags.writeable
+        kept = ys.copy()
+        out = f(p, ys)
+        assert np.array_equal(ys.view(np.int64), kept.view(np.int64))
+        assert isinstance(out, np.ndarray) and not np.shares_memory(out, ys)
+        assert np.array_equal(f(p, ys).view(np.int64), out.view(np.int64))
+
+    @pytest.mark.parametrize("name", ["m1", "constrained"])
+    def test_a_number_gives_a_python_float(self, name):
+        f = {"m1": m1, "constrained": m1_constrained}[name]
+        p = example_two_params()
+        for y in (2.0, 2, np.float64(2.0), np.array(2.0)):
+            assert type(f(p, y)) is float and f(p, y) == f(p, 2.0)
+
+
+class TestSubnormalAmplitude:
+    # the xi = 0.5 constrained system, at which 2.0*y0*xi**3 rounds to 0
+    # for y0 = 5e-324
+    SYSTEM = canonical_system(0.0, -0.25, 1.0, 2.0, 1.0,
+                              B_minus=[[0.3, 0.0], [0.0, -0.3]], v_minus=[0.2, 0.0],
+                              B_plus=[[0.5, 0.0], [0.0, 0.1]], v_plus=[-0.4, 0.0])
+
+    def test_float_path_names_the_amplitude(self):
+        p = MelnikovParams.from_system(self.SYSTEM)
+        assert p.xi == 0.5 and p.constrained
+        assert 2.0 * 5e-324 * p.xi ** 3 == 0.0
+        with pytest.raises(ValueError, match="y0 = 5e-324"):
+            m1_constrained(p, 5e-324)
+        assert math.isfinite(m1_constrained(p, 1e-300))
+
+    def test_array_path_keeps_its_nan(self):
+        p = MelnikovParams.from_system(self.SYSTEM)
+        with pytest.warns(RuntimeWarning, match="divide"):
+            out = m1_constrained(p, np.array([5e-324, 1.0]))
+        assert math.isnan(out[0]) and math.isfinite(out[1])
 
 
 class TestArccosContract:

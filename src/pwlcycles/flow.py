@@ -2,7 +2,8 @@
 
 Each zone of a two-zone piecewise-linear system is an affine ODE
 X' = M X + u whose flow is known in closed form through the 2x2 matrix
-exponential (trace/trace-free splitting); ``AffineFlow`` gives it at any
+exponential (trace/trace-free splitting, exact for each sign of w2 =
+-det(M - mu I) and at w2 = 0); ``AffineFlow`` gives it at any
 perturbation order, and the half-return maps are its first events on
 x = 0.  Events on the switching line x = 0 -- and on any horizontal
 section -- are located on a closed-form coordinate function: its critical
@@ -16,7 +17,7 @@ propagation, doubled) lets the bisection skip the midpoints whose computed
 sign is already fixed: a half-cosine step, Illinois steps and two probes
 find the values nearest the root that lie beyond twice the bound, and only
 the midpoints between them are evaluated, so the event time is the full
-bisection's to the bit; hyperbolic and near-nilpotent arcs and the sliding
+bisection's to the bit; hyperbolic and nilpotent arcs and the sliding
 travel-time inversion have no bound and evaluate every midpoint.  Motion
 inside sliding/escaping segments of the switching line follows the
 Filippov law of ``sigma._SlidingSpeed``; its travel time is integrated in
@@ -97,21 +98,17 @@ class AffineFlow:
         self.N = np.array(self._n).reshape(2, 2)
         self.w2 = w2 = -_det2(*self._n)  # N^2 = w2 * I
         self.omega = om = math.sqrt(abs(w2)) if abs(w2) > 0 else 0.0
-        # the branch, decided here once: _cs(t, lib) is the scalar pair (c, s)
-        # with e^{Nt} = c I + s N, lib numpy for arrays or math for a float
-        if w2 < -1e-14:
+        # the branch, decided here once by the sign of w2: _cs(t, lib) is the exact
+        # pair (c, s) with e^{Nt} = c I + s N, lib numpy for arrays or math for a float
+        if w2 < 0.0:
             self._branch = "oscillatory"
             self._cs = lambda t, lib=np: (lib.cos(om * t), lib.sin(om * t) / om)
-        elif w2 > 1e-14:
+        elif w2 > 0.0:
             self._branch = "hyperbolic"
             self._cs = lambda t, lib=np: (lib.cosh(om * t), lib.sinh(om * t) / om)
-        else:
-            self._branch = "near-nilpotent"
-
-            def _cs(t, lib=np):
-                z = w2 * t * t
-                return 1.0 + z / 2.0 + z * z / 24.0, t * (1.0 + z / 6.0 + z * z / 120.0)
-            self._cs = _cs
+        else:  # N^2 = 0
+            self._branch = "nilpotent"
+            self._cs = lambda t, lib=np: (1.0, t)
 
     def state(self, X0, t):
         """Flow of X0 after time t: the (2,) state for a float t, (n, 2) states
@@ -289,7 +286,7 @@ class _Coordinate:
     m*tau into the angle and the exponent, and of libm's exp, sin and cos
     within 1 ulp (as glibc documents them for x86_64), doubled.  It is inf
     where e^{m tau} leaves the normal range, and on the hyperbolic and
-    near-nilpotent branches.
+    nilpotent branches.  Every oscillatory arc has it, however small |w2|.
     """
 
     def __init__(self, zone: AffineFlow, X0, direction: float, component: int,
@@ -315,7 +312,8 @@ class _Coordinate:
         self.band = _no_band
         if zone._branch == "oscillatory":
             # g' e^{-m tau} = (mP + om q) cos(om tau) + (mq - om P) sin(om tau)
-            # with q = Q/om, a single cosine A cos(om tau - phi)
+            # with q = Q/om, a single cosine A cos(om tau - phi); the sum with pi/2
+            # cancels at a small phase, so at a tiny om first/om is off by ~1e-16/om
             om = zone.omega
             q = Q / om
             phi = math.atan2(m * q - om * P, m * P + om * q)
@@ -354,7 +352,7 @@ class _Coordinate:
                 return
             tau = math.atanh(r) / om
         elif m * Q != 0.0:
-            # near-nilpotent: g' e^{-m tau} = mP + Q + mQ tau to first order in w2
+            # nilpotent: g' e^{-m tau} = mP + Q + mQ tau, exactly, as w2 = 0
             tau = -(m * P + Q) / (m * Q)
         else:
             return

@@ -68,10 +68,11 @@ def poincare_displacement(sys: PwlSystem, r0: float) -> float:
     when the flow from there enters x > 0, backward otherwise.  The exact
     simulator follows it and records no samples: only the crossing is
     read.  At the unperturbed system the displacement
-    vanishes identically (every planar orbit is closed).
+    vanishes identically (every planar orbit is closed).  An r0 outside
+    (0, inf), or one whose 1/r0 overflows, raises ``ValueError``.
     """
-    if r0 <= 0:
-        raise ValueError("polar radius must be positive")
+    if not 0.0 < r0 < math.inf or not math.isfinite(1.0 / r0):
+        raise ValueError(f"polar radius r0 must lie in (0, inf) with a finite 1/r0, got {r0}")
     y0 = -1.0 / r0
     backward = max(normal_components(sys, y0)) < 0
     return 1.0 / abs(_first_return(sys, y0, backward=backward)) - r0

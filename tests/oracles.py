@@ -7,6 +7,8 @@ system at infinity is stepped by fixed-step RK4 on the polar field of the
 plane inversion, ``polar_bendixson_rhs`` below.  The one exception is
 ``first_component_zero_reference``, the event search as a full numpy
 scan: a differential reference that shares the package's event set-up.
+``expm_states`` flows a zone by scipy's matrix exponential, the reference
+for the closed-form zone flow where its branch changes at w2 = 0.
 ``singular_points_reference`` solves each zone for its singular point on
 its own, the bit reference for the stacked solve of ``check_hypotheses``.
 ``stencil_family`` gives a function family finite-difference derivatives,
@@ -140,6 +142,16 @@ def _expm_grid(m_bytes: bytes, shape: tuple, direction: float, t_end: float, n: 
     flows = expm(M[None] * (direction * taus)[:, None, None])
     flows.setflags(write=False)
     return taus, flows
+
+
+def expm_states(M, u, x0, ts):
+    """States at the times ``ts`` of X' = M X + u from x0: expm(M t)
+    (x0 - e) + e with e the equilibrium, from scipy's matrix exponential
+    in one batched call."""
+    M = np.asarray(M, dtype=float)
+    e = np.linalg.solve(M, -np.asarray(u, dtype=float))
+    flows = expm(M[None] * np.asarray(ts, dtype=float)[:, None, None])
+    return flows @ (np.asarray(x0, dtype=float) - e) + e
 
 
 def velocity_zeros(M, u, x0, direction, t_end, component, n=4000):

@@ -584,9 +584,9 @@ class TestPublicApi:
 
     def test_one_home_for_the_branch_rule(self):
         # a guard against a second copy of the zone flow's branch rule: only
-        # AffineFlow compares w2, with the threshold that picks the branch
-        # of _cs (oscillatory, hyperbolic or near-nilpotent); the event search
-        # reads the branch it decided
+        # AffineFlow compares w2, whose sign picks the branch of _cs
+        # (oscillatory, hyperbolic or nilpotent); the event search reads the
+        # branch it decided
         import ast
         import pathlib
 

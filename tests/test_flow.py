@@ -8,6 +8,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from oracles import (
+    expm_states,
     first_component_zero_reference,
     first_return_displacement,
     integrate_zone,
@@ -667,12 +668,20 @@ class TestEventMachinery:
                                     target=1.0 + 1e-9) == (None, "none")
 
 
+_SMALL_PHASE = pytest.mark.xfail(strict=True, reason=(
+    "the oscillatory phase (atan2(b, a) + pi/2) mod pi has an absolute error of "
+    "about 1e-16, which tau = phase/omega magnifies when omega is tiny"))
+
+
 class TestCriticalTimes:
     @pytest.mark.parametrize("M, u", [
         ([[0.15, -1.0], [1.3, 0.05]], [0.3, -0.2]),   # oscillatory, mu = 0.1
         ([[0.3, 1.0], [0.8, -0.5]], [0.2, 0.1]),      # hyperbolic, mu = -0.1
-        ([[0.5, 1.0], [1e-16, 0.5]], [0.1, -0.3]),    # near-nilpotent, w2 = 1e-16
-    ], ids=["oscillatory", "hyperbolic", "near-nilpotent"])
+        ([[0.5, 1.0], [1e-16, 0.5]], [0.1, -0.3]),    # near-nilpotent: hyperbolic, w2 = 1e-16
+        ([[0.5, 1.0], [0.0, 0.5]], [0.1, -0.3]),      # nilpotent, w2 = 0
+        pytest.param([[0.5, 1.0], [-1e-16, 0.5]], [0.1, -0.3],  # oscillatory, w2 = -1e-16
+                     marks=_SMALL_PHASE),
+    ], ids=["oscillatory", "hyperbolic", "near-nilpotent", "nilpotent", "tiny-oscillatory"])
     def test_against_velocity_zeros(self, M, u):
         from pwlcycles.flow import _Coordinate
         zone = AffineFlow(M, u)
@@ -702,10 +711,11 @@ def _numpy_calls(monkeypatch):
     return counts
 
 
-_ZONES = {  # (M, u) of one zone on each branch of AffineFlow._cs, and the unit rotation
+_ZONES = {  # (M, u) of zones on each branch of AffineFlow._cs, and the unit rotation
     "oscillatory": ([[0.15, -1.0], [1.3, 0.05]], [0.3, -0.2]),
     "hyperbolic": ([[0.3, 1.0], [0.8, -0.5]], [0.2, 0.1]),
-    "near-nilpotent": ([[0.5, 1.0], [1e-16, 0.5]], [0.1, -0.3]),
+    "near-nilpotent": ([[0.5, 1.0], [1e-16, 0.5]], [0.1, -0.3]),  # hyperbolic, w2 = 1e-16
+    "nilpotent": ([[0.5, 1.0], [0.0, 0.5]], [0.1, -0.3]),
     "rotation": ([[0.0, -1.0], [1.0, 0.0]], [0.0, 0.0]),
 }
 
@@ -746,7 +756,7 @@ class TestFloatEngine:
         got = flow._det2(*m)
         assert float.hex(got) == float.hex(ref) == float.hex(want)
 
-    @pytest.mark.parametrize("name", ["oscillatory", "hyperbolic", "near-nilpotent"])
+    @pytest.mark.parametrize("name", ["oscillatory", "hyperbolic", "near-nilpotent", "nilpotent"])
     def test_float_state_is_the_array_state(self, name):
         zone = AffineFlow(*_ZONES[name])
         rng = np.random.default_rng(5)
@@ -755,7 +765,7 @@ class TestFloatEngine:
             t = float(rng.uniform(-8.0, 8.0))
             assert zone.state(X0, t).tobytes() == zone.state(X0, np.array(t)).tobytes()
 
-    @pytest.mark.parametrize("name", ["oscillatory", "hyperbolic", "near-nilpotent"])
+    @pytest.mark.parametrize("name", ["oscillatory", "hyperbolic", "near-nilpotent", "nilpotent"])
     def test_array_state_is_the_float_state(self, name):
         # one expression for both: each entry of the array result is the
         # float result of its time, to the bit
@@ -874,10 +884,11 @@ def _sweep_zone(rng, branch):
 
 
 def _sweep_cases(seed, n):
-    """Seeded event searches: the three branches of ``_cs``, both directions
-    and components, budgets of 5, 50 and 500 (5000 on hyperbolic arcs, so
-    that the bisection meets the overflow), a fifth of the starts on the
-    section, slowly growing spirals from near their focus, and grazes
+    """Seeded event searches: oscillatory, hyperbolic and near-nilpotent zones
+    (w2 drawn within 1e-16 of 0, on the branch of its computed sign), both
+    directions and components, budgets of 5, 50 and 500 (5000 on hyperbolic
+    arcs, so that the bisection meets the overflow), a fifth of the starts on
+    the section, slowly growing spirals from near their focus, and grazes
     built at an extremum: the target is its value, offset by 0, +-graze_tol/2
     or +-2 noise, when that value is within 10 times the search's scale."""
     rng = np.random.default_rng(seed)
@@ -978,73 +989,195 @@ class TestLazyEventSearch:
         assert traj.segment_kinds() == [flow.ZONE_PLUS]
 
 
+def _exact_w2_zone(monkeypatch, mu, w2, u=(0.0, 0.0)):
+    """The zone mu I + [[0, 1], [w2, 0]] with w2 itself as its w2.  ``_det2``
+    rounds through exp(log), so the w2 it gives near 1e-14 lie about 45 ulps
+    apart; the exact determinant of these entries, a*d - b*c, keeps each."""
+    with monkeypatch.context() as patch:
+        patch.setattr(flow, "_det2", lambda a, b, c, d: a * d - b * c)
+        zone = AffineFlow([[mu, 1.0], [w2, mu]], list(u))
+    assert zone.w2 == w2
+    return zone
+
+
+def _slow_zones(seed, n):
+    """(M, u, zone, t_end) of seeded zones mu I + [[h, b], [c, -h]] with
+    |w2| <= 1e-14, a fifth of them at w2 = 0 exactly, and t_end =
+    1/sqrt|w2| (1e7 at 0), so that |w2| t_end^2 = 1; mu is large enough
+    for M to be regular and keeps |mu| t_end at most 30."""
+    rng = np.random.default_rng(seed)
+    for i in range(n):
+        if i % 5 == 0:
+            w2 = h = 0.0
+        else:
+            w2 = rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-16.0, -14.0)
+            h = rng.uniform(-1e-8, 1e-8)
+        t_end = 1e7 if w2 == 0.0 else 1.0 / math.sqrt(abs(w2))
+        mu = rng.choice([-1.0, 1.0]) * rng.uniform(2e-7, max(3e-7, 20.0 / t_end))
+        b = rng.choice([-1.0, 1.0]) * rng.uniform(0.3, 1.0)
+        M = [[mu + h, b], [(w2 - h * h) / b, mu - h]]
+        u = rng.uniform(-1.0, 1.0, 2).tolist()
+        yield M, u, AffineFlow(M, u), t_end
+
+
 class TestBranchBoundary:
-    """Zones whose w2 lies a few ulps on either side of the branch
-    threshold +-1e-14: the coordinate and its critical times take the branch
-    that ``AffineFlow`` decided, so they agree with ``_cs`` there."""
+    """Zones whose w2 is 0, a few subnormal ulps on either side of 0, and a
+    few ulps on either side of +-1e-14: each takes the branch of the sign of
+    its w2, "nilpotent" only at 0, and the coordinate and its critical times
+    follow the branch that ``AffineFlow`` decided, so they agree with
+    ``_cs`` there."""
 
     @staticmethod
     def _zones(monkeypatch):
-        """(branch expected, zone) for w2 = +-1e-14 moved by up to 3 ulps,
-        in the zone 2e-7 I + [[0, 1], [w2, 0]].  ``_det2`` rounds through
-        exp(log), so the w2 it gives near 1e-14 lie about 45 ulps apart; the
-        exact determinant of these entries, a*d - b*c, sets each w2 itself."""
-        monkeypatch.setattr(flow, "_det2", lambda a, b, c, d: a * d - b * c)
-        for threshold, outside in ((-1e-14, "oscillatory"), (1e-14, "hyperbolic")):
+        """(branch expected, zone) for the zone 2e-7 I + [[0, 1], [w2, 0]] at
+        w2 = 0, +-1, 2 and 3 times 2**-1074, and +-1e-14 moved by up to 3 ulps."""
+        w2s = [0.0]
+        for sign in (-1.0, 1.0):
+            w2s += [sign * k * 5e-324 for k in (1, 2, 3)]
             for k in range(-3, 4):
-                w2 = threshold
-                for _ in range(abs(k)):  # k > 0 steps away from zero, beyond the threshold
-                    w2 = math.nextafter(w2, math.copysign(math.inf, threshold * k))
-                zone = AffineFlow([[2e-7, 1.0], [w2, 2e-7]], [0.0, 0.0])
-                assert zone.w2 == w2
-                yield (outside if k > 0 else "near-nilpotent"), zone
+                w2 = sign * 1e-14
+                for _ in range(abs(k)):  # k > 0 steps away from zero
+                    w2 = math.nextafter(w2, math.copysign(math.inf, sign * k))
+                w2s.append(w2)
+        for w2 in w2s:
+            branch = "oscillatory" if w2 < 0.0 else "hyperbolic" if w2 > 0.0 else "nilpotent"
+            yield branch, _exact_w2_zone(monkeypatch, 2e-7, w2)
+
+    @staticmethod
+    def _horizon(zone):
+        """Four turns at the zone's omega, or at omega = 1e-7 below it."""
+        return 4.0 * math.pi / max(zone.omega, 1e-7)
 
     def test_each_side_takes_its_branch(self, monkeypatch):
-        seen = set()
+        seen = {}
         for branch, zone in self._zones(monkeypatch):
             assert zone._branch == branch, zone.w2
-            seen.add(branch)
-        assert seen == {"oscillatory", "hyperbolic", "near-nilpotent"}
+            seen[branch] = seen.get(branch, 0) + 1
+        assert seen == {"oscillatory": 10, "hyperbolic": 10, "nilpotent": 1}
 
     def test_value_is_the_cs_composite(self, monkeypatch):
         for _, zone in self._zones(monkeypatch):
             coord = flow._Coordinate(zone, (1.0, -1.28e-7), 1.0, 0, 0.3)
-            for tau in np.linspace(0.0, 4.0 * math.pi / zone.omega, 101).tolist():
+            for tau in np.linspace(0.0, self._horizon(zone), 101).tolist():
                 c, s = zone._cs(tau, math)
                 want = math.exp(coord.m * tau) * (coord.P * c + coord.Q * s) + coord.R
                 assert float.hex(coord.value(tau)) == float.hex(want), (zone.w2, tau)
 
     def test_critical_times_follow_the_branch(self, monkeypatch):
-        # from this start the three rules part: the oscillatory extrema are
-        # pi/omega apart, the hyperbolic one is at omega*tau ~ 0.5 and the
-        # near-nilpotent one is the zero of mP + Q + mQ tau, near 2.8e6
+        # from this start the rules part: the oscillatory extrema are
+        # pi/omega apart, the hyperbolic one is at omega*tau ~ 0.5, and the
+        # nilpotent one is the zero of mP + Q + mQ tau, near 2.8e6
         for branch, zone in self._zones(monkeypatch):
             coord = flow._Coordinate(zone, (1.0, -1.28e-7), 1.0, 0, 0.0)
-            crit = list(coord.critical_times(4.0 * math.pi / zone.omega))
-            if branch == "near-nilpotent":
+            crit = list(coord.critical_times(self._horizon(zone)))
+            if branch == "nilpotent":
                 assert crit == [-(coord.m * coord.P + coord.Q) / (coord.m * coord.Q)]
+            elif zone.omega < 1e-100:  # a subnormal w2: test_tiny_w2_keeps_the_nilpotent_extremum
                 continue
-            assert len(crit) >= 3 if branch == "oscillatory" else len(crit) == 1
-            assert_allclose(np.diff(crit), math.pi / zone.omega, rtol=1e-12)
+            else:
+                assert len(crit) >= 3 if branch == "oscillatory" else len(crit) == 1
+                assert_allclose(np.diff(crit), math.pi / zone.omega, rtol=1e-12)
+                if branch == "hyperbolic":
+                    assert 0.4 < zone.omega * crit[0] < 0.6
             for tau in crit:  # an extremum of the value
                 mid, lo, hi = (coord.value(t) for t in (tau, tau * 0.999, tau * 1.001))
                 assert (lo - mid) * (hi - mid) > 0.0, (zone.w2, tau)
-            if branch == "hyperbolic":
-                assert 0.4 < zone.omega * crit[0] < 0.6
+
+    @pytest.mark.parametrize("sign", [1.0, pytest.param(-1.0, marks=_SMALL_PHASE)],
+                             ids=["hyperbolic", "oscillatory"])
+    def test_tiny_w2_keeps_the_nilpotent_extremum(self, monkeypatch, sign):
+        # |w2| tau^2 <= 1e-27 at the extremum near 2.8e6, so it is the
+        # nilpotent law's to rounding, on either side of w2 = 0
+        for w2 in (5e-324, 1e-323, 1.5e-323, 1e-300, 1e-40):
+            zone = _exact_w2_zone(monkeypatch, 2e-7, sign * w2)
+            coord = flow._Coordinate(zone, (1.0, -1.28e-7), 1.0, 0, 0.0)
+            law = -(coord.m * coord.P + coord.Q) / (coord.m * coord.Q)
+            assert_allclose(list(coord.critical_times(1e7)), [law], rtol=1e-14, err_msg=str(w2))
+
+    def test_slow_saddle_crosses_twice(self):
+        # w2 = 1e-14: scipy's expm brackets two crossings of x = 1.24 up to
+        # 6e6, on a 1e4-unit scan refined to 100 units in each cell that
+        # changes sign (the zone varies on scales of 1/omega = 1e7 and
+        # 1/mu = 5e6); the search finds both, the second from the state at
+        # the first
+        M, X0 = [[2e-7, 1.0], [1e-14, 2e-7]], (1.0, -1.28e-7)
+        coarse = np.arange(0.0, 6e6 + 1.0, 1e4)
+        x = expm_states(M, (0.0, 0.0), X0, coarse)[:, 0] - 1.24
+        cells = []
+        for t0 in coarse[np.flatnonzero(np.sign(x[:-1]) != np.sign(x[1:]))].tolist():
+            fine = t0 + np.arange(0.0, 1e4 + 1.0, 100.0)
+            x = expm_states(M, (0.0, 0.0), X0, fine)[:, 0] - 1.24
+            cells += fine[np.flatnonzero(np.sign(x[:-1]) != np.sign(x[1:]))].tolist()
+        assert cells == [4143600.0, 5755200.0]
+        zone = AffineFlow(M, [0.0, 0.0])
+        t1, kind1 = first_component_zero(zone, X0, 1.0, 1e7, 0, 1.24)
+        t2, kind2 = first_component_zero(zone, zone.state(X0, t1), 1.0, 1e7 - t1, 0, 1.24)
+        assert kind1 == kind2 == "cross"
+        assert cells[0] < t1 < cells[0] + 100.0 and cells[1] < t1 + t2 < cells[1] + 100.0
+
+    @pytest.mark.parametrize("w2", [5e-324, pytest.param(-5e-324, marks=_SMALL_PHASE)],
+                             ids=["hyperbolic", "oscillatory"])
+    def test_events_are_continuous_at_zero(self, monkeypatch, w2):
+        # seeded searches on mu I + [[0, 1], [w2, 0]] give the events of
+        # w2 = 0 to the bit at w2 = +-2**-1074, whose omega 2**-537 makes
+        # (cos, sin/omega) and (cosh, sinh/omega) the floats (1, t)
+        rng = np.random.default_rng(23)
+        events = 0
+        for _ in range(300):
+            mu = float(rng.choice([-1.0, 1.0]) * rng.uniform(0.05, 1.0))
+            u = rng.uniform(-2.0, 2.0, 2).tolist()
+            scale = 10.0 ** rng.uniform(0.0, 3.0)
+            args = (rng.uniform(-1.0, 1.0, 2) * scale, float(rng.choice([1.0, -1.0])), 12.0,
+                    int(rng.integers(2)), float(rng.uniform(-1.0, 1.0) * scale))
+            want = first_component_zero(_exact_w2_zone(monkeypatch, mu, 0.0, u), *args)
+            events += want[0] is not None
+            got = first_component_zero(_exact_w2_zone(monkeypatch, mu, w2, u), *args)
+            assert _hex_event(got) == _hex_event(want), args
+        assert events > 80
+
+    def test_state_agrees_with_the_matrix_exponential(self):
+        # |w2| <= 1e-14 at times up to |w2| t^2 = 1
+        rng, worst = np.random.default_rng(43), 0.0
+        for M, u, zone, t_end in _slow_zones(31, 200):
+            X0 = rng.uniform(-1.0, 1.0, 2)
+            ts = np.linspace(-t_end, t_end, 9)
+            ref = expm_states(M, u, X0, ts)
+            err = np.abs(zone.state(X0, ts) - ref).max() / np.abs(ref).max()
+            worst = max(worst, err)
+        assert worst <= 1e-12
+
+    def test_critical_times_agree_with_the_velocity_zeros(self):
+        # the critical times of slow zones over t_end = 1/sqrt|w2| against
+        # scipy's velocity, in count and to 1e-12 t_end
+        found = 0
+        starts = ((0.4, 0.7), (-1.0, 0.5), (1.0, -2.0), (0.05, -0.3), (-0.7, -0.9))
+        for M, u, zone, t_end in _slow_zones(37, 12):
+            for direction in (1.0, -1.0):
+                for start in starts:
+                    for component in (0, 1):
+                        g = flow._Coordinate(zone, start, direction, component, 0.0)
+                        got = list(g.critical_times(t_end))
+                        ref = velocity_zeros(M, u, start, direction, t_end, component, n=1000)
+                        assert len(got) == len(ref), (M, start, direction, component)
+                        assert_allclose(got, ref, rtol=0.0, atol=1e-12 * t_end)
+                        found += len(ref)
+        assert found > 40
 
 
 @pytest.mark.skipif(np.finfo(np.longdouble).nmant < 63,
                     reason="the reference needs a long double of at least 64 bits")
 class TestRoundingBand:
-    def test_band_bounds_the_rounding(self):
-        # the float closure against the same closed form in long double, at
-        # random points of the first pieces and of random later ones, on the
-        # oscillatory arcs of the sweep (the branch that has a band)
+    @staticmethod
+    def _check(cases):
+        """(values checked, worst error / band): the float closure against
+        the same closed form in long double, at random points of the first
+        pieces and of random later ones, on the oscillatory arcs of
+        ``cases`` (the branch that has a band)."""
         L = np.longdouble
         rng = np.random.default_rng(5)
         values, worst = 0, 0.0
-        for zone, X0, direction, budget, component, target in _sweep_cases(3, 1000):
-            if not zone.w2 < -1e-14:
+        for zone, X0, direction, budget, component, target in cases:
+            if zone._branch != "oscillatory":
                 continue
             coord = flow._Coordinate(zone, X0, direction, component, target)
             ts = [0.0, *coord.critical_times(budget), budget]
@@ -1059,6 +1192,25 @@ class TestRoundingBand:
                 assert (err <= band).all(), (zone.w2, X0, direction, component, target, i)
                 values += len(taus)
                 worst = max(worst, float(err.max()) / band)
+        return values, worst
+
+    def test_band_bounds_the_rounding(self):
+        values, worst = self._check(_sweep_cases(3, 1000))
+        assert values > 10_000 and 0.0 < worst <= 1.0
+
+    def test_band_bounds_the_rounding_on_slow_oscillatory_arcs(self):
+        # arcs with -1e-14 < w2 < 0, which have a band since the branch
+        # follows the sign of w2, over budgets up to 1/sqrt|w2|
+        rng = np.random.default_rng(29)
+
+        def cases():
+            for M, u, zone, t_end in _slow_zones(41, 3000):
+                if zone.w2 < 0.0:
+                    component = int(rng.integers(2))
+                    yield (zone, rng.uniform(-3.0, 3.0, 2), float(rng.choice([1.0, -1.0])),
+                           float(rng.choice([5.0, 500.0, t_end])), component,
+                           float(rng.uniform(-2.0, 2.0)))
+        values, worst = self._check(cases())
         assert values > 10_000 and 0.0 < worst <= 1.0
 
     def test_band_is_inf_where_the_exponential_leaves_the_normal_range(self):

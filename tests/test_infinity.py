@@ -116,8 +116,15 @@ class TestPolarSystem:
         assert got / (1e-4 * r0) == pytest.approx(coef, rel=0.05)
 
     def test_nan_radius_rejected(self):
-        with pytest.raises(ValueError, match="start must be finite"):
+        with pytest.raises(ValueError, match="polar radius r0 .* got nan"):
             poincare_displacement(example_one().with_epsilon(1e-2), math.nan)
+
+    @pytest.mark.parametrize("r0", [math.inf, 1e-320, 5e-324, 0.0, -1e-2, -math.inf])
+    def test_radius_outside_its_domain_rejected(self, r0):
+        # r0 = inf started at the origin and raised a NoReturn naming a
+        # sliding endpoint, and 1/r0 = inf started at y = -inf
+        with pytest.raises(ValueError, match=r"polar radius r0 .* got"):
+            poincare_displacement(example_one().with_epsilon(1e-2), r0)
 
     def test_displacement_sign_matches_report(self):
         sys = example_one()

@@ -71,7 +71,7 @@ def _domain(args) -> tuple:
         raise ValueError("y0 range needs finite bounds and lo > 0")
     if lo >= hi:
         raise ValueError("y0 range needs lo < hi")
-    tiny = _sys.float_info.min  # below it, M1's denominators can round to 0
+    tiny = _sys.float_info.min  # below it y0 is subnormal, and M1's xi*y0/d can round to 0
     if lo < tiny:
         raise ValueError(f"y0 range needs a normal lo >= {tiny!r}")
     if args.grid < 256:

@@ -311,13 +311,15 @@ class _Coordinate:
         self.value = value
         self.band = _no_band
         if zone._branch == "oscillatory":
-            # g' e^{-m tau} = (mP + om q) cos(om tau) + (mq - om P) sin(om tau)
-            # with q = Q/om, a single cosine A cos(om tau - phi); the sum with pi/2
-            # cancels at a small phase, so at a tiny om first/om is off by ~1e-16/om
+            # g' e^{-m tau} = a cos(om tau) + b sin(om tau) with q = Q/om,
+            # a = mP + om q and b = mq - om P, zero where tan(om tau) = -a/b;
+            # atan2 with a nonnegative second argument keeps a small phase's
+            # relative digits, so first/om keeps them at a tiny om
             om = zone.omega
             q = Q / om
-            phi = math.atan2(m * q - om * P, m * P + om * q)
-            self.first = (phi + 0.5 * math.pi) % math.pi
+            a, b = m * P + om * q, m * q - om * P
+            phi = math.atan2(a, -b) if b < 0.0 else math.atan2(-a, b)
+            self.first = phi % math.pi
             size = abs(P) + abs(q)
 
             def band(t_lo, t_hi):

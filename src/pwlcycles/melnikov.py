@@ -60,30 +60,17 @@ def _require_finite(params) -> None:
 
 
 class _M1Terms(NamedTuple):
-    """The products of ``m1`` and ``m1_constrained`` that read the
-    parameters alone, named after their formulas: sm and sp are the
-    first-order traces, ee = e*e, ee2 = 2*e*e, dd = d*d, dd2 = 2*d*d,
-    xx = xi*xi, xi3 = xi**3, bxi3 = b*xi**3, bd2 = -2*b*d, v1p4 = 4*v1p,
-    v1m4 = 4*v1m, sm2 = 2*sm, bsp = b*sp, and k0 = 2 v1m + 2 v1p/b + d sp/xi^2
-    is the constant of ``m1_constrained``."""
+    """The numbers of ``m1`` and ``m1_constrained`` that read the parameters
+    alone: k0 = 2 v1m + 2 v1p/b + kappa with kappa = d sp/xi^2, xi_d = xi/d,
+    e, the left trace sm, sme = sm*e and sme2 = sm*e*e."""
 
-    e: float
-    xi: float
-    sm: float
-    sp: float
-    ee: float
-    ee2: float
-    dd: float
-    dd2: float
-    xx: float
-    xi3: float
-    bxi3: float
-    bd2: float
-    v1p4: float
-    v1m4: float
-    sm2: float
-    bsp: float
     k0: float
+    kappa: float
+    xi_d: float
+    e: float
+    sm: float
+    sme: float
+    sme2: float
 
 
 @dataclass(frozen=True)
@@ -91,12 +78,13 @@ class MelnikovParams:
     """Normal-form scalars plus the first-order entries entering M1.
 
     Fields are finite, b < 0, xi > 0 and d, e in [2**-511, 2**511], else
-    ``ValueError``.  There x*x is normal and 2.0*x*x exactly twice it for
-    x = d, e, so M1's arccos arguments 2x^2/(x^2 + t) - 1, t >= 0, round
-    into [-1, 1] at every y0 > 0: x^2 + t rounds to at least x*x.  So
-    that M1 divides by no zero and raises no overflow, xi*xi, xi**3 and
-    b*xi**3 are finite normal doubles, else ``ValueError`` naming xi, or b
-    for the last.
+    ``ValueError``; xi*xi, xi**3 and b*xi**3 are finite normal doubles, else
+    ``ValueError`` naming xi, or b for the last.  These are the rules of the
+    paper's arccos form of M1: there x*x is normal and 2.0*x*x exactly twice
+    it for x = d, e, so its arguments 2x^2/(x^2 + t) - 1, t >= 0, round into
+    [-1, 1] at every y0 > 0, and it divides by xi**3 and b*xi**3.  ``m1``
+    evaluates the arctan form, which needs less; the rules keep the arccos
+    form a check of every parameter set taken.
     """
 
     b: float
@@ -146,17 +134,11 @@ class MelnikovParams:
 
     @cached_property
     def _terms(self) -> _M1Terms:
-        """M1's parameter-only products, resolved once per instance.  Each is
-        the leading product of its term in ``m1`` or ``m1_constrained``,
-        associated left to right, so that reading it gives the bits of
-        forming it in the call."""
-        e, d, b, xi = self.e, self.d, self.b, self.xi
-        sm, sp = self.trace_minus, self.trace_plus
-        return _M1Terms(
-            e=e, xi=xi, sm=sm, sp=sp, ee=e * e, ee2=2.0 * e * e, dd=d * d,
-            dd2=2.0 * d * d, xx=xi * xi, xi3=xi ** 3, bxi3=b * xi ** 3, bd2=-2.0 * b * d,
-            v1p4=4.0 * self.v1p, v1m4=4.0 * self.v1m, sm2=2.0 * sm, bsp=b * sp,
-            k0=2.0 * self.v1m + 2.0 * self.v1p / b + d * sp / (xi * xi))
+        """M1's parameter-only numbers, resolved once per instance."""
+        e, d, xi, sm = self.e, self.d, self.xi, self.trace_minus
+        kappa = d * self.trace_plus / (xi * xi)
+        return _M1Terms(k0=2.0 * self.v1m + 2.0 * self.v1p / self.b + kappa, kappa=kappa,
+                        xi_d=xi / d, e=e, sm=sm, sme=sm * e, sme2=sm * e * e)
 
     @staticmethod
     def from_system(sys: PwlSystem) -> "MelnikovParams":
@@ -196,10 +178,9 @@ def _positive(x, message: str):
     return float(x)
 
 
-def _acos(arg):
-    """``np.arccos`` for an array, ``math.acos`` for a float; the arguments
-    of M1 lie in [-1, 1] or are NaN (see ``MelnikovParams``)."""
-    return np.arccos(arg) if isinstance(arg, np.ndarray) else math.acos(arg)
+def _atan_of(x):
+    """``np.arctan`` for an array ``x``, ``math.atan`` for a float."""
+    return np.arctan if isinstance(x, np.ndarray) else math.atan
 
 
 # M1's arc term G(s) = (s^2+1)*arccos(2/(s^2+1) - 1) = 2(s^2+1)*arctan(s) on s > 0,
@@ -213,80 +194,51 @@ _ARC_TERM = (
 )
 
 
+def _arc_per_amplitude(r, atan):
+    """H(r) = G(r)/(2r) = arctan(r)/r + r*arctan(r), the arc term per unit
+    amplitude: it forms no r^2 to overflow, and arctan(r)/r is exactly 1 at
+    tiny r.  A float r = 0 raises ZeroDivisionError; an array gives NaN."""
+    a = atan(r)
+    return a / r + r * a
+
+
+def _right_zone(t: _M1Terms, y0, caller: str):
+    """k0 - kappa*H(xi*y0/d), the right zone's part of M1; a float y0 at
+    which xi*y0/d rounds to 0 raises ValueError naming it."""
+    try:
+        return t.k0 - t.kappa * _arc_per_amplitude(t.xi_d * y0, _atan_of(y0))
+    except ZeroDivisionError:  # a float only: an array's entry becomes NaN
+        raise ValueError(f"{caller} needs y0 = {y0!r} large enough that "
+                         "xi*y0/d does not round to 0") from None
+
+
 def m1(p: MelnikovParams, y0):
     """First-order Melnikov function at amplitude y0 > 0: a float (``math``)
     for a number, an array (numpy) for an array; NaN amplitudes give NaN.
-    Each augmented assignment updates a temporary made in the call, in
-    place for an array, so both paths round the same operations in the
-    same order."""
+
+    M1(y0) = k0 - kappa H(xi y0/d) - sm e - (sm e^2/y0 + sm y0) (pi - arctan(y0/e)),
+
+    the paper's sum of two arc terms (x^2 + t) arccos(2x^2/(x^2 + t) - 1)
+    = 2 (x^2 + t) arctan(sqrt(t)/x), one per zone, with k0, kappa and H as
+    in ``_M1Terms`` and ``_arc_per_amplitude``.
+    """
     y0 = _positive(y0, "m1 needs y0 > 0")
-    e, xi, sm, sp, ee, ee2, dd, dd2, xx, xi3, bxi3, bd2, v1p4, v1m4, sm2, bsp, _ = p._terms
-    ee_yy = y0 * y0
-    # xi^2 y0^2 is yy*xi*xi in the arc term and xx*y0*y0 in the arccos
-    # argument: the two round apart, and each keeps the association of its term
-    arc = ee_yy * xi
-    arc *= xi
-    arc += dd
-    ee_yy += ee
-    acl = ee2 / ee_yy
-    acl -= 1.0
-    acl = _acos(acl)
-    acr = xx * y0
-    acr *= y0
-    acr += dd
-    acr = dd2 / acr
-    acr -= 1.0
-    arc *= bsp
-    arc *= _acos(acr)
-    inner = bd2 * y0
-    inner *= xi
-    inner *= sp
-    drift = v1p4 * y0
-    drift *= xi3
-    inner -= drift
-    inner += arc
-    inner /= bxi3
-    pi_term = ee_yy * math.pi
-    pi_term += e * y0
-    pi_term *= sm2
-    out = v1m4 * y0
-    out -= pi_term
-    ee_yy *= sm
-    ee_yy *= acl
-    out += ee_yy
-    out -= inner
-    out /= 2.0 * y0
-    return out
+    t = p._terms
+    left = t.sme + (t.sme2 / y0 + t.sm * y0) * (math.pi - _atan_of(y0)(y0 / t.e))
+    return _right_zone(t, y0, "m1") - left
 
 
 def m1_constrained(p: MelnikovParams, y0):
     """M1 specialized to b11m = -b22m (vanishing first-order left trace); y0 as in m1.
 
-    M1(y0) = 2 v1m + 2 v1p / b + d (b11p + b22p) / xi^2
-             - (b11p + b22p) (d^2 + xi^2 y0^2) arccos(2 d^2/(d^2+xi^2 y0^2) - 1)
-               / (2 y0 xi^3).
+    M1(y0) = 2 v1m + 2 v1p / b + kappa - kappa H(xi y0/d),  kappa = d (b11p + b22p) / xi^2,
 
-    A float amplitude at which 2 y0 xi^3 rounds to 0 raises ValueError.
+    with H(r) = arctan(r)/r + r arctan(r), the right zone's part of ``m1``.
     """
     if not p.constrained:
         raise ConstraintViolated("m1_constrained needs b11m = -b22m")
     y0 = _positive(y0, "m1_constrained needs y0 > 0")
-    t = p._terms
-    dd_xy = t.xx * y0
-    dd_xy *= y0
-    dd_xy += t.dd
-    ac = t.dd2 / dd_xy
-    ac -= 1.0
-    dd_xy *= t.sp
-    dd_xy *= _acos(ac)
-    den = 2.0 * y0
-    den *= t.xi3
-    try:
-        dd_xy /= den
-    except ZeroDivisionError:  # a float only: an array's entry becomes NaN
-        raise ValueError(f"m1_constrained needs y0 = {y0!r} large enough that "
-                         "2*y0*xi**3 does not round to 0") from None
-    return t.k0 - dd_xy
+    return _right_zone(p._terms, y0, "m1_constrained")
 
 
 @dataclass(frozen=True)
@@ -330,8 +282,7 @@ class ReducedParams:
 def m1_reduced(red: ReducedParams, s0):
     """The rescaled combination mtilde1(s0); zeros coincide with M1's."""
     s0 = _positive(s0, "m1_reduced needs s0 > 0")
-    g, bs = _ARC_TERM[0], red.beta * s0
-    atan = np.arctan if isinstance(s0, np.ndarray) else math.atan
+    g, bs, atan = _ARC_TERM[0], red.beta * s0, _atan_of(s0)
     return (red.K0 * s0 + red.K1 * (g(bs, atan) - 2.0 * math.pi * (bs * bs + 1.0))
             + red.K2 * g(s0, atan))
 

@@ -13,11 +13,14 @@ for the closed-form zone flow where its branch changes at w2 = 0.
 its own, the bit reference for the stacked solve of ``check_hypotheses``.
 ``stencil_family`` gives a function family finite-difference derivatives,
 the reference for the analytic derivatives of the shipped families.
-``m1_reference`` and ``m1_constrained_reference`` are ``M1``'s formulas with
-every product formed in the call: the bit reference for the products that
-``melnikov`` resolves once per parameter set.  Their arccos keeps a clamp
-within 1e-14 of +-1 and raises ``MelnikovDomainError`` beyond it, so an
-argument that left [-1, 1] would show against ``melnikov``'s plain arccos.
+``m1_arctan_reference`` and ``m1_constrained_arctan_reference`` are
+``melnikov``'s arctan form of ``M1`` with every product formed in the call:
+the bit reference for the numbers it resolves once per parameter set.
+``m1_reference`` and ``m1_constrained_reference`` are the paper's arccos
+form, the independent oracle within that form's conditioning; their arccos
+keeps a clamp within 1e-14 of +-1 and raises ``MelnikovDomainError`` beyond
+it.  ``m1_longdouble`` evaluates the arccos form in long double, the
+accuracy reference for the float ``M1``.
 """
 
 from __future__ import annotations
@@ -453,3 +456,42 @@ def m1_constrained_reference(p, y0):
     acr = _acos_reference(2.0 * d * d / (d * d + xi * xi * y0 * y0) - 1.0)
     return (2.0 * p.v1m + 2.0 * p.v1p / b + d * sp / (xi * xi)
             - sp * (d * d + xi * xi * y0 * y0) * acr / (2.0 * y0 * xi ** 3))
+
+
+def m1_arctan_reference(p, y0):
+    """``melnikov.m1``'s arctan form with each parameter product formed in
+    the call: ``math.atan`` for a number, ``np.arctan`` for an array."""
+    y0 = _amplitude(y0)
+    atan = np.arctan if isinstance(y0, np.ndarray) else math.atan
+    e, sm = p.e, p.trace_minus
+    left = sm * e + (sm * e * e / y0 + sm * y0) * (math.pi - atan(y0 / e))
+    return m1_constrained_arctan_reference(p, y0) - left
+
+
+def m1_constrained_arctan_reference(p, y0):
+    """``melnikov.m1_constrained``'s arctan form with each parameter product
+    formed in the call."""
+    y0 = _amplitude(y0)
+    atan = np.arctan if isinstance(y0, np.ndarray) else math.atan
+    kappa = p.d * p.trace_plus / (p.xi * p.xi)
+    r = p.xi / p.d * y0
+    a = atan(r)
+    return 2.0 * p.v1m + 2.0 * p.v1p / p.b + kappa - kappa * (a / r + r * a)
+
+
+def m1_longdouble(p, ys, constrained: bool = False) -> np.ndarray:
+    """M1's arccos formula, or its constrained form, in ``np.longdouble`` at
+    the float amplitudes ``ys``, from the exact fields of ``p`` (the traces
+    are summed in long double): an accuracy reference for the float M1."""
+    ld = np.longdouble
+    y = np.asarray(ys, dtype=ld)
+    e, d, b, xi = ld(p.e), ld(p.d), ld(p.b), ld(p.xi)
+    sm, sp = ld(p.b11m) + ld(p.b22m), ld(p.b11p) + ld(p.b22p)
+    u_r = d * d + xi * xi * y * y
+    out = (2 * ld(p.v1m) + 2 * ld(p.v1p) / b + d * sp / (xi * xi)
+           - sp * u_r * np.arccos(2 * d * d / u_r - 1) / (2 * y * xi ** 3))
+    if constrained:
+        return out
+    u_l = e * e + y * y
+    pi = np.arccos(ld(-1))
+    return out + sm * (u_l * np.arccos(2 * e * e / u_l - 1) - 2 * (pi * u_l + e * y)) / (2 * y)

@@ -1,6 +1,7 @@
 import argparse
 import hashlib
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -199,6 +200,19 @@ class TestMelnikovCommand:
         roots = json.loads((tmp_path / "roots.json").read_text())["roots"]
         assert roots == [{"y0": r.y0, "flag": r.flag.value} for r in report.roots]
         assert roots
+
+    def test_wide_range_keeps_the_three_roots(self, ex1_path, tmp_path):
+        # up to 1e300 the arccos form squared y0 into overflow, warned five
+        # times and reported a spurious root at 3.78e153
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(["melnikov", ex1_path, "-o", str(tmp_path),
+                         "--y0-range", "1", "1e300"]) == 0
+        assert caught == []
+        roots = json.loads((tmp_path / "roots.json").read_text())["roots"]
+        assert [r["flag"] for r in roots] == ["Simple"] * 3
+        np.testing.assert_allclose([r["y0"] for r in roots], EXAMPLE1_M1_ROOTS,
+                                   rtol=0, atol=1e-9)
 
     def test_byte_identical_reruns(self, ex1_path, tmp_path):
         out1, out2 = str(tmp_path / "a"), str(tmp_path / "b")

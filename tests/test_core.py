@@ -564,8 +564,8 @@ class TestPublicApi:
 
     def test_one_home_for_the_arc_term(self):
         # a guard against a second copy of M1's arc term G, whose one home is
-        # melnikov._ARC_TERM in arctan form: arccos is named only by the
-        # arccos dispatch of m1 and m1_constrained, the flow's half-cosine
+        # melnikov._ARC_TERM in arctan form (m1 and m1_constrained read its
+        # per-amplitude companion H): arccos is named only by the flow's half-cosine
         # step, which is not the arc term, and the verbatim legacy fixture
         import ast
         import pathlib
@@ -579,8 +579,7 @@ class TestPublicApi:
                             or getattr(node, "name", None))
                     if name in ("arccos", "acos"):
                         naming.add(f"{mod}.{getattr(stmt, 'name', stmt.lineno)}")
-        assert naming == {"melnikov._acos", "flow._certificates",
-                          "examples.example_two_nominal_m1"}
+        assert naming == {"flow._certificates", "examples.example_two_nominal_m1"}
 
     def test_one_home_for_the_branch_rule(self):
         # a guard against a second copy of the zone flow's branch rule: only

@@ -7,7 +7,13 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from oracles import m1_constrained_reference, m1_reference
+from oracles import (
+    m1_arctan_reference,
+    m1_constrained_arctan_reference,
+    m1_constrained_reference,
+    m1_longdouble,
+    m1_reference,
+)
 from pwlcycles import melnikov
 from pwlcycles.core import canonical_system
 from pwlcycles.ect import constrained_family
@@ -24,7 +30,6 @@ from pwlcycles.examples import (
 from pwlcycles.melnikov import (
     SIGN_TOL,
     _ARC_TERM,
-    _acos,
     MelnikovParams,
     MelnikovReport,
     ReducedParams,
@@ -112,7 +117,7 @@ class TestFloatAndArrayPaths:
     @pytest.mark.parametrize("f, constrained", VARIANTS, ids=["m1", "constrained"])
     def test_values_agree(self, f, constrained):
         # near a root the value cancels, so the tolerance is relative to the
-        # sampled scale: arccos differs in the last ulp between the paths
+        # sampled scale: arctan differs in the last ulp between the paths
         rng = np.random.default_rng(31)
         ys = np.geomspace(1e-3, 1e3, 257)
         for _ in range(50):
@@ -185,34 +190,28 @@ class TestFloatAndArrayPaths:
 
 
 class TestM1Bits:
-    """``m1`` and ``m1_constrained`` to the bit: the products that read the
+    """``m1`` and ``m1_constrained`` to the bit: the numbers that read the
     parameters alone are resolved once per ``MelnikovParams``, and every
-    value is still the formula's with each product formed in the call."""
+    value is still the arctan formula's with each product formed in the
+    call."""
 
     AMPLITUDES = (0.05, 0.5, 1.0, 2.0, 3.8278, 20.0)
+    # the float and array paths give the same bits at these amplitudes, and
+    # example two's m1 is its m1_constrained, as its left trace is exactly 0
     FLOATS = {
-        ("one", "m1"): ("0x1.08249f0e0b72fp+5", "0x1.8e7009cd56bb8p-1", "0x1.9e04b3fcbcc00p-9",
-                        "0x1.e8b05acb60000p-12", "-0x1.623bc34ceaa62p-8",
-                        "-0x1.13d5a0ec4e54dp+1"),
-        ("two", "m1"): ("0x1.662a55350b5aep+0", "0x1.4f3815193fc94p+0", "0x1.0cc8bf233380ep+0",
-                        "0x1.276b89b501984p-3", "-0x1.1e913aedcbc76p+1",
-                        "-0x1.d16a51ce783a6p+4"),
-        ("two", "constrained"): ("0x1.662a55350b5acp+0", "0x1.4f3815193fc94p+0",
+        ("one", "m1"): ("0x1.08249f0e0b735p+5", "0x1.8e7009cd56bc0p-1", "0x1.9e04b3fcbc000p-9",
+                        "0x1.e8b05acb60000p-12", "-0x1.623bc34cea800p-8",
+                        "-0x1.13d5a0ec4e560p+1"),
+        ("two", "m1"): ("0x1.662a55350b942p+0", "0x1.4f3815193fc98p+0", "0x1.0cc8bf233380ep+0",
+                        "0x1.276b89b501980p-3", "-0x1.1e913aedcbc77p+1",
+                        "-0x1.d16a51ce783a8p+4"),
+        ("two", "constrained"): ("0x1.662a55350b942p+0", "0x1.4f3815193fc98p+0",
                                  "0x1.0cc8bf233380ep+0", "0x1.276b89b501980p-3",
-                                 "-0x1.1e913aedcbc77p+1", "-0x1.d16a51ce783a6p+4"),
-    }
-    # the array path differs from the float one where np.arccos and
-    # math.acos round apart
-    ARRAYS = {
-        **FLOATS,
-        ("two", "m1"): FLOATS["two", "m1"][:4] + ("-0x1.1e913aedcbc78p+1",
-                                                  FLOATS["two", "m1"][5]),
-        ("two", "constrained"): FLOATS["two", "constrained"][:4] + (
-            "-0x1.1e913aedcbc79p+1", FLOATS["two", "constrained"][5]),
+                                 "-0x1.1e913aedcbc77p+1", "-0x1.d16a51ce783a8p+4"),
     }
     CSV_SHA256 = {
-        "one": "ad7dfec9d22b307a3ac6c6187ee3415a5c02e01d02c85413dee1d3a9558825e1",
-        "two": "09822c47a3eb3fdea09894746deecffb24e89bc8e2fda3b918374f00bc140d70",
+        "one": "528bb11db4024d5f19516019941000ee3abf391821c6b7b8102f36c4833801ff",
+        "two": "18e39f4658496cab1ee9c84605e1b2db78e26955761d31d4ed2403cfee69095c",
     }
     PARAMS = {"one": example_one_params, "two": example_two_params}
     FUNCS = {"m1": m1, "constrained": m1_constrained}
@@ -222,7 +221,7 @@ class TestM1Bits:
         p, f = self.PARAMS[example](), self.FUNCS[name]
         assert tuple(float.hex(f(p, y)) for y in self.AMPLITUDES) == self.FLOATS[example, name]
         arr = f(p, np.array(self.AMPLITUDES))
-        assert tuple(float.hex(float(v)) for v in arr) == self.ARRAYS[example, name]
+        assert tuple(float.hex(float(v)) for v in arr) == self.FLOATS[example, name]
 
     @pytest.mark.parametrize("example", sorted(CSV_SHA256))
     def test_m1_csv(self, example):
@@ -231,20 +230,72 @@ class TestM1Bits:
 
     def test_differential_against_the_reference(self):
         # seeded draws on both paths, compared as int64 views; amplitudes
-        # span the arccos clamp's neighbourhood at both ends
+        # span four decades either side of the zones' scales d/xi and e
         rng = np.random.default_rng(23)
         ys = np.geomspace(1e-4, 1e4, 257)
         for k in range(1000):
             p = random_params(rng, constrained=k % 2 == 1)
-            pairs = [(m1, m1_reference)]
+            pairs = [(m1, m1_arctan_reference)]
             if p.constrained:
-                pairs.append((m1_constrained, m1_constrained_reference))
+                pairs.append((m1_constrained, m1_constrained_arctan_reference))
             floats = [float(y) for y in np.exp(rng.uniform(-9.0, 9.0, 8))]
             for f, ref in pairs:
                 assert np.array_equal(f(p, ys).view(np.int64), ref(p, ys).view(np.int64))
                 got = np.array([f(p, y) for y in floats])
                 want = np.array([ref(p, y) for y in floats])
                 assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
+class TestAgainstTheArccosForm:
+    """The arctan form against the paper's arccos form: in long double on
+    ``m1_csv``'s grid, and in doubles within the arccos form's conditioning."""
+
+    @pytest.mark.parametrize("example, f", [("one", m1), ("two", m1), ("two", m1_constrained)])
+    def test_within_2e_15_of_long_double(self, example, f):
+        # the arccos form in doubles was off by 5.9e-15 (example one) and
+        # 3.4e-14 (example two) of max|M1|
+        p = {"one": example_one_params, "two": example_two_params}[example]()
+        ys = np.geomspace(1e-2, 1e2, 4096)
+        want = m1_longdouble(p, ys, constrained=f is m1_constrained)
+        tol = 2e-15 * float(np.max(np.abs(want)))
+        assert float(np.max(np.abs(f(p, ys) - want))) <= tol
+        assert max(abs(f(p, y) - w) for y, w in zip(ys.tolist(), want)) <= tol
+
+    def test_the_arccos_oracle_within_its_conditioning(self):
+        # the arccos form rounds its argument 2x^2/(x^2 + t) - 1 within 4u
+        # where it nears +-1, and arccos' slope 1/sin(theta) magnifies that
+        # by the term's coefficient c_i; each form's longest chain rounds
+        # about 8 times, one u of the terms' sum each, so the two forms lie
+        # within 16 u sum|T_k| + 4u sum c_i/sin(theta_i) (the seeded draws
+        # of test_differential_against_the_reference read at most 0.72 of it)
+        u = 2.0 ** -53
+
+        def bound(p, y, left):
+            e, d, b, xi, sm, sp = p.e, p.d, p.b, p.xi, p.trace_minus, p.trace_plus
+            th_r = 2.0 * np.arctan(xi * y / d)
+            c_r = abs(sp) * (d * d + xi * xi * y * y) / (2.0 * y * xi ** 3)
+            terms = abs(2.0 * p.v1m) + abs(2.0 * p.v1p / b) + abs(d * sp / xi ** 2) + c_r * th_r
+            slopes = c_r / np.sin(th_r)
+            if left:
+                th_l, c_l = 2.0 * np.arctan(y / e), abs(sm) * (e * e + y * y) / (2.0 * y)
+                terms += abs(sm) * (math.pi * (e * e + y * y) + e * y) / y + c_l * th_l
+                slopes += c_l / np.sin(th_l)
+            return 16.0 * u * terms + 4.0 * u * slopes
+
+        rng = np.random.default_rng(23)
+        ys = np.geomspace(1e-4, 1e4, 257)
+        worst = 0.0
+        for k in range(1000):
+            p = random_params(rng, constrained=k % 2 == 1)
+            floats = [float(y) for y in np.exp(rng.uniform(-9.0, 9.0, 8))]
+            pairs = [(m1, m1_reference)]
+            if p.constrained:
+                pairs.append((m1_constrained, m1_constrained_reference))
+            for f, ref in pairs:
+                err = np.abs(f(p, ys) - ref(p, ys)) / bound(p, ys, f is m1)
+                flt = [abs(f(p, y) - ref(p, y)) / bound(p, y, f is m1) for y in floats]
+                worst = max(worst, float(np.max(err)), max(flt))
+        assert worst <= 1.0
 
 
 class TestResolvedTerms:
@@ -275,7 +326,8 @@ class TestResolvedTerms:
         p = example_two_params()
         q = replace(p, v1m=p.v1m + 0.25, b11p=p.b11p - 0.5)
         assert q._terms != p._terms
-        for f, ref in ((m1, m1_reference), (m1_constrained, m1_constrained_reference)):
+        for f, ref in ((m1, m1_arctan_reference),
+                       (m1_constrained, m1_constrained_arctan_reference)):
             assert f(p, 1.5) == ref(p, 1.5) and f(q, 1.5) == ref(q, 1.5) != f(p, 1.5)
 
     def test_equality_and_hash_unchanged(self):
@@ -287,8 +339,8 @@ class TestResolvedTerms:
 
 
 class TestInPlaceWork:
-    """``m1`` and ``m1_constrained`` update their temporaries in place; the
-    temporaries are made in the call, so the caller's array is never one."""
+    """``m1`` and ``m1_constrained`` make their arrays in the call and never
+    write into the caller's."""
 
     @pytest.mark.parametrize("name", ["m1", "constrained"])
     def test_a_writable_amplitude_array_is_left_alone(self, name):
@@ -311,7 +363,7 @@ class TestInPlaceWork:
 
 
 class TestSubnormalAmplitude:
-    # the xi = 0.5 constrained system, at which 2.0*y0*xi**3 rounds to 0
+    # the xi = 0.5, d = 2 constrained system, at which xi*y0/d rounds to 0
     # for y0 = 5e-324
     SYSTEM = canonical_system(0.0, -0.25, 1.0, 2.0, 1.0,
                               B_minus=[[0.3, 0.0], [0.0, -0.3]], v_minus=[0.2, 0.0],
@@ -319,34 +371,25 @@ class TestSubnormalAmplitude:
 
     def test_float_path_names_the_amplitude(self):
         p = MelnikovParams.from_system(self.SYSTEM)
-        assert p.xi == 0.5 and p.constrained
-        assert 2.0 * 5e-324 * p.xi ** 3 == 0.0
-        with pytest.raises(ValueError, match="y0 = 5e-324"):
-            m1_constrained(p, 5e-324)
-        assert math.isfinite(m1_constrained(p, 1e-300))
+        assert p.xi == 0.5 and p.d == 2.0 and p.constrained
+        assert p.xi / p.d * 5e-324 == 0.0
+        for f in (m1, m1_constrained):
+            with pytest.raises(ValueError, match=f"{f.__name__} needs y0 = 5e-324"):
+                f(p, 5e-324)
+            assert math.isfinite(f(p, 1e-300))
 
     def test_array_path_keeps_its_nan(self):
         p = MelnikovParams.from_system(self.SYSTEM)
-        with pytest.warns(RuntimeWarning, match="divide"):
-            out = m1_constrained(p, np.array([5e-324, 1.0]))
-        assert math.isnan(out[0]) and math.isfinite(out[1])
+        for f in (m1, m1_constrained):
+            with pytest.warns(RuntimeWarning, match="divide"):
+                out = f(p, np.array([5e-324, 1.0]))
+            assert math.isnan(out[0]) and math.isfinite(out[1])
 
 
 class TestArccosContract:
-    """M1's arccos arguments lie in [-1, 1] by the rules of MelnikovParams."""
-
-    def test_in_range_arguments_keep_the_clamped_bits(self):
-        # an array with every entry in [-1, 1] and a float in range give the
-        # clamped arccos's values to the bit
-        args = [np.array([-1.0, -0.5, 0.0, 1e-300, 0.999999, 1.0]),
-                np.linspace(-1.0, 1.0, 1001), np.array([]),
-                np.array([math.nan, 0.5])]
-        for arg in args:
-            want = np.arccos(np.clip(arg, -1.0, 1.0))
-            assert np.array_equal(_acos(arg).view(np.int64), want.view(np.int64))
-            for a in arg.tolist():
-                got, clamped = _acos(a), math.acos(min(max(a, -1.0), 1.0))
-                assert got == clamped or math.isnan(got) and math.isnan(clamped)
+    """MelnikovParams takes the parameters at which the paper's arccos form
+    of M1 has its arguments in [-1, 1]; the arctan form ``m1`` evaluates
+    keeps a value there."""
 
     @pytest.mark.parametrize("name, value", [("d", 1e-158), ("d", 1e-162), ("e", 1.2e154),
                                              ("d", 2.0 ** 511 * (1 + 2.0 ** -52)),
@@ -387,12 +430,13 @@ class TestArccosContract:
             p = replace(example_two_params(), d=d, e=e)
             assert math.isfinite(m1(p, 1.0)) and math.isfinite(m1_constrained(p, 1.0))
 
-    def test_arguments_in_range_over_the_whole_domain(self, monkeypatch):
+    def test_the_float_path_over_the_whole_domain(self):
         # d and e log-uniform over [2**-511, 2**511] with its four corners, xi
         # in [1e-100, 1e100] and amplitudes over (5e-324, 1.7e308) plus NaN:
-        # every argument either path hands to arccos is in [-1, 1], or NaN
-        # exactly where y0 is, and arccos raises no floating-point flag.  The
-        # rest of M1 may overflow at such amplitudes, which is not checked here
+        # a float amplitude gives a float, or the ValueError that names it
+        # where xi*y0/d rounds to 0, and nothing else.  Beside a NaN
+        # amplitude, NaN comes only where k0 or the right zone's term
+        # kappa*H(xi*y0/d) overflows (202 times; the arccos form gave 3,142)
         rng = np.random.default_rng(2024)
         lo, hi = 2.0 ** -511, 2.0 ** 511
 
@@ -401,17 +445,8 @@ class TestArccosContract:
 
         ds = [lo, lo, hi, hi, *log_uniform(lo, hi, 196)]
         es = [lo, hi, lo, hi, *log_uniform(lo, hi, 196)]
-        ys = np.array([5e-324, 1.7e308, math.nan, *log_uniform(5e-324, 1.7e308, 61)])
-        y_nan = np.isnan(ys)
-        real, seen = melnikov._acos, []
-
-        def recording(arg):
-            seen.append(np.array(arg, dtype=float))
-            with np.errstate(all="raise"):
-                return real(arg)
-
-        monkeypatch.setattr(melnikov, "_acos", recording)
-        checked = 0
+        ys = [5e-324, 1.7e308, math.nan, *log_uniform(5e-324, 1.7e308, 61)]
+        values = refused = 0
         for k, (d, e) in enumerate(zip(ds, es)):
             xi = math.exp(rng.uniform(math.log(1e-100), math.log(1e100)))
             b11m = float(rng.uniform(-2, 2))
@@ -419,22 +454,22 @@ class TestArccosContract:
                                b11m=b11m, b22m=-b11m if k % 2 else 0.5,
                                v1m=0.3, b11p=0.7, b22p=-0.2, v1p=-0.4)
             f = m1_constrained if p.constrained else m1
-            with np.errstate(all="ignore"):
-                seen.clear()
-                f(p, ys)
-                for arg in seen:
-                    assert np.all((np.abs(arg) <= 1.0) | y_nan)
-                    assert np.array_equal(np.isnan(arg), y_nan)
-                checked += len(seen)
-                for y in ys.tolist():
-                    if f is m1_constrained and 2.0 * y * p.xi ** 3 == 0.0:
-                        continue  # the amplitude denominator underflows, not the arccos
-                    seen.clear()
-                    f(p, y)
-                    assert all(abs(a) <= 1.0 or math.isnan(a) and math.isnan(y)
-                               for a in map(float, seen))
-                    checked += len(seen)
-        assert checked > 15_000
+            for y in ys:
+                try:
+                    v = f(p, y)
+                except ValueError as exc:
+                    assert str(exc) == (f"{f.__name__} needs y0 = {y!r} large enough "
+                                        "that xi*y0/d does not round to 0")
+                    assert p.xi / p.d * y == 0.0
+                    refused += 1
+                    continue
+                assert type(v) is float
+                values += 1
+                if math.isnan(v) and not math.isnan(y):
+                    t, r = p._terms, p.xi / p.d * y
+                    h = math.atan(r) / r + r * math.atan(r)
+                    assert not (math.isfinite(t.k0) and math.isfinite(t.kappa * h))
+        assert values + refused == 200 * len(ys) and refused > 0
 
 
 class TestReduced:
@@ -533,12 +568,20 @@ class TestArcTerm:
 
 class TestConstrained:
     def test_limit_at_zero(self):
-        # probed at 1e-4: smaller amplitudes push the arccos argument
-        # within one ulp of 1 and the subtracted term rounds away
         p = example_two_params()
         lim = 2.0 * (p.v1m + p.v1p / p.b)
         assert lim == pytest.approx(1.4, abs=1e-15)
         assert_allclose(m1_constrained(p, 1e-4), lim, rtol=1e-6)
+
+    @pytest.mark.parametrize("y0", [1e-200, 1e-20, 1e-8])
+    def test_limit_at_tiny_amplitudes(self, y0):
+        # the arccos form lost the subtracted term here once its argument
+        # rounded to 1, and gave 2 v1m + 2 v1p/b + d sp/xi^2 = 3.6
+        p = example_two_params()
+        lim = 2.0 * (p.v1m + p.v1p / p.b)
+        for f in (m1, m1_constrained):
+            assert f(p, y0) == pytest.approx(lim, rel=1e-15)
+            assert f(p, np.array([y0]))[0] == pytest.approx(lim, rel=1e-15)
 
     def test_specialization_identity(self):
         rng = np.random.default_rng(8)
@@ -606,9 +649,8 @@ class TestFindRoots:
 
     def test_slope_probe_stays_in_the_domain(self):
         # a root below 1e-6 put the probe's lower point at root - 1e-6 <= 0,
-        # where m1_constrained raised "needs y0 > 0" out of find_roots; the
-        # arccos form is rounding noise that low, so M1 changes sign many
-        # times there and 2 v1m - 0.6 = (5e-7)^2 sets the leading term's root
+        # where m1_constrained raised "needs y0 > 0" out of find_roots;
+        # 2 v1m - 0.6 = (5e-7)^2 sets the leading term's root
         p = MelnikovParams(b=-1, d=1, e=1, xi=1, b11m=0.5, b22m=-0.5, v1m=0.3 + 1.25e-13,
                            b11p=1, b22p=0.5, v1p=0.3)
         lo, seen = 1e-8, []
@@ -620,6 +662,17 @@ class TestFindRoots:
         roots = find_roots(f, (lo, 1.0))
         assert any(r < 1e-6 for r, _ in roots)
         assert min(seen) >= lo and all(lo < r < 1.0 for r, _ in roots)
+
+    def test_no_noise_roots_below_the_leading_root(self):
+        # the arccos form was rounding noise below 1e-6 and gave 739 roots on
+        # (1e-8, 1); the root of these float inputs is 5.0002222465e-7 to 40
+        # digits, and k0's last bit moves it by 3.6e-4 of itself
+        p = MelnikovParams(b=-1, d=1, e=1, xi=1, b11m=0.5, b22m=-0.5, v1m=0.3 + 1.25e-13,
+                           b11p=1, b22p=0.5, v1p=0.3)
+        for f in (m1, m1_constrained):
+            roots = find_roots(lambda y: f(p, y), (1e-8, 1.0))
+            assert [fl for _, fl in roots] == [RootFlag.SIMPLE]
+            assert roots[0][0] == pytest.approx(5.000222246516626e-7, rel=1e-3)
 
     def test_slope_step_unchanged_inside_the_domain(self):
         # the step shrinks only where root - 1e-6 max(1, root) < lo

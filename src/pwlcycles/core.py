@@ -134,27 +134,30 @@ class PwlSystem:
 
     def zone(self, side: str) -> tuple[np.ndarray, np.ndarray]:
         """(A + eps*B + eps^2*C, u + eps*v + eps^2*w) for the requested side,
-        read-only and resolved once per instance."""
+        as read-only arrays of the floats ``_entries`` resolved once."""
         if side not in ("plus", "minus"):
             raise ValueError("side must be 'plus' or 'minus'")
-        return self._zones[side]
+        m11, m12, m21, m22, u1, u2 = self._entries[side]
+        m, off = np.array([[m11, m12], [m21, m22]]), np.array([u1, u2])
+        m.setflags(write=False)
+        off.setflags(write=False)
+        return m, off
 
     @cached_property
-    def _zones(self) -> dict:
+    def _entries(self) -> dict:
+        """Each side's zone resolved once at this eps, as the six floats
+        (m11, m12, m21, m22, u1, u2), entry by entry rounded as the array
+        expressions A + eps*B + eps^2*C and u + eps*v + eps^2*w."""
         eps = float(self.epsilon)
         eps2 = eps * eps
-        zones = {}
+        entries = {}
         for side in ("plus", "minus"):
             (a, u), (b, v), (c, w) = self.orders(side)
-            # entry by entry, rounded as the array expression A + eps*B + eps^2*C
-            m = np.array([
-                [a.m11 + eps * b.m11 + eps2 * c.m11, a.m12 + eps * b.m12 + eps2 * c.m12],
-                [a.m21 + eps * b.m21 + eps2 * c.m21, a.m22 + eps * b.m22 + eps2 * c.m22]])
-            off = np.array([u.x + eps * v.x + eps2 * w.x, u.y + eps * v.y + eps2 * w.y])
-            m.setflags(write=False)
-            off.setflags(write=False)
-            zones[side] = (m, off)
-        return zones
+            entries[side] = (
+                a.m11 + eps * b.m11 + eps2 * c.m11, a.m12 + eps * b.m12 + eps2 * c.m12,
+                a.m21 + eps * b.m21 + eps2 * c.m21, a.m22 + eps * b.m22 + eps2 * c.m22,
+                u.x + eps * v.x + eps2 * w.x, u.y + eps * v.y + eps2 * w.y)
+        return entries
 
     def field(self, point, side: str | None = None) -> np.ndarray:
         """Vector field at ``point``; zone chosen by sign(x) unless forced."""
@@ -248,11 +251,17 @@ def canonical_system(a: float, b: float, c: float, d: float, e: float,
                      epsilon: float = 0.0) -> PwlSystem:
     """Build a system whose order-0 part is already in normal coordinates;
     every field is a Python float."""
-    def mat(x):
-        return Mat2.zero() if x is None else Mat2.from_array(x)
+    def mat(rows):
+        if rows is None:
+            return Mat2.zero()
+        (m11, m12), (m21, m22) = rows
+        return Mat2(float(m11), float(m12), float(m21), float(m22))
 
-    def vec(x):
-        return Vec2.zero() if x is None else Vec2.from_array(x)
+    def vec(pair):
+        if pair is None:
+            return Vec2.zero()
+        x, y = pair
+        return Vec2(float(x), float(y))
 
     a, b, c, d, e = (float(v) for v in (a, b, c, d, e))
     return PwlSystem(

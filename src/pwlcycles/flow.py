@@ -5,13 +5,15 @@ X' = M X + u whose flow is known in closed form through the 2x2 matrix
 exponential (trace/trace-free splitting, exact for each sign of w2 =
 -det(M - mu I) and at w2 = 0); ``AffineFlow`` gives it at any
 perturbation order, and the half-return maps are its first events on
-x = 0.  Events on the switching line x = 0 -- and on any horizontal
-section -- are located on a closed-form coordinate function: its critical
-times, also closed-form, split the time interval into monotone pieces, and
-the first sign change is bisected to adjacent doubles, so no event is
-skipped and no generic stepping error enters the simulation; on a spiral
-the envelope of the extrema skips the pieces that cannot hold one.  On an
-oscillatory arc a rounding bound of the coordinate (libm's exp, sin and
+x = 0.  ``zone_flows`` sets up both zones of a system from the six floats
+per side that ``PwlSystem`` resolves once, with one stacked LAPACK solve
+for the two equilibria.  Events on the switching line x = 0 -- and on any
+horizontal section -- are located on a closed-form coordinate function:
+its critical times, also closed-form, split the time interval into
+monotone pieces, and the first sign change is bisected to adjacent
+doubles, so no event is skipped and no generic stepping error enters the
+simulation; on a spiral the envelope of the extrema skips the pieces that
+cannot hold one.  On an oscillatory arc a rounding bound of the coordinate (libm's exp, sin and
 cos within 1 ulp, as glibc documents them for x86_64, and first-order
 propagation, doubled) lets the bisection skip the midpoints whose computed
 sign is already fixed: a half-cosine step, Illinois steps and two probes
@@ -77,20 +79,24 @@ def _return_horizon(xi: float) -> float:
 class AffineFlow:
     """Closed-form flow of X' = M X + u for a fixed 2x2 M and offset u.
 
-    The zone is built from the six floats of (M, u) in float arithmetic
-    that rounds as numpy's array expressions: the determinants are
-    ``_det2``, numpy's value to the bit, and only the equilibrium is left to
-    ``np.linalg.solve``, whose LAPACK solve rounds through fused
-    multiply-adds that Python floats cannot express.
+    The zone is set up from the six floats (m11, m12, m21, m22, u1, u2) of
+    (M, u) in float arithmetic that rounds as numpy's array expressions:
+    the determinants are ``_det2``, numpy's value to the bit, and only the
+    equilibrium is left to ``np.linalg.solve``, whose LAPACK solve rounds
+    through fused multiply-adds that Python floats cannot express.
+    ``zone_flows`` sets up both zones of a system this way with one stacked
+    solve.
     """
 
     def __init__(self, M, u):
-        M = np.asarray(M, dtype=float)
-        (a, b), (c, d) = M.tolist()
-        size = max(abs(a), abs(b), abs(c), abs(d))
-        if abs(_det2(a, b, c, d)) < 1e-14 * max(1.0, size * size):
-            raise DegenerateLinearPart("zone matrix is numerically singular")
-        self._eq = tuple(np.linalg.solve(M, -np.asarray(u, dtype=float)).tolist())
+        (a, b), (c, d) = np.asarray(M, dtype=float).tolist()
+        zone = (a, b, c, d, *np.asarray(u, dtype=float).tolist())
+        self._set_up(zone, _equilibria((zone,))[0])
+
+    def _set_up(self, zone, eq) -> None:
+        """The flow of ``zone``'s six floats with its equilibrium ``eq``."""
+        a, b, c, d, _, _ = zone
+        self._eq = tuple(eq)
         self._eq_size = _abs_max(self._eq)
         self.mu = mu = 0.5 * (a + d)
         # N = M - mu*I entry by entry, rounded as the array expression
@@ -113,15 +119,42 @@ class AffineFlow:
     def state(self, X0, t):
         """Flow of X0 after time t: the (2,) state for a float t, (n, 2) states
         for an array of n times.  One expression serves both, as numpy's
-        functions take either, so a float t gives its entry of the array."""
+        functions take either, so a float t gives its entry of the array;
+        at a float t it runs in floats after numpy's cos, sin and exp."""
         x, y = np.asarray(X0, dtype=float).tolist()
         e0, e1 = self._eq
         d0, d1 = x - e0, y - e1
         n00, n01, n10, n11 = self._n
         c, s = self._cs(t)
         ex = np.exp(self.mu * t)
+        if isinstance(t, float):
+            c, s, ex = float(c), float(s), float(ex)
         return np.array((ex * (c * d0 + s * (n00 * d0 + n01 * d1)) + e0,
                          ex * (c * d1 + s * (n10 * d0 + n11 * d1)) + e1)).T
+
+
+def zone_flows(sys: PwlSystem) -> tuple[AffineFlow, AffineFlow]:
+    """The (plus, minus) zone flows of ``sys``, set up from its resolved
+    floats with one stacked solve for both equilibria."""
+    zones = (sys._entries["plus"], sys._entries["minus"])
+    flows = (AffineFlow.__new__(AffineFlow), AffineFlow.__new__(AffineFlow))
+    for flow, zone, eq in zip(flows, zones, _equilibria(zones)):
+        flow._set_up(zone, eq)
+    return flows
+
+
+def _equilibria(zones) -> list:
+    """The equilibrium of each zone's six floats (m11, m12, m21, m22, u1,
+    u2).  Every matrix is checked, in order, before one stacked
+    ``np.linalg.solve`` places them all."""
+    for a, b, c, d, _, _ in zones:
+        size = max(abs(a), abs(b), abs(c), abs(d))
+        if abs(_det2(a, b, c, d)) < 1e-14 * max(1.0, size * size):
+            raise DegenerateLinearPart("zone matrix is numerically singular")
+    n = len(zones)
+    matrices = np.array([z[:4] for z in zones]).reshape(n, 2, 2)
+    offsets = np.array([(-z[4], -z[5]) for z in zones]).reshape(n, 2, 1)
+    return np.linalg.solve(matrices, offsets).reshape(n, 2).tolist()
 
 
 def _det2(a, b, c, d):
@@ -532,7 +565,7 @@ def _run(sys: PwlSystem, start, t_max: float, max_segments: int, traj: Trajector
         raise ValueError(f"t_max must be positive and finite, got {t_max}")
     direction = traj.direction
 
-    zones = {side: AffineFlow(*sys.zone(side)) for side in ("plus", "minus")}
+    zones = dict(zip(("plus", "minus"), zone_flows(sys)))
     folds = None
 
     t_abs = 0.0  # unsigned elapsed time
@@ -628,9 +661,9 @@ def _record_arc(traj, zone, X, direction, dt, t_abs, side, record):
     if record:
         ts = np.linspace(0.0, dt, SAMPLE_STRIDE)
         states = zone.state(X, direction * ts)
+        times, points = ts.tolist(), states.tolist()
         for k in range(1, SAMPLE_STRIDE):
-            traj.samples.append((direction * (t_abs + ts[k]),
-                                 float(states[k, 0]), float(states[k, 1])))
+            traj.samples.append((direction * (t_abs + times[k]), *points[k]))
         X = states[-1]
     else:
         X = zone.state(X, direction * dt)

@@ -2,7 +2,9 @@
 
 All quantities are evaluated on the line x = 0 with h(x, y) = x, so the
 one-sided normal components are just the first components of the zone
-fields: Zh(0, y) = M[0,0]*0 + M[0,1]*y + u[0].
+fields: Zh(0, y) = M[0,0]*0 + M[0,1]*y + u[0].  Each zone is read as the
+six floats (m11, m12, m21, m22, u1, u2) that ``PwlSystem`` resolves once,
+in float arithmetic.
 """
 
 from __future__ import annotations
@@ -42,13 +44,13 @@ class FoldPoint:
 
 def normal_components(sys: PwlSystem, y: float) -> tuple[float, float]:
     """(Z+ h, Z- h) at (0, y)."""
-    (mp_, up), (mm, um) = sys.zone("plus"), sys.zone("minus")
-    return float(mp_[0, 1] * y + up[0]), float(mm[0, 1] * y + um[0])
+    plus, minus = sys._entries["plus"], sys._entries["minus"]
+    return float(plus[1] * y + plus[4]), float(minus[1] * y + minus[4])
 
 
 def _lie_scale(sys: PwlSystem, y: float) -> float:
-    (mp_, _), (mm, _) = sys.zone("plus"), sys.zone("minus")
-    return max(1.0, abs(y)) * max(1.0, abs(mp_[0, 1]), abs(mm[0, 1]))
+    plus, minus = sys._entries["plus"], sys._entries["minus"]
+    return max(1.0, abs(y)) * max(1.0, abs(plus[1]), abs(minus[1]))
 
 
 def classify_point(sys: PwlSystem, y: float) -> RegionKind:
@@ -82,13 +84,13 @@ class _SlidingSpeed:
     """
 
     def __init__(self, sys: PwlSystem):
-        (mp_, (ga_p, de_p)), (mm, (ga_m, de_m)) = sys.zone("plus"), sys.zone("minus")
-        (al_p, be_p), (al_m, be_m) = mp_[:, 1], mm[:, 1]
-        self.A = float(al_m * be_p - al_p * be_m)
-        self.B = float(al_m * de_p + ga_m * be_p - al_p * de_m - ga_p * be_m)
-        self.C = float(ga_m * de_p - ga_p * de_m)
-        self.p = float(al_m - al_p)
-        self.q = float(ga_m - ga_p)
+        _, al_p, _, be_p, ga_p, de_p = sys._entries["plus"]
+        _, al_m, _, be_m, ga_m, de_m = sys._entries["minus"]
+        self.A = al_m * be_p - al_p * be_m
+        self.B = al_m * de_p + ga_m * be_p - al_p * de_m - ga_p * be_m
+        self.C = ga_m * de_p - ga_p * de_m
+        self.p = al_m - al_p
+        self.q = ga_m - ga_p
         A, B, C = self.A, self.B, self.C
         self.disc = B * B - 4.0 * A * C
         if A == 0.0:
@@ -160,9 +162,7 @@ def find_folds(sys: PwlSystem) -> list[FoldPoint]:
     """
     folds: list[FoldPoint] = []
     for side in ("minus", "plus"):
-        m, u = sys.zone(side)
-        (_, alpha), (_, m22) = m.tolist()
-        gamma, u2 = u.tolist()
+        _, alpha, _, m22, gamma, u2 = sys._entries[side]
         scale = max(1.0, abs(alpha), abs(gamma))
         if abs(alpha) < 1e-14 * scale:
             if abs(gamma) < 1e-14 * scale:

@@ -35,10 +35,10 @@ from .errors import BoundViolated, ConstraintViolated, EventStall
 from .flow import (
     RETURN_SEGMENTS,
     SLIDING,
-    AffineFlow,
     _return_horizon,
     first_component_zero,
     simulate,
+    zone_flows,
 )
 from .melnikov import (
     SIGN_TOL,
@@ -183,8 +183,9 @@ def s_maps_general_order1(p: SlidingParams) -> tuple:
 # exact section marks from the flow (the simulation side of the check)
 # ---------------------------------------------------------------------------
 
-def _fold_positions(sys: PwlSystem, xi: float) -> tuple:
-    """(y_f1, y_f2, y_f3) of the built system, whose right zone turns at xi.
+def _fold_positions(sys: PwlSystem, flows: tuple, xi: float) -> tuple:
+    """(y_f1, y_f2, y_f3) of the built system, whose right zone turns at xi
+    and whose ``zone_flows`` are ``flows``.
 
     y_f1, y_f2 solve the affine tangency equations exactly; y_f3 is found
     by flowing backward from (0, y_f1) through the right zone (the short
@@ -193,7 +194,7 @@ def _fold_positions(sys: PwlSystem, xi: float) -> tuple:
     folds = {f.side: f for f in find_folds(sys)}
     y_f1 = folds["minus"].y
     y_f2 = folds["plus"].y
-    zone = AffineFlow(*sys.zone("plus"))
+    zone, _ = flows
     t_ev, kind = first_component_zero(
         zone, (0.0, y_f1), direction=-1.0,
         t_budget=2.0 * math.pi / xi, component=0, target=0.0)
@@ -206,13 +207,15 @@ def _fold_positions(sys: PwlSystem, xi: float) -> tuple:
 def s_maps_simulated(p: SlidingParams, eps: float) -> tuple:
     """Exact section marks (S0, S1, S2, S3) at eps from the closed-form flow."""
     sys = p.to_system(eps)
-    return _section_marks(sys, _fold_positions(sys, p.xi))
+    flows = zone_flows(sys)
+    return _section_marks(flows, _fold_positions(sys, flows, p.xi))
 
 
-def _section_marks(sys: PwlSystem, folds: tuple) -> tuple:
-    """``s_maps_simulated`` of the built system on its folds (y_f1, y_f2, y_f3)."""
+def _section_marks(flows: tuple, folds: tuple) -> tuple:
+    """``s_maps_simulated`` of the built system with ``zone_flows`` ``flows``
+    on its folds (y_f1, y_f2, y_f3)."""
     y_f1, y_f2, y_f3 = folds
-    zone = AffineFlow(*sys.zone("minus"))
+    _, zone = flows
     out = []
     for y_start, direction in ((y_f1, -1.0), (y_f1, 1.0), (y_f2, -1.0), (y_f3, -1.0)):
         X0 = (0.0, y_start)
@@ -337,8 +340,9 @@ def detect_sliding_cycle(p: SlidingParams) -> SlidingReport:
     work = _frame(p)
     cycle, lo, hi, reason = _window(p, work)
     sys = work.to_system(eps)
-    y1, y2, y3 = folds = _fold_positions(sys, work.xi)
-    sims = _section_marks(sys, folds)
+    flows = zone_flows(sys)
+    y1, y2, y3 = folds = _fold_positions(sys, flows, work.xi)
+    sims = _section_marks(flows, folds)
     ordering = _ordering_tag(sims)
 
     consistent = (cycle is CycleKind.NONE) or (ordering == _ORDERINGS[cycle])

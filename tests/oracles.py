@@ -33,7 +33,7 @@ from scipy.integrate import quad, solve_ivp
 from scipy.linalg import expm
 from scipy.optimize import brentq
 
-from pwlcycles.core import PwlSystem
+from pwlcycles.core import Mat2, PwlSystem, Vec2
 from pwlcycles.ect import FunctionFamily
 from pwlcycles.errors import PwlError
 
@@ -117,6 +117,19 @@ def singular_points_reference(sys):
     return [tuple(np.linalg.solve(np.array([[m.m11, m.m12], [m.m21, m.m22]], dtype=float),
                                   -np.array([u.x, u.y], dtype=float)).tolist())
             for m, u in (sys.order0_minus, sys.order0_plus)]
+
+
+def seeded_systems(seed: int, n: int):
+    """``n`` systems with every perturbation order drawn from ``seed``: each
+    (matrix, offset) pair normal, scaled by its own power of ten in
+    [1e-3, 1e3], at eps 0."""
+    rng = np.random.default_rng(seed)
+    for _ in range(n):
+        pairs = []
+        for scale in 10.0 ** rng.uniform(-3.0, 3.0, 6):
+            m11, m12, m21, m22, x, y = (rng.normal(size=6) * scale).tolist()
+            pairs.append((Mat2(m11, m12, m21, m22), Vec2(x, y)))
+        yield PwlSystem(*pairs)
 
 
 def sliding_time(sys, ya, yb):

@@ -4,7 +4,7 @@ import json
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
-from oracles import push_pairs_reference, singular_points_reference
+from oracles import push_pairs_reference, seeded_systems, singular_points_reference
 
 from pwlcycles import core
 from pwlcycles.core import (
@@ -24,6 +24,7 @@ from pwlcycles.errors import (
     NotTraceFree,
     SwitchingLineNotPreserved,
 )
+from pwlcycles.examples import example_one, example_two
 
 
 def unit_center_pair():
@@ -429,6 +430,21 @@ class TestZone:
     def test_rejects_unknown_side(self):
         with pytest.raises(ValueError, match="side"):
             self.SYS.zone("left")
+
+    def test_float_entries_are_the_arrays(self):
+        # the six floats per side that the engine reads are the arrays of
+        # ``zone`` and of the order expression, to the bit, on seeded
+        # systems over six decades and both examples at four eps
+        systems = [example_one(), example_two()] + list(seeded_systems(71, 1000))
+        for base in systems:
+            for eps in (0.0, 1e-3, 1e-2, 0.5):
+                sys = base.with_epsilon(eps)
+                for side in ("plus", "minus"):
+                    entries = sys._entries[side]
+                    assert all(type(v) is float for v in entries)
+                    got = (np.array(entries[:4]).reshape(2, 2), np.array(entries[4:]))
+                    for g, zone, want in zip(got, sys.zone(side), self.expected(sys, side)):
+                        assert g.tobytes() == zone.tobytes() == want.tobytes()
 
 
 class TestJsonSchema:

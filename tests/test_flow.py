@@ -1,6 +1,7 @@
 import hashlib
 import math
 import warnings
+from dataclasses import replace
 from itertools import islice
 
 import numpy as np
@@ -12,12 +13,19 @@ from oracles import (
     first_component_zero_reference,
     first_return_displacement,
     integrate_zone,
+    seeded_systems,
     sliding_time,
     velocity_zeros,
 )
 from pwlcycles import flow
 from pwlcycles.core import Mat2, PwlSystem, Vec2, canonical_system
-from pwlcycles.errors import EventStall, NonPositiveAmplitude, NoReturn
+from pwlcycles.errors import (
+    DegenerateLinearPart,
+    EventStall,
+    LineOfTangency,
+    NonPositiveAmplitude,
+    NoReturn,
+)
 from pwlcycles.examples import (
     example_one,
     example_one_params,
@@ -30,6 +38,7 @@ from pwlcycles.flow import (
     first_component_zero,
     melnikov_oracle,
     simulate,
+    zone_flows,
 )
 from pwlcycles.infinity import poincare_displacement
 from pwlcycles.melnikov import m1
@@ -274,6 +283,21 @@ class TestSimulate:
         final = back.samples[-1]
         assert_allclose((final[1], final[2]), start, atol=1e-8)
         assert "Sliding" not in fwd.segment_kinds()
+
+    SAMPLES_CSV_SHA256 = "416f906c06ce9cb3a2f858e0d5c8265402b2eed1d0c41ffc474c0442e63081ae"
+
+    def test_samples_are_python_floats(self):
+        # zone-arc samples carried their time as numpy.float64 (62 of these
+        # 63); every entry is now a Python float of the same value, so the
+        # CSV, recorded before, keeps its bytes
+        traj = simulate(example_one().with_epsilon(1e-2), (0.0, 1.5), 12.0)
+        assert len(traj.samples) == 63
+        csv = traj.to_csv()
+        assert hashlib.sha256(csv.encode()).hexdigest() == self.SAMPLES_CSV_SHA256
+        for sys, start, t_max, backward in _bit_simulations():  # the last one slides
+            traj = (_simulate_backward if backward else simulate)(sys, start, t_max)
+            for sample in traj.samples:
+                assert len(sample) == 3 and all(type(v) is float for v in sample)
 
     @pytest.mark.parametrize("t_max", [8.0, 40.0])
     def test_backward_csv_labels_every_row(self, t_max):
@@ -714,6 +738,15 @@ _ZONES = {  # (M, u) of zones on each branch of AffineFlow._cs, and the unit rot
 }
 
 
+_ZONE_CALLS = {  # one call of each entry point that sets up the zone flows of one system
+    "detect_sliding_cycle": lambda: detect_sliding_cycle(type_one_sliding_params()),
+    "melnikov_oracle": lambda: melnikov_oracle(example_one(), 3.0, 1e-4),
+    "poincare_displacement": lambda: poincare_displacement(example_one().with_epsilon(1e-2), 1e-2),
+    "simulate": lambda: simulate(example_one().with_epsilon(1e-2), (0.0, 1.5), 12.0),
+    "simulate_sliding_cycle": lambda: simulate_sliding_cycle(type_one_sliding_params()),
+}
+
+
 class TestFloatEngine:
     """The zone flow and the event set-up run in float arithmetic that
     rounds as the numpy expressions they replace."""
@@ -785,14 +818,98 @@ class TestFloatEngine:
         counts = _numpy_calls(monkeypatch)
         melnikov_oracle(example_one(), 3.0, 1e-4)
         assert counts["det"] == counts["concatenate"] == counts["arange"] == 0
-        assert counts["solve"] <= 2
+        assert counts["solve"] == 1
 
     def test_section_marks_numpy_calls(self, monkeypatch):
         # the same guard for the exact section marks (4, 5 and 5 before)
         counts = _numpy_calls(monkeypatch)
         detect_sliding_cycle(type_one_sliding_params())
         assert counts["det"] == counts["concatenate"] == counts["arange"] == 0
-        assert counts["solve"] <= 2
+        assert counts["solve"] == 1
+
+    @pytest.mark.parametrize("call", list(_ZONE_CALLS))
+    def test_one_solve_and_no_zone_arrays(self, call, monkeypatch):
+        # a deterministic cost guard: both zones of a system are set up
+        # from its resolved floats with one stacked solve (one per zone
+        # before), and the engine never builds the arrays of
+        # ``PwlSystem.zone``
+        def no_zone(self, side):
+            raise AssertionError(f"PwlSystem.zone({side!r}) called")
+
+        counts = _numpy_calls(monkeypatch)
+        monkeypatch.setattr(PwlSystem, "zone", no_zone)
+        _ZONE_CALLS[call]()
+        assert counts["solve"] == 1
+
+
+def _flow_bits(zone):
+    """The set-up of an ``AffineFlow`` as hex literals and bytes."""
+    return ([float.hex(v) for v in zone._eq], float.hex(zone.mu), float.hex(zone.w2),
+            zone._branch, zone.N.tobytes())
+
+
+# type-one sliding data whose left zone is [[0, -1], [0, 0]] at eps 1e-2, and
+# whose right zone is [[1, -1], [1, -1]] there: each singular, the other regular
+_SINGULAR = {
+    "minus": replace(type_one_sliding_params(), b11m=0.0, b22m=0.0, c11m=0.0, c22m=0.0,
+                     c21m=0.0, b21m=-100.0),
+    "plus": replace(type_one_sliding_params(), a=0.0, b11p=100.0, b22p=-100.0),
+}
+
+
+class TestZoneFlows:
+    """``zone_flows`` sets up both zones with one stacked solve, to the bit
+    of one ``AffineFlow`` per zone and of one ``np.linalg.solve`` each."""
+
+    def test_flows_are_the_per_zone_flows(self):
+        systems = [example_one(), example_two()] + list(seeded_systems(73, 1000))
+        checked = 0
+        for base in systems:
+            for eps in (0.0, 1e-3, 1e-2, 0.5):
+                sys = base.with_epsilon(eps)
+                zones = [sys.zone(side) for side in ("plus", "minus")]
+                try:
+                    per_zone = [AffineFlow(*zone) for zone in zones]
+                except DegenerateLinearPart:
+                    with pytest.raises(DegenerateLinearPart):
+                        zone_flows(sys)
+                    continue
+                for got, want, (M, u) in zip(zone_flows(sys), per_zone, zones):
+                    assert _flow_bits(got) == _flow_bits(want)
+                    solved = np.linalg.solve(M, -u).tolist()
+                    assert [float.hex(v) for v in got._eq] == [float.hex(v) for v in solved]
+                checked += 1
+        assert checked > 3900
+
+    @pytest.mark.parametrize("side", ["plus", "minus"])
+    def test_a_singular_zone_raises(self, side):
+        # a singular zone is refused by its determinant before the solve, on
+        # either side, so numpy's LinAlgError never surfaces
+        p = _SINGULAR[side]
+        sys = p.to_system()
+        entries = sys._entries
+        assert flow._det2(*entries[side][:4]) == 0.0
+        other = "minus" if side == "plus" else "plus"
+        assert flow._det2(*entries[other][:4]) != 0.0
+        calls = (lambda: simulate(sys, (0.0, 1.0), 5.0),
+                 lambda: melnikov_oracle(p.to_system(0.0), 1.0, p.epsilon),
+                 lambda: detect_sliding_cycle(p))
+        for call in calls:
+            with pytest.raises(DegenerateLinearPart, match="^zone matrix is numerically singular$"):
+                call()
+
+    def test_a_singular_zone_is_reported_before_a_cusp(self):
+        # the left fold of this system also has a vanishing second contact
+        # (its u2 is 0); the section marks set up both zone flows before
+        # they look for folds, so they report the singular zone, as the
+        # simulator does, where they used to raise LineOfTangency
+        p = replace(_SINGULAR["minus"], v2m=-100.0, w2m=0.0)
+        with pytest.raises(LineOfTangency, match="vanishing second contact"):
+            find_folds(p.to_system())
+        for call in (lambda: detect_sliding_cycle(p), lambda: s_maps_simulated(p, p.epsilon),
+                     lambda: simulate(p.to_system(), (0.0, 1.0), 5.0)):
+            with pytest.raises(DegenerateLinearPart):
+                call()
 
 
 def _fast_rotation(omega, mu=0.0):

@@ -9,7 +9,7 @@ from numpy.testing import assert_allclose
 from pwlcycles import sliding
 from pwlcycles.core import PwlSystem
 from pwlcycles.errors import ConstraintViolated
-from pwlcycles.flow import simulate
+from pwlcycles.flow import simulate, zone_flows
 from pwlcycles.examples import (
     EXAMPLE2_SYSTEM_ROOT,
     example_two,
@@ -28,6 +28,12 @@ from pwlcycles.sliding import (
     simultaneity_report,
     thresholds,
 )
+
+
+def _fold_positions(p, eps) -> tuple:
+    """``sliding._fold_positions`` of ``p``'s system at eps."""
+    sys = p.to_system(eps)
+    return sliding._fold_positions(sys, zone_flows(sys), p.xi)
 
 
 def _hexes(p) -> dict:
@@ -142,7 +148,7 @@ class TestSMapSeries:
 class TestFoldPositions:
     def test_example_two_values(self):
         p = example_two_sliding_params()
-        y1, y2, y3 = sliding._fold_positions(p.to_system(1e-2), p.xi)
+        y1, y2, y3 = _fold_positions(p, 1e-2)
         assert y1 == pytest.approx(0.002, rel=1e-12)
         assert y2 == pytest.approx(-0.005, rel=1e-12)
         # y3 = -(v1m + 2 v1p / b) eps + O(eps^2) = -(0.2 + 1.0)*eps ... with
@@ -154,7 +160,7 @@ class TestFoldPositions:
         p = example_two_sliding_params()
         vals = []
         for eps in (1e-3, 5e-4):
-            _, _, y3 = sliding._fold_positions(p.to_system(eps), p.xi)
+            _, _, y3 = _fold_positions(p, eps)
             vals.append(y3 / eps)
         extrap = 2.0 * vals[1] - vals[0]
         assert extrap == pytest.approx(-(p.v1m + 2.0 * p.v1p / p.b), rel=1e-5)
@@ -392,7 +398,7 @@ class TestSimulatedCycles:
         # the first of ``_fold_positions``
         p = type_one_sliding_params()
         sys = p.to_system(eps)
-        y_f1 = sliding._fold_positions(sys, p.xi)[0]
+        y_f1 = _fold_positions(p, eps)[0]
         t_max = 3.0 * (2.0 * math.pi + math.pi / p.xi)
         want = simulate(sys, (0.0, y_f1), t_max, max_segments=64)
         calls = 0

@@ -55,22 +55,9 @@ class Mat2:
                         if not math.isfinite(getattr(self, n)))
             raise ValueError(f"Mat2.{name} must be finite")
 
-    @property
-    def array(self) -> np.ndarray:
-        return np.array([[self.m11, self.m12], [self.m21, self.m22]], dtype=float)
-
-    @staticmethod
-    def from_array(a) -> "Mat2":
-        a = np.asarray(a, dtype=float)
-        return Mat2(float(a[0, 0]), float(a[0, 1]), float(a[1, 0]), float(a[1, 1]))
-
     @staticmethod
     def zero() -> "Mat2":
         return Mat2(0.0, 0.0, 0.0, 0.0)
-
-    @property
-    def trace(self) -> float:
-        return self.m11 + self.m22
 
     @property
     def det(self) -> float:
@@ -87,15 +74,6 @@ class Vec2:
     def __post_init__(self):
         if not (math.isfinite(self.x) and math.isfinite(self.y)):
             raise ValueError("Vec2 entries must be finite")
-
-    @property
-    def array(self) -> np.ndarray:
-        return np.array([self.x, self.y], dtype=float)
-
-    @staticmethod
-    def from_array(a) -> "Vec2":
-        a = np.asarray(a, dtype=float)
-        return Vec2(float(a[0]), float(a[1]))
 
     @staticmethod
     def zero() -> "Vec2":
@@ -132,17 +110,6 @@ class PwlSystem:
             return (self.order0_minus, self.order1_minus, self.order2_minus)
         raise ValueError("side must be 'plus' or 'minus'")
 
-    def zone(self, side: str) -> tuple[np.ndarray, np.ndarray]:
-        """(A + eps*B + eps^2*C, u + eps*v + eps^2*w) for the requested side,
-        as read-only arrays of the floats ``_entries`` resolved once."""
-        if side not in ("plus", "minus"):
-            raise ValueError("side must be 'plus' or 'minus'")
-        m11, m12, m21, m22, u1, u2 = self._entries[side]
-        m, off = np.array([[m11, m12], [m21, m22]]), np.array([u1, u2])
-        m.setflags(write=False)
-        off.setflags(write=False)
-        return m, off
-
     @cached_property
     def _entries(self) -> dict:
         """Each side's zone resolved once at this eps, as the six floats
@@ -158,14 +125,6 @@ class PwlSystem:
                 a.m21 + eps * b.m21 + eps2 * c.m21, a.m22 + eps * b.m22 + eps2 * c.m22,
                 u.x + eps * v.x + eps2 * w.x, u.y + eps * v.y + eps2 * w.y)
         return entries
-
-    def field(self, point, side: str | None = None) -> np.ndarray:
-        """Vector field at ``point``; zone chosen by sign(x) unless forced."""
-        p = np.asarray(point, dtype=float)
-        if side is None:
-            side = "plus" if p[0] >= 0.0 else "minus"
-        m, u = self.zone(side)
-        return m @ p + u
 
     def with_epsilon(self, eps: float) -> "PwlSystem":
         return PwlSystem(

@@ -54,21 +54,11 @@ class FunctionFamily:
             raise ValueError(f"derivatives must give each of the {len(self.members)} "
                              f"members its first {need} derivatives")
 
-    def deriv(self, i: int, k: int, s0):
-        """k-th derivative of member i at a float s0, or over an array of points."""
-        fs = (self.members[i], *self.derivatives[i])
-        if not 0 <= k < len(fs):
-            raise ValueError(f"k must be in [0, {len(fs) - 1}] for member {i}, got {k}")
-        val = np.asarray(fs[k](s0), dtype=float)
-        if val.shape != np.shape(s0):
-            val = np.broadcast_to(val, np.shape(s0))
-        return val if val.shape else float(val)
-
 
 def _matrices(fam: FunctionFamily, n: int, s) -> np.ndarray:
     """Derivative matrices [d^k g_i](s) for k, i < n, stacked over the points
-    of s.  Each function is called on s as ``deriv`` calls it, and the
-    assignment broadcasts a scalar return."""
+    of s.  Each function is called on s itself, and the assignment
+    broadcasts a scalar return."""
     mat = np.empty(np.shape(s) + (n, n))
     for i in range(n):
         fs = (fam.members[i], *fam.derivatives[i])

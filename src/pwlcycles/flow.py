@@ -3,24 +3,25 @@
 Each zone of a two-zone piecewise-linear system is an affine ODE
 X' = M X + u whose flow is known in closed form through the 2x2 matrix
 exponential (trace/trace-free splitting, exact for each sign of w2 =
--det(M - mu I) and at w2 = 0); ``AffineFlow`` gives it at any
-perturbation order, and the half-return maps are its first events on
-x = 0.  ``zone_flows`` sets up both zones of a system from the six floats
-per side that ``PwlSystem`` resolves once, with one stacked LAPACK solve
-for the two equilibria.  Events on the switching line x = 0 -- and on any
-horizontal section -- are located on a closed-form coordinate function:
-its critical times, also closed-form, split the time interval into
-monotone pieces, and the first sign change is bisected to adjacent
-doubles, so no event is skipped and no generic stepping error enters the
-simulation; on a spiral the envelope of the extrema skips the pieces that
-cannot hold one.  On an oscillatory arc a rounding bound of the coordinate (libm's exp, sin and
-cos within 1 ulp, as glibc documents them for x86_64, and first-order
-propagation, doubled) lets the bisection skip the midpoints whose computed
-sign is already fixed: a half-cosine step, Illinois steps and two probes
-find the values nearest the root that lie beyond twice the bound, and only
-the midpoints between them are evaluated, so the event time is the full
-bisection's to the bit; hyperbolic and nilpotent arcs and the sliding
-travel-time inversion have no bound and evaluate every midpoint.  Motion
+-det(M - mu I) and at w2 = 0); ``AffineFlow`` gives it from a zone's six
+floats at any perturbation order and its equilibrium, and the half-return
+maps are its first events on x = 0.  ``zone_flows`` builds both zones of
+a system from the floats ``PwlSystem`` resolves once per side, with one
+stacked LAPACK solve for the two equilibria.  Events on the switching
+line x = 0 -- and on any horizontal section -- are located on a
+closed-form coordinate function: its critical times, also closed-form,
+split the time interval into monotone pieces, and the first sign change
+is bisected to adjacent doubles, so no event is skipped and no generic
+stepping error enters the simulation; on a spiral the envelope of the
+extrema skips the pieces that cannot hold one.  On an oscillatory arc a
+rounding bound of the coordinate (libm's exp, sin and cos within 1 ulp,
+as glibc documents them for x86_64, and first-order propagation, doubled)
+lets the bisection skip the midpoints whose computed sign is already
+fixed: a half-cosine step, Illinois steps and two probes find the values
+nearest the root that lie beyond twice the bound, and only the midpoints
+between them are evaluated, so the event time is the full bisection's to
+the bit; hyperbolic and nilpotent arcs and the sliding travel-time
+inversion have no bound and evaluate every midpoint.  Motion
 inside sliding/escaping segments of the switching line follows the
 Filippov law of ``sigma._SlidingSpeed``; its travel time is integrated in
 closed form and inverted by bisection.  ``simulate`` records samples of
@@ -79,22 +80,14 @@ def _return_horizon(xi: float) -> float:
 class AffineFlow:
     """Closed-form flow of X' = M X + u for a fixed 2x2 M and offset u.
 
-    The zone is set up from the six floats (m11, m12, m21, m22, u1, u2) of
-    (M, u) in float arithmetic that rounds as numpy's array expressions:
-    the determinants are ``_det2``, numpy's value to the bit, and only the
-    equilibrium is left to ``np.linalg.solve``, whose LAPACK solve rounds
-    through fused multiply-adds that Python floats cannot express.
-    ``zone_flows`` sets up both zones of a system this way with one stacked
-    solve.
+    ``zone`` is the six floats (m11, m12, m21, m22, u1, u2) of (M, u) and
+    ``eq`` its equilibrium from ``_equilibria``, whose LAPACK solve rounds
+    through fused multiply-adds that Python floats cannot express; the rest
+    of the set-up is float arithmetic that rounds as numpy's array
+    expressions, the determinant ``_det2`` numpy's value to the bit.
     """
 
-    def __init__(self, M, u):
-        (a, b), (c, d) = np.asarray(M, dtype=float).tolist()
-        zone = (a, b, c, d, *np.asarray(u, dtype=float).tolist())
-        self._set_up(zone, _equilibria((zone,))[0])
-
-    def _set_up(self, zone, eq) -> None:
-        """The flow of ``zone``'s six floats with its equilibrium ``eq``."""
+    def __init__(self, zone, eq):
         a, b, c, d, _, _ = zone
         self._eq = tuple(eq)
         self._eq_size = _abs_max(self._eq)
@@ -137,10 +130,7 @@ def zone_flows(sys: PwlSystem) -> tuple[AffineFlow, AffineFlow]:
     """The (plus, minus) zone flows of ``sys``, set up from its resolved
     floats with one stacked solve for both equilibria."""
     zones = (sys._entries["plus"], sys._entries["minus"])
-    flows = (AffineFlow.__new__(AffineFlow), AffineFlow.__new__(AffineFlow))
-    for flow, zone, eq in zip(flows, zones, _equilibria(zones)):
-        flow._set_up(zone, eq)
-    return flows
+    return tuple(map(AffineFlow, zones, _equilibria(zones)))
 
 
 def _equilibria(zones) -> list:

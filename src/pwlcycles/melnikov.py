@@ -19,7 +19,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import PwlSystem
+from .core import PwlSystem, _center_data
 from .errors import ConstraintViolated
 
 SIGN_TOL = 1e-12
@@ -84,7 +84,9 @@ class MelnikovParams:
     it for x = d, e, so its arguments 2x^2/(x^2 + t) - 1, t >= 0, round into
     [-1, 1] at every y0 > 0, and it divides by xi**3 and b*xi**3.  ``m1``
     evaluates the arctan form, which needs less; the rules keep the arccos
-    form a check of every parameter set taken.
+    form a check of every parameter set taken.  M1's constants kappa and k0
+    (``_M1Terms``) are finite, else ``ValueError`` naming them: an infinite
+    one makes M1 NaN at every amplitude.
     """
 
     b: float
@@ -113,6 +115,10 @@ class MelnikovParams:
             if not 2.0 ** -1022 <= abs(value) < math.inf:
                 raise ValueError(f"{type(self).__name__}.{name} must keep xi*xi, xi**3 "
                                  "and b*xi**3 finite normal doubles")
+        terms = self._terms
+        if not (math.isfinite(terms.kappa) and math.isfinite(terms.k0)):
+            raise ValueError(f"{type(self).__name__} must keep kappa = d*sp/xi^2 and "
+                             "k0 = 2*v1m + 2*v1p/b + kappa finite")
 
     @property
     def trace_minus(self) -> float:
@@ -149,14 +155,13 @@ class MelnikovParams:
                 and abs(a0m.m12 + 1.0) < 1e-12 and abs(a0m.m21 - 1.0) < 1e-12
                 and abs(u0m.x) < 1e-12 and abs(u0p.x) < 1e-12):
             raise ValueError("system is not in normal coordinates; canonicalize first")
-        a = 0.5 * (a0p.m11 - a0p.m22)
-        disc = a * a + a0p.m12 * a0p.m21
-        if disc >= 0:
+        data = _center_data(a0p.m11, a0p.m12, a0p.m21, a0p.m22)  # the reduction's rule
+        if data is None or data[1] >= 0:
             raise ValueError("right zone is not a center")
         (b1p, v1p) = sys.order1_plus
         (b1m, v1m) = sys.order1_minus
         return MelnikovParams(
-            b=a0p.m12, d=u0p.y, e=u0m.y, xi=math.sqrt(-disc),
+            b=a0p.m12, d=u0p.y, e=u0m.y, xi=math.sqrt(-data[1]),
             b11m=b1m.m11, b22m=b1m.m22, v1m=v1m.x,
             b11p=b1p.m11, b22p=b1p.m22, v1p=v1p.x,
         )

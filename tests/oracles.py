@@ -4,15 +4,21 @@ Everything here deliberately avoids the package's own flow machinery:
 zone fields are integrated with scipy's adaptive solvers and switching
 events are located on the integrator's dense output, and the angular
 system at infinity is stepped by fixed-step RK4 on the polar field of the
-plane inversion, ``polar_bendixson_rhs`` below.  The one exception is
+plane inversion, ``polar_bendixson_rhs`` below.  The exceptions are
 ``first_component_zero_reference``, the event search as a full numpy
-scan: a differential reference that shares the package's event set-up.
+scan: a differential reference that shares the package's event set-up,
+and ``affine_flow(M, u)``, which sets up the package's zone flow from a
+matrix and an offset for the tests that flow one zone.
 ``expm_states`` flows a zone by scipy's matrix exponential, the reference
 for the closed-form zone flow where its branch changes at w2 = 0.
 ``singular_points_reference`` solves each zone for its singular point on
 its own, the bit reference for the stacked solve of ``check_hypotheses``.
 ``stencil_family`` gives a function family finite-difference derivatives,
-the reference for the analytic derivatives of the shipped families.
+the reference for the analytic derivatives of the shipped families, and
+``deriv`` reads one derivative of a family at a point or over an array.
+``mat``/``vec``, ``zone_arrays`` and ``field`` are the numpy forms of the
+records, of a zone at the system's eps and of the planar field; the
+package itself reads only the six floats per zone of ``PwlSystem._entries``.
 ``m1_arctan_reference`` and ``m1_constrained_arctan_reference`` are
 ``melnikov``'s arctan form of ``M1`` with every product formed in the call:
 the bit reference for the numbers it resolves once per parameter set.
@@ -36,6 +42,7 @@ from scipy.optimize import brentq
 from pwlcycles.core import Mat2, PwlSystem, Vec2
 from pwlcycles.ect import FunctionFamily
 from pwlcycles.errors import PwlError
+from pwlcycles.flow import AffineFlow, _equilibria
 
 
 class MelnikovDomainError(PwlError):
@@ -48,6 +55,54 @@ class OriginUndefined(PwlError):
 
 class ThetaDotVanishes(PwlError):
     """Angular speed vanished; the angular return map is undefined there."""
+
+
+def mat(m: Mat2) -> np.ndarray:
+    """The 2x2 array of a matrix record."""
+    return np.array([[m.m11, m.m12], [m.m21, m.m22]], dtype=float)
+
+
+def vec(u: Vec2) -> np.ndarray:
+    """The (2,) array of an offset record."""
+    return np.array([u.x, u.y], dtype=float)
+
+
+def zone_arrays(sys: PwlSystem, side: str) -> tuple[np.ndarray, np.ndarray]:
+    """(A + eps*B + eps^2*C, u + eps*v + eps^2*w) of ``side`` at the
+    system's eps, by numpy from the order records: the expression whose
+    bits ``PwlSystem._entries`` keeps."""
+    eps = sys.epsilon
+    (a, u), (b, v), (c, w) = sys.orders(side)
+    return (mat(a) + eps * mat(b) + eps * eps * mat(c),
+            vec(u) + eps * vec(v) + eps * eps * vec(w))
+
+
+def field(sys: PwlSystem, point, side: str | None = None) -> np.ndarray:
+    """The vector field at ``point``; the zone follows sign(x) unless forced."""
+    p = np.asarray(point, dtype=float)
+    if side is None:
+        side = "plus" if p[0] >= 0.0 else "minus"
+    m, u = zone_arrays(sys, side)
+    return m @ p + u
+
+
+def affine_flow(M, u) -> AffineFlow:
+    """The zone flow of X' = M X + u, its equilibrium by one solve."""
+    (a, b), (c, d) = np.asarray(M, dtype=float).tolist()
+    zone = (a, b, c, d, *np.asarray(u, dtype=float).tolist())
+    return AffineFlow(zone, _equilibria((zone,))[0])
+
+
+def deriv(fam: FunctionFamily, i: int, k: int, s0):
+    """k-th derivative of member i of ``fam`` at a float s0 (a float), or
+    over an array of points (an array of its shape)."""
+    fs = (fam.members[i], *fam.derivatives[i])
+    if not 0 <= k < len(fs):
+        raise ValueError(f"k must be in [0, {len(fs) - 1}] for member {i}, got {k}")
+    val = np.asarray(fs[k](s0), dtype=float)
+    if val.shape != np.shape(s0):
+        val = np.broadcast_to(val, np.shape(s0))
+    return val if val.shape else float(val)
 
 
 def integrate_zone(M, u, x0, t, rtol=1e-12, atol=1e-14):
@@ -72,7 +127,7 @@ def first_return_displacement(sys, y0, t_guess=120.0):
     """
     X = np.array([0.0, float(y0)])
     for side in ("minus", "plus"):
-        M, u = sys.zone(side)
+        M, u = zone_arrays(sys, side)
 
         def rhs(_t, X_):
             return M @ X_ + u
@@ -106,7 +161,7 @@ def push_pairs_reference(change, pairs):
     qm = np.array(change.linear, dtype=float)
     qinv = np.linalg.inv(qm)
     rho = change.time_scale
-    return [(qm @ m.array @ qinv / rho, qm @ (u.array - m.array @ (qinv @ q)) / rho)
+    return [(qm @ mat(m) @ qinv / rho, qm @ (vec(u) - mat(m) @ (qinv @ q)) / rho)
             for m, u in pairs]
 
 
@@ -114,8 +169,7 @@ def singular_points_reference(sys):
     """The singular points of the order-0 left and right zones, each by its
     own ``np.linalg.solve`` of M X = -u: the per-zone LAPACK solves whose
     bits the stacked solve of ``check_hypotheses`` keeps."""
-    return [tuple(np.linalg.solve(np.array([[m.m11, m.m12], [m.m21, m.m22]], dtype=float),
-                                  -np.array([u.x, u.y], dtype=float)).tolist())
+    return [tuple(np.linalg.solve(mat(m), -vec(u)).tolist())
             for m, u in (sys.order0_minus, sys.order0_plus)]
 
 
@@ -138,7 +192,7 @@ def sliding_time(sys, ya, yb):
     Adaptive quadrature of dy / (dy/dt), with dy/dt the y-component of the
     Filippov convex combination of the two zone fields at (0, y).
     """
-    (mp, up), (mm, um) = sys.zone("plus"), sys.zone("minus")
+    (mp, up), (mm, um) = zone_arrays(sys, "plus"), zone_arrays(sys, "minus")
 
     def inv_speed(y):
         fp = mp @ (0.0, y) + up
@@ -281,7 +335,7 @@ def polar_bendixson_rhs(sys: PwlSystem, r: float, theta: float,
     if side is None:
         side = "plus" if c >= 0 else "minus"
     x, y = c / r, s / r
-    f, g = sys.field((x, y), side)
+    f, g = field(sys, (x, y), side)
     dr = -r * r * (f * c + g * s)
     dth = r * (g * c - f * s)
     if abs(dth) < 1e-14 * max(1.0, abs(f) + abs(g)) * r:
@@ -340,8 +394,8 @@ def radial_variational_rhs(sys: PwlSystem, theta: float) -> tuple[float, float]:
     c, s = math.cos(theta), math.sin(theta)
     side = "plus" if c >= 0 else "minus"
     (a0, _), (b1, _), _ = sys.orders(side)
-    P0, Q0 = _zone_pq(a0.array, c, s)
-    P1, Q1 = _zone_pq(b1.array, c, s)
+    P0, Q0 = _zone_pq(mat(a0), c, s)
+    P1, Q1 = _zone_pq(mat(b1), c, s)
     if abs(P0) < 1e-14:
         raise ThetaDotVanishes(f"angular speed degenerate at theta={theta}")
     return -Q0 / P0, -(Q1 * P0 - Q0 * P1) / (P0 * P0)

@@ -6,7 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
-from pwlcycles import cli, core
+from pwlcycles import acceptance, cli, core
 from pwlcycles.cli import build_parser, main
 from pwlcycles.core import ChangeOfVariables
 from pwlcycles.examples import EXAMPLE1_M1_ROOTS, example_one, example_two
@@ -66,6 +66,17 @@ class TestAnalyze:
         report = json.loads((tmp_path / "out2" / "report.json").read_text())
         assert report["sliding"]["verdict"] == "simultaneous"
         assert report["sliding"]["sliding"]["cycle"] == "SlidingTypeI"
+
+    def test_failing_hypotheses_write_a_note(self, saddle_path, tmp_path, capsys):
+        # the report stops after the hypotheses, and the command succeeds
+        out = tmp_path / "out3"
+        assert main(["analyze", saddle_path, "-o", str(out)]) == 0
+        report = json.loads((out / "report.json").read_text())
+        assert report["hypotheses"]["h2_virtual_center"] is False
+        assert report["hypotheses"]["h3_global_center"] is False
+        assert report["note"] == "hypotheses fail; no displacement analysis performed"
+        assert "melnikov" not in report and "canonical" not in report
+        assert json.loads(capsys.readouterr().out) == report
 
     def test_malformed_json_exits_one(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
@@ -300,6 +311,37 @@ class TestSlidingCommand:
         # the drift sign is fixed by the system, so the sweep crosses the
         # two sliding windows and the no-cycle region
         assert {"SlidingTypeI", "SlidingTypeII", "None"} <= cycles
+
+
+class TestVerifyExamplesCommand:
+    def test_results_exit_code_and_svg(self, tmp_path, monkeypatch, capsys):
+        # two stub criteria, the second failing: each prints its line and its
+        # checks, the failure makes the exit code 2, and only the criterion
+        # that carries a portrait writes a file
+        def passing():
+            res = acceptance.CriterionResult("a", "stub that passes", True, runtime=1.5,
+                                             svg="<svg/>")
+            res.add(True, "first check")
+            return res
+
+        def failing():
+            res = acceptance.CriterionResult("b", "stub that fails", True)
+            res.add(True, "kept check")
+            res.add(False, "broken check")
+            return res
+
+        monkeypatch.setattr(acceptance, "ALL_CRITERIA", (passing, failing))
+        out = tmp_path / "verify"
+        assert main(["verify-examples", "--svg", "-o", str(out)]) == 2
+        assert capsys.readouterr().out.splitlines() == [
+            "[a] stub that passes: PASS (1.5s)",
+            "    pass  first check",
+            "[b] stub that fails: FAIL (0.0s)",
+            "    pass  kept check",
+            "    FAIL  broken check",
+        ]
+        assert [p.name for p in out.iterdir()] == ["criterion_a.svg"]
+        assert (out / "criterion_a.svg").read_text() == "<svg/>"
 
 
 class TestFileDigests:

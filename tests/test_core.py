@@ -4,7 +4,13 @@ import json
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
-from oracles import push_pairs_reference, seeded_systems, singular_points_reference
+from oracles import (
+    affine_flow,
+    push_pairs_reference,
+    seeded_systems,
+    singular_points_reference,
+    zone_arrays,
+)
 
 from pwlcycles import core
 from pwlcycles.core import (
@@ -148,10 +154,9 @@ class TestCanonicalize:
         assert_allclose(change.time_scale, 1.0, rtol=1e-12)
         assert_allclose(params.e, 2.0, rtol=1e-12)
         # conjugacy spot check: map sampled flow points through the change
-        from pwlcycles.flow import AffineFlow
-        raw_flow = AffineFlow(*sys.zone("minus"))
+        raw_flow = affine_flow(*zone_arrays(sys, "minus"))
         canon = canonical_system(params.a, params.b, params.c, params.d, params.e)
-        can_flow = AffineFlow(*canon.zone("minus"))
+        can_flow = affine_flow(*zone_arrays(canon, "minus"))
         x0 = np.array([-0.7, 0.3])
         for t in np.linspace(0.05, 0.6, 10):
             lhs = change.apply(raw_flow.state(x0, t))
@@ -239,7 +244,7 @@ def raw_system(rng) -> PwlSystem:
                                offset=(0.0, rng.uniform(-1.0, 1.0)),
                                time_scale=rng.uniform(0.5, 2.0))
     pushed = push_pairs_reference(change, normal.orders("plus") + normal.orders("minus"))
-    p0, p1, p2, m0, m1, m2 = [(Mat2.from_array(m), Vec2.from_array(u)) for m, u in pushed]
+    p0, p1, p2, m0, m1, m2 = [(Mat2(*m.ravel().tolist()), Vec2(*u.tolist())) for m, u in pushed]
     return PwlSystem(p0, m0, p1, m1, p2, m2, epsilon=normal.epsilon)
 
 
@@ -273,24 +278,25 @@ class TestFloatReduction:
 
     def test_reduction_makes_no_array_round_trips(self, monkeypatch):
         # a deterministic cost guard: the reduction is 2x2 algebra on the
-        # fields; it used to convert every pushed pair to arrays and back
+        # fields; it used to convert every pushed pair to arrays and back.
+        # The hypotheses read the order-0 records alone, and the push reads
+        # the orders of each side once
         sys = raw_system(np.random.default_rng(5))
-        calls = 0
+        calls = {"inv": 0, "orders": 0}
 
-        def counting(fn):
+        def counting(name, fn):
             def wrapped(*args):
-                nonlocal calls
-                calls += 1
+                calls[name] += 1
                 return fn(*args)
             return wrapped
 
-        monkeypatch.setattr(np.linalg, "inv", counting(np.linalg.inv))
-        monkeypatch.setattr(Mat2, "array", property(counting(Mat2.array.fget)))
-        monkeypatch.setattr(Vec2, "array", property(counting(Vec2.array.fget)))
+        monkeypatch.setattr(np.linalg, "inv", counting("inv", np.linalg.inv))
+        monkeypatch.setattr(PwlSystem, "orders", counting("orders", PwlSystem.orders))
         assert check_hypotheses(sys).h3_global_center
         _, change = canonicalize(sys)
+        assert calls == {"inv": 0, "orders": 0}
         change.push_system(sys)
-        assert calls == 0
+        assert calls == {"inv": 0, "orders": 2}
 
     def test_report_keeps_the_reduction(self):
         sys = raw_system(np.random.default_rng(6))
@@ -324,8 +330,8 @@ class TestStackedSolve:
             u = rng.normal(size=(2, 2))
             if k % 2:
                 m[1] = [[m[1, 0, 0], -abs(m[1, 0, 1])], [abs(m[1, 1, 0]), -m[1, 0, 0]]]
-            sys = PwlSystem(order0_plus=(Mat2.from_array(m[0]), Vec2.from_array(u[0])),
-                            order0_minus=(Mat2.from_array(m[1]), Vec2.from_array(u[1])))
+            sys = PwlSystem(order0_plus=(Mat2(*m[0].ravel().tolist()), Vec2(*u[0].tolist())),
+                            order0_minus=(Mat2(*m[1].ravel().tolist()), Vec2(*u[1].tolist())))
             try:
                 rep = check_hypotheses(sys)
             except DegenerateLinearPart:
@@ -394,57 +400,47 @@ class TestZone:
                            epsilon=0.37)
 
     @staticmethod
-    def expected(sys, side):
-        eps = sys.epsilon
-        (a, u), (b, v), (c, w) = sys.orders(side)
-        return (a.array + eps * b.array + eps * eps * c.array,
-                u.array + eps * v.array + eps * eps * w.array)
-
-    @pytest.mark.parametrize("side", ["plus", "minus"])
-    def test_read_only(self, side):
-        m, u = self.SYS.zone(side)
-        with pytest.raises(ValueError):
-            m[0, 0] = 1.0
-        with pytest.raises(ValueError):
-            u[1] = 1.0
+    def entry_arrays(sys, side):
+        """The resolved floats of ``side`` as the (matrix, offset) arrays."""
+        entries = sys._entries[side]
+        return np.array(entries[:4]).reshape(2, 2), np.array(entries[4:])
 
     @pytest.mark.parametrize("side", ["plus", "minus"])
     def test_bitwise_equal_to_the_orders(self, side):
-        for got, want in zip(self.SYS.zone(side), self.expected(self.SYS, side)):
+        for got, want in zip(self.entry_arrays(self.SYS, side), zone_arrays(self.SYS, side)):
             assert got.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("side", ["plus", "minus"])
     def test_copies_resolve_at_their_own_eps(self, side):
-        self.SYS.zone(side)
+        self.entry_arrays(self.SYS, side)
         for copy in (self.SYS.with_epsilon(0.02), dataclasses.replace(self.SYS, epsilon=1.5)):
-            for got, want in zip(copy.zone(side), self.expected(copy, side)):
+            for got, want in zip(self.entry_arrays(copy, side), zone_arrays(copy, side)):
                 assert got.tobytes() == want.tobytes()
 
     def test_resolution_keeps_equality_and_hash(self):
         a = canonical_system(1.0, -1.0, 1.01, 0.1, 0.55, v_minus=[0.3, 0.1], epsilon=0.1)
         b = canonical_system(1.0, -1.0, 1.01, 0.1, 0.55, v_minus=[0.3, 0.1], epsilon=0.1)
-        a.zone("plus")
+        entries = a._entries
         assert a == b and hash(a) == hash(b)
-        assert a.field((0.5, 0.2)).tolist() == b.field((0.5, 0.2)).tolist()
+        assert entries == b._entries
 
     def test_rejects_unknown_side(self):
-        with pytest.raises(ValueError, match="side"):
-            self.SYS.zone("left")
+        with pytest.raises(ValueError, match="^side must be 'plus' or 'minus'$"):
+            self.SYS.orders("left")
 
     def test_float_entries_are_the_arrays(self):
-        # the six floats per side that the engine reads are the arrays of
-        # ``zone`` and of the order expression, to the bit, on seeded
-        # systems over six decades and both examples at four eps
+        # the six floats per side that the engine reads are the order
+        # expression A + eps*B + eps^2*C, u + eps*v + eps^2*w in numpy, to
+        # the bit, on seeded systems over six decades and both examples at
+        # four eps
         systems = [example_one(), example_two()] + list(seeded_systems(71, 1000))
         for base in systems:
             for eps in (0.0, 1e-3, 1e-2, 0.5):
                 sys = base.with_epsilon(eps)
                 for side in ("plus", "minus"):
-                    entries = sys._entries[side]
-                    assert all(type(v) is float for v in entries)
-                    got = (np.array(entries[:4]).reshape(2, 2), np.array(entries[4:]))
-                    for g, zone, want in zip(got, sys.zone(side), self.expected(sys, side)):
-                        assert g.tobytes() == zone.tobytes() == want.tobytes()
+                    assert all(type(v) is float for v in sys._entries[side])
+                    for got, want in zip(self.entry_arrays(sys, side), zone_arrays(sys, side)):
+                        assert got.tobytes() == want.tobytes()
 
 
 class TestJsonSchema:
@@ -485,12 +481,6 @@ class TestFloatFields:
                 values += [m.m11, m.m12, m.m21, m.m22, u.x, u.y]
         assert len(values) == 37
         assert all(type(v) is float for v in values)
-
-    def test_from_array_returns_floats(self):
-        m = Mat2.from_array(np.arange(4.0).reshape(2, 2))
-        assert m == Mat2(0.0, 1.0, 2.0, 3.0)
-        assert all(type(v) is float for v in (m.m11, m.m12, m.m21, m.m22))
-        assert repr(m) == "Mat2(m11=0.0, m12=1.0, m21=2.0, m22=3.0)"
 
 
 class TestPublicApi:
@@ -576,6 +566,55 @@ class TestPublicApi:
                   if name not in pwlcycles.__all__
                   and (mod, name) not in self.KEPT_CLOSED_FORMS
                   and not any(name in names for other, names in uses if other is not stmt)]
+        assert unused == []
+
+    # conversions offered to the package's users that no src/ code calls
+    USER_CONVERSIONS = {
+        ("PwlSystem", "to_json"), ("PwlSystem", "from_json"), ("MelnikovReport", "to_json"),
+        ("SimultaneityReport", "to_json"), ("ReducedParams", "from_params"),
+    }
+
+    def test_every_public_member_is_used(self):
+        # the member-level twin of the guard above: each public method or
+        # property of a class in src/ is read as an attribute by src/ code
+        # outside its own definition, or is a user conversion.  An attribute
+        # of a module (np.linalg.solve, math.inf, acceptance.run_all) is not
+        # a member read
+        import ast
+        import importlib
+        import pathlib
+        import types
+
+        import pwlcycles
+        trees = self._trees(pathlib.Path(pwlcycles.__file__).parent)
+        members = {(cls.name, node.name): node for tree in trees.values()
+                   for cls in tree.body if isinstance(cls, ast.ClassDef)
+                   for node in cls.body
+                   if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")}
+
+        def resolve(node, namespace):
+            """The object a dotted name stands for, or None."""
+            if isinstance(node, ast.Name):
+                return namespace.get(node.id)
+            if isinstance(node, ast.Attribute):
+                return getattr(resolve(node.value, namespace), node.attr, None)
+            return None
+
+        reads = []
+        for mod, tree in trees.items():
+            module = pwlcycles if mod == "__init__" else importlib.import_module(
+                f"pwlcycles.{mod}")
+            reads += [node for node in ast.walk(tree) if isinstance(node, ast.Attribute)
+                      and not isinstance(resolve(node.value, vars(module)), types.ModuleType)]
+
+        def read_outside(name, definition):
+            inside = {id(node) for node in ast.walk(definition)}
+            return any(node.attr == name and id(node) not in inside for node in reads)
+
+        assert self.USER_CONVERSIONS <= members.keys()
+        unused = sorted(f"{cls}.{name}" for (cls, name), definition in members.items()
+                        if (cls, name) not in self.USER_CONVERSIONS
+                        and not read_outside(name, definition))
         assert unused == []
 
     def test_one_home_for_the_arc_term(self):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from oracles import stencil_family
+from oracles import deriv, stencil_family
 from pwlcycles.ect import (
     EctVerdict,
     FunctionFamily,
@@ -89,8 +89,8 @@ class TestWronskian:
         arc = 2.0 * np.arctan(1.0 / s)
         fam = constrained_family(interval=(0.5, 2e3))
         eps = np.finfo(float).eps
-        for got, want in ((fam.deriv(1, 0, ss), (s * s + 1.0) * arc),
-                          (fam.deriv(1, 1, ss), 2.0 * s * arc - 2.0)):
+        for got, want in ((deriv(fam, 1, 0, ss), (s * s + 1.0) * arc),
+                          (deriv(fam, 1, 1, ss), 2.0 * s * arc - 2.0)):
             assert np.all(np.abs(got - want) <= 4.0 * eps * np.abs(want))
         # W1 = -2s + (s^2 - 1) 2 arctan(1/s) is itself a difference of two
         # terms near 2s: it keeps their rounding, not more
@@ -145,7 +145,7 @@ class TestFamilyRules:
         # k = -1 read the derivatives from the end and returned the second
         # derivative; k = 4 raised a bare IndexError
         with pytest.raises(ValueError, match=r"k must be in \[0, 3\].*got " + str(k)):
-            amplitude_family(2.0).deriv(2, k, 1.5)
+            deriv(amplitude_family(2.0), 2, k, 1.5)
 
     def test_every_wronskian_order_needs_its_derivatives(self):
         fam = amplitude_family(2.0)
@@ -166,10 +166,11 @@ class TestFamilyRules:
         ss = np.geomspace(0.02, 50.0, 200)
         ss = ss[np.min([np.abs(ss - p) for p in fam.punctures], axis=0) > 1e-2]
         for i in range(len(fam.members)):
-            size = np.maximum(1.0, np.abs(fam.deriv(i, 0, ss)))
+            size = np.maximum(1.0, np.abs(deriv(fam, i, 0, ss)))
             for k in range(1, len(fam.members)):
-                err = np.abs(fam.deriv(i, k, ss) - ref.deriv(i, k, ss))
-                assert np.all(err <= 1e-8 * size + 1e-6 * np.abs(ref.deriv(i, k, ss))), (i, k)
+                want = deriv(ref, i, k, ss)
+                err = np.abs(deriv(fam, i, k, ss) - want)
+                assert np.all(err <= 1e-8 * size + 1e-6 * np.abs(want)), (i, k)
 
 
 class TestCheckEct:
@@ -247,9 +248,9 @@ class TestGridPath:
         fam = FunctionFamily(members=(lambda s: 1.0, lambda s: s), interval=(0.1, 10.0),
                              derivatives=((lambda s: 0.0,), (lambda s: 1.0,)))
         grid = np.linspace(0.5, 5.0, 7)
-        assert_allclose(fam.deriv(0, 0, grid), np.ones(7))
-        assert_allclose(fam.deriv(1, 1, grid), np.ones(7))
-        assert fam.deriv(0, 0, 2.0) == 1.0 and type(fam.deriv(0, 0, 2.0)) is float
+        assert_allclose(deriv(fam, 0, 0, grid), np.ones(7))
+        assert_allclose(deriv(fam, 1, 1, grid), np.ones(7))
+        assert deriv(fam, 0, 0, 2.0) == 1.0 and type(deriv(fam, 0, 0, 2.0)) is float
         assert_allclose(wronskian(fam, 1, grid), np.ones(7))
 
     def test_grid_outside_interval_rejected(self):

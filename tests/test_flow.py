@@ -9,6 +9,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from oracles import (
+    affine_flow,
     expm_states,
     first_component_zero_reference,
     first_return_displacement,
@@ -16,6 +17,7 @@ from oracles import (
     seeded_systems,
     sliding_time,
     velocity_zeros,
+    zone_arrays,
 )
 from pwlcycles import flow
 from pwlcycles.core import Mat2, PwlSystem, Vec2, canonical_system
@@ -53,12 +55,12 @@ from pwlcycles.svg import PhasePortrait
 
 def _left(e):
     """Left zone of the normal form: the unit rotation about (-e, 0)."""
-    return AffineFlow(*canonical_system(1.0, -1.0, 1.01, 0.1, e).zone("minus"))
+    return affine_flow(*zone_arrays(canonical_system(1.0, -1.0, 1.01, 0.1, e), "minus"))
 
 
 def _right(a, b, c, d):
     """Right zone of the normal form: X' = [[a, b], [c, -a]] X + (0, d)."""
-    return AffineFlow(*canonical_system(a, b, c, d, 1.0).zone("plus"))
+    return affine_flow(*zone_arrays(canonical_system(a, b, c, d, 1.0), "plus"))
 
 
 def _left_return(e, y0):
@@ -370,7 +372,7 @@ class TestSimulate:
     def test_overflowing_state_raises(self):
         # a right zone of size 1e200 overflows to inf within the run; the
         # state is reported, not recorded as inf samples
-        left = example_one().zone("minus")
+        left = zone_arrays(example_one(), "minus")
         sys = PwlSystem.from_dict({"order0": {
             "plus": {"matrix": [1e200, 0.0, 0.0, 1e200], "offset": [0.0, 0.1]},
             "minus": {"matrix": np.ravel(left[0]).tolist(), "offset": list(left[1])}}})
@@ -523,22 +525,12 @@ class TestMelnikovOracle:
         assert calls < 100
 
     def test_oracle_resolves_each_zone_once(self, monkeypatch):
-        # a deterministic cost guard: the six (matrix, offset) pairs are
-        # converted to arrays once per system; rebuilding the zone fields on
-        # every read made 114 conversions per oracle call
-        calls = 0
-
-        def counting(prop):
-            def get(self):
-                nonlocal calls
-                calls += 1
-                return prop.fget(self)
-            return property(get)
-
-        monkeypatch.setattr(Mat2, "array", counting(Mat2.array))
-        monkeypatch.setattr(Vec2, "array", counting(Vec2.array))
+        # a deterministic cost guard: the order records are read once per
+        # side and system, when the zones resolve to floats; rebuilding the
+        # zone fields on every read made 114 array conversions per oracle call
+        reads = _order_reads(monkeypatch)
         melnikov_oracle(example_one(), 3.0, 1e-4)
-        assert calls <= 12
+        assert reads == ["plus", "minus"]
 
     def test_oracle_stops_at_the_return(self, monkeypatch):
         # a deterministic cost guard: the return from y0 = 3 comes after two
@@ -643,7 +635,7 @@ class TestMelnikovOracle:
         assert counts == {"array_state": 0, "find_folds": 0}
 
 
-_UNIT_ROTATION = AffineFlow([[0.0, -1.0], [1.0, 0.0]], [0.0, 0.0])
+_UNIT_ROTATION = affine_flow([[0.0, -1.0], [1.0, 0.0]], [0.0, 0.0])
 
 
 class TestEventMachinery:
@@ -651,14 +643,14 @@ class TestEventMachinery:
         # from the visible fold the orbit leaves quadratically; the first
         # located event is the genuine far-side return
         sys = example_two(0.01)
-        zone = AffineFlow(*sys.zone("minus"))
+        zone = affine_flow(*zone_arrays(sys, "minus"))
         t_ev, kind = first_component_zero(zone, np.array([0.0, 0.002]), 1.0, 10.0)
         assert kind == "cross"
         assert t_ev > 6.0
 
     def test_section_event_on_y_component(self):
         sys = canonical_system(1.0, -1.0, 1.01, 0.1, 0.55)
-        zone = AffineFlow(*sys.zone("minus"))
+        zone = affine_flow(*zone_arrays(sys, "minus"))
         t_ev, kind = first_component_zero(zone, np.array([0.0, 0.4]), 1.0, 10.0,
                                           component=1, target=0.4)
         assert kind == "cross"
@@ -702,7 +694,7 @@ class TestCriticalTimes:
     ], ids=["oscillatory", "hyperbolic", "near-nilpotent", "nilpotent", "tiny-oscillatory"])
     def test_against_velocity_zeros(self, M, u):
         from pwlcycles.flow import _Coordinate
-        zone = AffineFlow(M, u)
+        zone = affine_flow(M, u)
         for direction in (1.0, -1.0):
             found = 0
             for start in ((0.4, 0.7), (-1.0, 0.5), (1.0, -2.0)):
@@ -727,6 +719,20 @@ def _numpy_calls(monkeypatch):
             return _f(*args, **kwargs)
         monkeypatch.setattr(owner, name, counting)
     return counts
+
+
+def _order_reads(monkeypatch):
+    """The sides of the ``PwlSystem.orders`` calls, in call order: the engine
+    reads the order records only there."""
+    reads = []
+    orders = PwlSystem.orders
+
+    def counting(self, side):
+        reads.append(side)
+        return orders(self, side)
+
+    monkeypatch.setattr(PwlSystem, "orders", counting)
+    return reads
 
 
 _ZONES = {  # (M, u) of zones on each branch of AffineFlow._cs, and the unit rotation
@@ -785,7 +791,7 @@ class TestFloatEngine:
 
     @pytest.mark.parametrize("name", ["oscillatory", "hyperbolic", "near-nilpotent", "nilpotent"])
     def test_float_state_is_the_array_state(self, name):
-        zone = AffineFlow(*_ZONES[name])
+        zone = affine_flow(*_ZONES[name])
         rng = np.random.default_rng(5)
         for _ in range(500):
             X0 = rng.normal(size=2) * 3.0
@@ -796,7 +802,7 @@ class TestFloatEngine:
     def test_array_state_is_the_float_state(self, name):
         # one expression for both: each entry of the array result is the
         # float result of its time, to the bit
-        zone = AffineFlow(*_ZONES[name])
+        zone = affine_flow(*_ZONES[name])
         rng = np.random.default_rng(15)
         for _ in range(50):
             X0 = rng.normal(size=2) * 3.0
@@ -808,7 +814,7 @@ class TestFloatEngine:
 
     def test_huge_entries_build_a_zone(self):
         # |M|^2 overflows a float power; the scale is a product, inf here
-        zone = AffineFlow([[1e200, 0.0], [0.0, 1e200]], [0.0, 0.1])
+        zone = affine_flow([[1e200, 0.0], [0.0, 1e200]], [0.0, 0.1])
         assert zone.w2 == 0.0
         assert zone.state((1.0, 1.0), 0.0).tolist() == [1.0, 1.0]
 
@@ -831,15 +837,13 @@ class TestFloatEngine:
     def test_one_solve_and_no_zone_arrays(self, call, monkeypatch):
         # a deterministic cost guard: both zones of a system are set up
         # from its resolved floats with one stacked solve (one per zone
-        # before), and the engine never builds the arrays of
-        # ``PwlSystem.zone``
-        def no_zone(self, side):
-            raise AssertionError(f"PwlSystem.zone({side!r}) called")
-
+        # before), and the order records are read only to resolve them,
+        # once per side
         counts = _numpy_calls(monkeypatch)
-        monkeypatch.setattr(PwlSystem, "zone", no_zone)
+        reads = _order_reads(monkeypatch)
         _ZONE_CALLS[call]()
         assert counts["solve"] == 1
+        assert reads == ["plus", "minus"]
 
 
 def _flow_bits(zone):
@@ -867,9 +871,9 @@ class TestZoneFlows:
         for base in systems:
             for eps in (0.0, 1e-3, 1e-2, 0.5):
                 sys = base.with_epsilon(eps)
-                zones = [sys.zone(side) for side in ("plus", "minus")]
+                zones = [zone_arrays(sys, side) for side in ("plus", "minus")]
                 try:
-                    per_zone = [AffineFlow(*zone) for zone in zones]
+                    per_zone = [affine_flow(*zone) for zone in zones]
                 except DegenerateLinearPart:
                     with pytest.raises(DegenerateLinearPart):
                         zone_flows(sys)
@@ -913,7 +917,7 @@ class TestZoneFlows:
 
 
 def _fast_rotation(omega, mu=0.0):
-    return AffineFlow([[mu, -omega], [omega, mu]], [0.0, 0.0])
+    return affine_flow([[mu, -omega], [omega, mu]], [0.0, 0.0])
 
 
 def _coordinate_evaluations(monkeypatch):
@@ -991,7 +995,7 @@ def _sweep_zone(rng, branch):
     h, b = rng.uniform(-1.0, 1.0), rng.choice([-1.0, 1.0]) * rng.uniform(0.3, 2.0)
     w2 = {"oscillatory": -rng.uniform(0.3, 5.0) ** 2, "hyperbolic": rng.uniform(0.5, 3.0) ** 2,
           "near-nilpotent": rng.uniform(-1e-16, 1e-16)}[branch]
-    return AffineFlow([[mu + h, b], [(w2 - h * h) / b, mu - h]], rng.uniform(-2.0, 2.0, 2))
+    return affine_flow([[mu + h, b], [(w2 - h * h) / b, mu - h]], rng.uniform(-2.0, 2.0, 2))
 
 
 def _sweep_cases(seed, n):
@@ -1010,7 +1014,7 @@ def _sweep_cases(seed, n):
         component = int(rng.integers(2))
         if branch == "spiral":
             mu, om = rng.uniform(1e-3, 3e-2), rng.uniform(1.0, 20.0)
-            zone = AffineFlow([[mu, -om], [om, mu]], rng.uniform(-2.0, 2.0, 2))
+            zone = affine_flow([[mu, -om], [om, mu]], rng.uniform(-2.0, 2.0, 2))
             start = np.array(zone._eq) + rng.uniform(-0.05, 0.05, 2)
             target = zone._eq[component] + rng.choice([-1.0, 1.0]) * rng.uniform(0.2, 2.0)
             yield zone, start, 1.0, 500.0, component, float(target)
@@ -1072,7 +1076,7 @@ class TestLazyEventSearch:
     def test_overflow_gives_the_ieee_value(self):
         # past exp(709.78) the coordinate is what numpy gives, with no
         # warning: -inf on a saddle leaving for x -> -inf, nan for 0 * inf
-        saddle = AffineFlow([[1.0, 0.0], [0.0, -1.0]], [-2.0, 0.0])
+        saddle = affine_flow([[1.0, 0.0], [0.0, -1.0]], [-2.0, 0.0])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert flow._Coordinate(saddle, (1.0, 0.5), 1.0, 0, 0.0).value(1e4) == -math.inf
@@ -1106,7 +1110,7 @@ def _exact_w2_zone(monkeypatch, mu, w2, u=(0.0, 0.0)):
     apart; the exact determinant of these entries, a*d - b*c, keeps each."""
     with monkeypatch.context() as patch:
         patch.setattr(flow, "_det2", lambda a, b, c, d: a * d - b * c)
-        zone = AffineFlow([[mu, 1.0], [w2, mu]], list(u))
+        zone = affine_flow([[mu, 1.0], [w2, mu]], list(u))
     assert zone.w2 == w2
     return zone
 
@@ -1128,7 +1132,7 @@ def _slow_zones(seed, n):
         b = rng.choice([-1.0, 1.0]) * rng.uniform(0.3, 1.0)
         M = [[mu + h, b], [(w2 - h * h) / b, mu - h]]
         u = rng.uniform(-1.0, 1.0, 2).tolist()
-        yield M, u, AffineFlow(M, u), t_end
+        yield M, u, affine_flow(M, u), t_end
 
 
 class TestBranchBoundary:
@@ -1219,7 +1223,7 @@ class TestBranchBoundary:
             x = expm_states(M, (0.0, 0.0), X0, fine)[:, 0] - 1.24
             cells += fine[np.flatnonzero(np.sign(x[:-1]) != np.sign(x[1:]))].tolist()
         assert cells == [4143600.0, 5755200.0]
-        zone = AffineFlow(M, [0.0, 0.0])
+        zone = affine_flow(M, [0.0, 0.0])
         t1, kind1 = first_component_zero(zone, X0, 1.0, 1e7, 0, 1.24)
         t2, kind2 = first_component_zero(zone, zone.state(X0, t1), 1.0, 1e7 - t1, 0, 1.24)
         assert kind1 == kind2 == "cross"
@@ -1330,8 +1334,8 @@ class TestRoundingBand:
         assert coord.band(0.0, 710.0) == math.inf
 
     def test_hyperbolic_and_near_nilpotent_arcs_have_no_band(self):
-        for zone in (AffineFlow([[1.0, 0.0], [0.0, -1.0]], [-2.0, 0.0]),
-                     AffineFlow([[0.1, 1.0], [0.0, 0.1]], [0.0, 0.0])):
+        for zone in (affine_flow([[1.0, 0.0], [0.0, -1.0]], [-2.0, 0.0]),
+                     affine_flow([[0.1, 1.0], [0.0, 0.1]], [0.0, 0.0])):
             assert flow._Coordinate(zone, (1.0, 0.5), 1.0, 0, 0.0).band(0.0, 1.0) == math.inf
 
     def test_crossing_just_before_a_flat_extremum(self):
@@ -1518,7 +1522,7 @@ def _bit_events(name):
     """'t kind' of the event searches on zone ``name`` over a budget of 12:
     both directions, two targets on each component, three starts (on the
     unit rotation the first target 1 is a tangency)."""
-    zone = AffineFlow(*_ZONES[name])
+    zone = affine_flow(*_ZONES[name])
     out = []
     for direction in (1.0, -1.0):
         for component, target in ((0, 0.0), (0, -0.3), (1, 0.25), (1, -0.4)):

@@ -189,12 +189,19 @@ class TestExactAngularMap:
 
     def test_no_polar_field_evaluation(self, monkeypatch):
         # a deterministic cost guard: the exact map never steps the polar
-        # system, nor evaluates the planar field it is built on
-        def refuse(*args, **kwargs):
-            raise AssertionError("PwlSystem.field called")
+        # system, nor evaluates the planar field it is built on; it reads
+        # the order records once per side, to resolve the zone flows
+        calls = 0
+        orders = PwlSystem.orders
 
-        monkeypatch.setattr(PwlSystem, "field", refuse)
+        def counting(self, *args, **kwargs):
+            nonlocal calls
+            calls += 1
+            return orders(self, *args, **kwargs)
+
+        monkeypatch.setattr(PwlSystem, "orders", counting)
         assert poincare_displacement(example_one().with_epsilon(1e-2), 1e-2) < 0
+        assert calls == 2
 
 
 class TestRadialCorrections:

@@ -8,6 +8,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from oracles import (
+    deriv,
     m1_arctan_reference,
     m1_constrained_arctan_reference,
     m1_constrained_reference,
@@ -15,9 +16,16 @@ from oracles import (
     m1_reference,
 )
 from pwlcycles import melnikov
-from pwlcycles.core import canonical_system
+from pwlcycles.core import (
+    Mat2,
+    PwlSystem,
+    Vec2,
+    canonical_system,
+    canonicalize,
+    check_hypotheses,
+)
 from pwlcycles.ect import constrained_family
-from pwlcycles.errors import ConstraintViolated
+from pwlcycles.errors import ConstraintViolated, NotTraceFree
 from pwlcycles.examples import (
     EXAMPLE1_M1_ROOTS,
     EXAMPLE2_NOMINAL_ROOT,
@@ -98,6 +106,26 @@ class TestM1:
         with pytest.raises(ValueError):
             MelnikovParams(b=1.0, d=1.0, e=1.0, xi=1.0, b11m=0, b22m=0,
                            v1m=0, b11p=0, b22p=0, v1p=0)
+
+    def test_from_system_refuses_a_right_focus(self):
+        # [[1, -1], [2, 0]] has trace 1: a focus, which the reduction and
+        # the hypotheses refuse; from_system read it as xi = 1.3229
+        sys = PwlSystem(order0_plus=(Mat2(1.0, -1.0, 2.0, 0.0), Vec2(0.0, 1.0)),
+                        order0_minus=(Mat2(0.0, -1.0, 1.0, 0.0), Vec2(0.0, 1.0)))
+        with pytest.raises(NotTraceFree):
+            canonicalize(sys)
+        assert not check_hypotheses(sys).h2_virtual_center
+        with pytest.raises(ValueError, match="^right zone is not a center$"):
+            MelnikovParams.from_system(sys)
+
+    def test_from_system_keeps_xi_of_a_trace_free_zone(self):
+        # the center rule is the reduction's, with the same arithmetic
+        rng = np.random.default_rng(31)
+        for _ in range(200):
+            a, b = rng.uniform(-2.0, 2.0), -rng.uniform(0.2, 3.0)
+            c = -(rng.uniform(0.2, 2.0) ** 2 + a * a) / b
+            p = MelnikovParams.from_system(canonical_system(a, b, c, 1.0, 1.0))
+            assert p.xi == math.sqrt(-(a * a + b * c))
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_rejects_non_finite_fields(self, bad):
@@ -301,7 +329,8 @@ class TestAgainstTheArccosForm:
 class TestResolvedTerms:
     def test_resolved_once_per_instance(self, monkeypatch):
         # a deterministic cost guard: m1 read both traces (two property
-        # calls) on every evaluation
+        # calls) on every evaluation.  The terms resolve when the record is
+        # built, where their finiteness is checked, and never again
         reads = 0
         trace_plus = MelnikovParams.trace_plus
 
@@ -311,8 +340,10 @@ class TestResolvedTerms:
             return trace_plus.fget(self)
 
         monkeypatch.setattr(MelnikovParams, "trace_plus", property(counting))
-        for p, f in ((example_one_params(), m1), (example_two_params(), m1_constrained)):
-            evals, reads = 0, 0
+        for params, f in ((example_one_params, m1), (example_two_params, m1_constrained)):
+            evals = reads = 0
+            p = params()
+            assert reads == 1
 
             def counted(y):
                 nonlocal evals
@@ -331,8 +362,9 @@ class TestResolvedTerms:
             assert f(p, 1.5) == ref(p, 1.5) and f(q, 1.5) == ref(q, 1.5) != f(p, 1.5)
 
     def test_equality_and_hash_unchanged(self):
+        # the terms resolve when a record is built; q drops its cache
         p, q = example_one_params(), example_one_params()
-        m1(p, 1.0)  # resolves p's terms, not q's
+        del vars(q)["_terms"]
         assert "_terms" in vars(p) and "_terms" not in vars(q)
         assert p == q and hash(p) == hash(q)
         assert "_terms" not in repr(p)
@@ -390,7 +422,6 @@ class TestArccosContract:
     """MelnikovParams takes the parameters at which the paper's arccos form
     of M1 has its arguments in [-1, 1]; the arctan form ``m1`` evaluates
     keeps a value there."""
-
     @pytest.mark.parametrize("name, value", [("d", 1e-158), ("d", 1e-162), ("e", 1.2e154),
                                              ("d", 2.0 ** 511 * (1 + 2.0 ** -52)),
                                              ("e", 2.0 ** -511 * (1 - 2.0 ** -53))])
@@ -433,10 +464,13 @@ class TestArccosContract:
     def test_the_float_path_over_the_whole_domain(self):
         # d and e log-uniform over [2**-511, 2**511] with its four corners, xi
         # in [1e-100, 1e100] and amplitudes over (5e-324, 1.7e308) plus NaN:
-        # a float amplitude gives a float, or the ValueError that names it
-        # where xi*y0/d rounds to 0, and nothing else.  Beside a NaN
-        # amplitude, NaN comes only where k0 or the right zone's term
-        # kappa*H(xi*y0/d) overflows (202 times; the arccos form gave 3,142)
+        # a parameter set is taken, or refused where kappa overflows (4 of
+        # the 200), and at a taken one a float amplitude gives a float, or
+        # the ValueError that names it where xi*y0/d rounds to 0, and
+        # nothing else.  Beside a NaN amplitude, NaN comes only where the
+        # right zone's term kappa*H(xi*y0/d) overflows (42 times; 202 while
+        # the 4 sets of infinite kappa were taken, 160 of them theirs, and
+        # 3,142 in the arccos form)
         rng = np.random.default_rng(2024)
         lo, hi = 2.0 ** -511, 2.0 ** 511
 
@@ -446,13 +480,21 @@ class TestArccosContract:
         ds = [lo, lo, hi, hi, *log_uniform(lo, hi, 196)]
         es = [lo, hi, lo, hi, *log_uniform(lo, hi, 196)]
         ys = [5e-324, 1.7e308, math.nan, *log_uniform(5e-324, 1.7e308, 61)]
-        values = refused = 0
+        values = refused = refused_params = nans = 0
         for k, (d, e) in enumerate(zip(ds, es)):
             xi = math.exp(rng.uniform(math.log(1e-100), math.log(1e100)))
             b11m = float(rng.uniform(-2, 2))
-            p = MelnikovParams(b=-float(rng.uniform(0.2, 3)), d=d, e=e, xi=xi,
-                               b11m=b11m, b22m=-b11m if k % 2 else 0.5,
-                               v1m=0.3, b11p=0.7, b22p=-0.2, v1p=-0.4)
+            kwargs = dict(b=-float(rng.uniform(0.2, 3)), d=d, e=e, xi=xi,
+                          b11m=b11m, b22m=-b11m if k % 2 else 0.5,
+                          v1m=0.3, b11p=0.7, b22p=-0.2, v1p=-0.4)
+            try:
+                p = MelnikovParams(**kwargs)
+            except ValueError as exc:
+                assert str(exc) == ("MelnikovParams must keep kappa = d*sp/xi^2 and "
+                                    "k0 = 2*v1m + 2*v1p/b + kappa finite")
+                assert math.isinf(d * (0.7 - 0.2) / (xi * xi))
+                refused_params += 1
+                continue
             f = m1_constrained if p.constrained else m1
             for y in ys:
                 try:
@@ -467,10 +509,11 @@ class TestArccosContract:
                 values += 1
                 if math.isnan(v) and not math.isnan(y):
                     t, r = p._terms, p.xi / p.d * y
-                    h = math.atan(r) / r + r * math.atan(r)
-                    assert not (math.isfinite(t.k0) and math.isfinite(t.kappa * h))
-        assert values + refused == 200 * len(ys) and refused > 0
-
+                    assert math.isfinite(t.k0) and math.isfinite(t.kappa)
+                    assert not math.isfinite(t.kappa * (math.atan(r) / r + r * math.atan(r)))
+                    nans += 1
+        assert values + refused == (200 - refused_params) * len(ys) and refused > 0
+        assert (refused_params, nans) == (4, 42)
 
 class TestReduced:
     def test_identity_with_m1_at_random_points(self):
@@ -561,8 +604,8 @@ class TestArcTerm:
         # s = 0.7
         fam = constrained_family()
         mirrored = lambda s: s * s * _ARC_TERM[0](1.0 / s)
-        assert_allclose(fam.deriv(1, 0, ss), mirrored(ss), rtol=1e-12)
-        assert_allclose(fam.deriv(1, 1, ss), mirrored(ss + 1e-30j).imag / 1e-30,
+        assert_allclose(deriv(fam, 1, 0, ss), mirrored(ss), rtol=1e-12)
+        assert_allclose(deriv(fam, 1, 1, ss), mirrored(ss + 1e-30j).imag / 1e-30,
                         rtol=1e-12, atol=1e-13)
 
 
@@ -886,6 +929,26 @@ class TestStability:
         assert report.infinity_stability is Stability.UNDETERMINED
         assert [(r.y0, r.stability) for r in report.roots] == [
             (0.5, Stability.STABLE), (1.0, Stability.UNSTABLE), (2.0, Stability.STABLE)]
+
+    @pytest.mark.parametrize("v1p, lowest", [(0.5, Stability.STABLE),
+                                             (0.1, Stability.UNSTABLE),
+                                             (0.3, Stability.UNDETERMINED)])
+    def test_drift_breaks_the_tie_of_both_traces(self, v1p, lowest):
+        # both traces vanish, so infinity and the left trace tie and the
+        # lowest cycle follows the drift b*v1m + v1p: M1 = 2*drift/b near 0+
+        # is negative for a positive drift, a stable lowest cycle
+        p = MelnikovParams(b=-1.0, d=1.0, e=1.0, xi=0.5, b11m=0.5, b22m=-0.5,
+                           v1m=0.3, b11p=0.25, b22p=-0.25, v1p=v1p)
+        assert melnikov.infinity_sign(p) == 0 and p.constrained
+        assert scaled_sign(p.drift, p.b * p.v1m, p.v1p) == -scaled_sign(m1(p, 1e-3))
+        roots = [(2.0, RootFlag.SIMPLE), (0.5, RootFlag.SIMPLE)]
+        report = classify_stability(p, roots)
+        flip = {Stability.STABLE: Stability.UNSTABLE, Stability.UNSTABLE: Stability.STABLE,
+                Stability.UNDETERMINED: Stability.UNDETERMINED}
+        assert report.infinity_stability is Stability.UNDETERMINED
+        assert [(r.y0, r.stability) for r in report.roots] == [(0.5, lowest),
+                                                                (2.0, flip[lowest])]
+        assert report.root_count_bound == 1
 
     def test_report_serialization(self):
         p = example_one_params()

@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
+from oracles import field
 from pwlcycles.core import canonical_system
 from pwlcycles.errors import NotSlidingRegion
 from pwlcycles.examples import example_two
@@ -33,8 +34,8 @@ def sliding_segment(sys) -> tuple[float, float] | None:
 def _filippov_vector(sys, y):
     """Filippov convex combination (Z-h Z+ - Z+h Z-) / (Z-h - Z+h) at (0, y),
     both components, from the two zone fields."""
-    fp = sys.field((0.0, y), "plus")
-    fm = sys.field((0.0, y), "minus")
+    fp = field(sys, (0.0, y), "plus")
+    fm = field(sys, (0.0, y), "minus")
     return (fm[0] * fp - fp[0] * fm) / (fm[0] - fp[0])
 
 
@@ -102,8 +103,8 @@ class TestSlidingField:
         lo, hi = sliding_segment(ex2)
         for y in np.linspace(lo, hi, 25)[1:-1]:
             y = float(y)
-            fp = ex2.field((0.0, y), "plus")
-            fm = ex2.field((0.0, y), "minus")
+            fp = field(ex2, (0.0, y), "plus")
+            fm = field(ex2, (0.0, y), "minus")
             alpha = fp[0] / (fp[0] - fm[0])
             blend = (1 - alpha) * fp + alpha * fm
             assert_allclose(sliding_field(ex2, y), blend[1], rtol=0, atol=1e-12)
@@ -120,8 +121,8 @@ class TestSlidingField:
             d, e = rng.uniform(0.1, 2), rng.uniform(0.1, 2)
             sys = canonical_system(a, b, c, d, e)
             y = float(rng.uniform(-3, 3))
-            fp = sys.field((0.0, y), "plus")
-            fm = sys.field((0.0, y), "minus")
+            fp = field(sys, (0.0, y), "plus")
+            fm = field(sys, (0.0, y), "minus")
             numerator = fm[0] * fp[1] - fp[0] * fm[1]
             assert_allclose(numerator, y * (a * y - b * e - d), rtol=1e-12, atol=1e-12)
 

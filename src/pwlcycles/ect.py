@@ -8,6 +8,13 @@ The checks here are numeric evidence on a grid, never proofs, and the
 verdicts say so.  Every family carries analytic derivatives of the orders
 its Wronskians read; finite differences are a test reference
 (``stencil_family`` in ``tests/oracles.py``), not a fallback.
+
+A family may also carry its leading Wronskians in closed form, as the two
+shipped families do (``amplitude_w0..w3`` and ``constrained_w1``).
+``check_ect`` then scans those on its grid and refines each sign change by
+scalar bisection of the closed form; a family without them is scanned
+through determinants of its derivative matrices.  ``wronskian`` is always
+the determinant, so the closed forms can be checked against it.
 """
 
 from __future__ import annotations
@@ -15,10 +22,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import partial
 
 import numpy as np
 
-from .melnikov import _ARC_TERM
+from .melnikov import _ARC_TERM, _atan_of
 
 PUNCTURE_RADIUS = 1e-6  # scan grids skip points this close to a puncture
 ECT_GRID = 1024        # points of the Wronskian scan of check_ect
@@ -35,14 +43,20 @@ class FunctionFamily:
     Wronskians read.  ``interval`` is ``(lo, hi)`` with finite ends and
     ``0 < lo < hi``: the families behind the bounds live on amplitudes
     s > 0, and the scan grid is log-spaced.  ``punctures`` are isolated
-    points excluded from scan grids (removable factors of closed forms).  A
-    family that breaks these rules raises ``ValueError`` naming the field.
+    points excluded from scan grids (removable factors of closed forms).
+    ``wronskians`` is empty, or one closed form per leading order:
+    ``wronskians[k]`` is W(g0..gk), taking a float (giving a float) or an
+    array (giving an array of its shape, or a scalar, which is broadcast).
+    ``check_ect`` scans and refines those when they are given, and the
+    determinants of the derivative matrices when they are not.  A family
+    that breaks these rules raises ``ValueError`` naming the field.
     """
 
     members: tuple
     interval: tuple
     derivatives: tuple
     punctures: tuple = ()
+    wronskians: tuple = ()
 
     def __post_init__(self):
         lo, hi = self.interval
@@ -53,6 +67,9 @@ class FunctionFamily:
                 or any(len(ds) < need for ds in self.derivatives):
             raise ValueError(f"derivatives must give each of the {len(self.members)} "
                              f"members its first {need} derivatives")
+        if self.wronskians and len(self.wronskians) != len(self.members):
+            raise ValueError(f"wronskians must be empty or give one closed form for each "
+                             f"of the {len(self.members)} orders, got {len(self.wronskians)}")
 
 
 def _matrices(fam: FunctionFamily, n: int, s) -> np.ndarray:
@@ -107,7 +124,8 @@ class WronskianProfile:
 
 def check_ect(fam: FunctionFamily):
     """Scan all leading Wronskians on ``ECT_GRID`` points over the family's
-    interval and classify the family.
+    interval and classify the family.  The Wronskians are the family's
+    closed forms if it has them, else determinants of derivative matrices.
 
     ECT: every order is bounded away from zero (min |Wk| > 1e-8 * scale).
     ET_withAccuracy: only the last order changes sign, exactly once, at a
@@ -119,13 +137,19 @@ def check_ect(fam: FunctionFamily):
     for p in fam.punctures:
         grid = grid[np.abs(grid - p) > PUNCTURE_RADIUS]
     orders = len(fam.members)
-    mats = _matrices(fam, orders, grid)
-    values = np.stack([np.linalg.det(mats[:, :k + 1, :k + 1]) for k in range(orders)])
+    if fam.wronskians:
+        values = np.empty((orders, len(grid)))
+        for k, w in enumerate(fam.wronskians):
+            values[k] = w(grid)
+    else:
+        mats = _matrices(fam, orders, grid)
+        values = np.stack([np.linalg.det(mats[:, :k + 1, :k + 1]) for k in range(orders)])
 
     profile = WronskianProfile(grid=grid, values=values)
     raw = np.sign(values)
     order, j = np.nonzero(raw[:, :-1] * raw[:, 1:] < 0)
-    zeros = _bisect(fam, order, grid[j], grid[j + 1], values[order, j] > 0)
+    refine = _bisect_closed_forms if fam.wronskians else _bisect
+    zeros = refine(fam, order, grid[j], grid[j + 1], values[order, j] > 0)
     bounded = []
     for k in range(orders):
         v = values[k]
@@ -147,7 +171,10 @@ def check_ect(fam: FunctionFamily):
             and len(profile.zero_candidates[-1]) == 1:
         z = profile.zero_candidates[-1][0]
         h = 1e-6 * max(1.0, abs(z))
-        w_lo, w_hi = wronskian(fam, orders - 1, np.array([z - h, z + h]))
+        if fam.wronskians:
+            w_lo, w_hi = fam.wronskians[-1](z - h), fam.wronskians[-1](z + h)
+        else:
+            w_lo, w_hi = wronskian(fam, orders - 1, np.array([z - h, z + h]))
         slope = (w_hi - w_lo) / (2 * h)
         vscale = max(float(np.abs(values[-1]).max()), 1e-300)
         if abs(slope) > 1e-8 * vscale:
@@ -157,6 +184,26 @@ def check_ect(fam: FunctionFamily):
 
 _BISECT_STEPS = 80  # halvings of each Wronskian bracket, _BISECT_DEPTH per round
 _BISECT_DEPTH = 5
+
+
+def _bisect_closed_forms(fam: FunctionFamily, order, a, b, positive) -> np.ndarray:
+    """Bisected zeros of W_order in the brackets [a, b], as ``_bisect``, by
+    plain bisection of the family's closed forms on floats: at most
+    ``_BISECT_STEPS`` halvings per bracket, stopping once the midpoint
+    rounds onto an end."""
+    zeros = []
+    for k, lo, hi, pos in zip(order.tolist(), a.tolist(), b.tolist(), positive.tolist()):
+        w = fam.wronskians[k]
+        for _ in range(_BISECT_STEPS):
+            mid = 0.5 * (lo + hi)
+            if mid == lo or mid == hi:
+                break
+            if (w(mid) > 0) == pos:
+                lo = mid
+            else:
+                hi = mid
+        zeros.append(0.5 * (lo + hi))
+    return np.array(zeros)
 
 
 def _bisect(fam: FunctionFamily, order, a, b, positive) -> np.ndarray:
@@ -220,6 +267,8 @@ def amplitude_family(beta: float, interval=(1e-2, 1e2)) -> FunctionFamily:
                      _ARC_TERM[1:],
                      tuple(_arc_at(beta, k) for k in (1, 2, 3))),
         punctures=(1.0, 1.0 / beta),
+        wronskians=tuple(partial(w, beta) for w in (amplitude_w0, amplitude_w1,
+                                                    amplitude_w2, amplitude_w3)),
     )
 
 
@@ -237,33 +286,43 @@ def constrained_family(interval=(1e-2, 1e2)) -> FunctionFamily:
         interval=interval,
         derivatives=((lambda s: 1.0,), (lambda s: 4.0 * s * np.arctan(1.0 / s) - 2.0,)),
         punctures=(1.0,),
+        wronskians=(lambda s: s, constrained_w1),
     )
 
 
 # closed forms of the leading Wronskians of ``amplitude_family`` ------------
+# Each takes a float (giving a float, with ``math``) or an array (giving an
+# array, with numpy).
+
+def _points(s0):
+    """``s0`` as a float if it is a number or 0-d, else as a float array."""
+    if isinstance(s0, float):
+        return s0
+    return float(s0) if np.ndim(s0) == 0 else np.asarray(s0, dtype=float)
+
 
 def amplitude_w0(beta: float, s0):
-    return np.asarray(s0, dtype=float) + 0.0
+    return _points(s0) + 0.0
 
 
 def amplitude_w1(beta: float, s0):
-    s0 = np.asarray(s0, dtype=float)
+    s0 = _points(s0)
     return beta * beta * s0 * s0 - 1.0
 
 
 def amplitude_w2(beta: float, s0):
-    s0 = np.asarray(s0, dtype=float)
+    s0 = _points(s0)
     u = s0 * s0 + 1.0
-    return (2.0 * (beta * beta - 1.0) * 2.0 * np.arctan(s0)
+    return (2.0 * (beta * beta - 1.0) * 2.0 * _atan_of(s0)(s0)
             - 4.0 * (beta * beta + 1.0) * s0 / u)
 
 
 def amplitude_w3(beta: float, s0):
-    s0 = np.asarray(s0, dtype=float)
+    s0 = _points(s0)
     u = s0 * s0 + 1.0
     ub = beta * beta * s0 * s0 + 1.0
     num = 16.0 * beta ** 3 * (beta * beta - 1.0) * (
-        2.0 * s0 * (s0 * s0 - 1.0) + u * u * 2.0 * np.arctan(s0))
+        2.0 * s0 * (s0 * s0 - 1.0) + u * u * 2.0 * _atan_of(s0)(s0))
     return num / (u * u * ub * ub)
 
 
@@ -275,8 +334,8 @@ def amplitude_w3_tilde_slope(beta: float, s0):
 
 
 def constrained_w1(s0):
-    s0 = np.asarray(s0, dtype=float)
-    return -2.0 * s0 + (s0 * s0 - 1.0) * 2.0 * np.arctan(1.0 / s0)
+    s0 = _points(s0)
+    return -2.0 * s0 + (s0 * s0 - 1.0) * 2.0 * _atan_of(s0)(1.0 / s0)
 
 
 def constrained_w1_tilde_slope(s0):

@@ -520,7 +520,7 @@ class TestPublicApi:
     # closed forms of the paper that no src/ module calls; they stay shipped
     # so that exact eps-expansions of the return map can be checked on them
     KEPT_CLOSED_FORMS = {
-        ("ect", "constrained_w1"), ("ect", "constrained_w1_tilde_slope"),
+        ("ect", "constrained_w1_tilde_slope"),
         ("infinity", "left_radial_correction"), ("melnikov", "reduced_limit_at_zero"),
         ("sigma", "fold_series_minus"), ("sigma", "fold_series_plus"),
         ("sliding", "s_maps_general_order1"),

@@ -1,4 +1,6 @@
 import math
+from dataclasses import replace
+from functools import partial
 
 import numpy as np
 import pytest
@@ -20,6 +22,7 @@ from pwlcycles.ect import (
     constrained_w1_tilde_slope,
     wronskian,
 )
+from pwlcycles import ect
 from pwlcycles.ect import _BISECT_DEPTH, _BISECT_STEPS
 from pwlcycles.melnikov import ReducedParams, m1_reduced
 from pwlcycles.examples import example_one_params
@@ -156,6 +159,14 @@ class TestFamilyRules:
             FunctionFamily(members=fam.members, interval=fam.interval,
                            derivatives=fam.derivatives[:3])
 
+    def test_wronskians_give_one_closed_form_per_order(self):
+        fam = amplitude_family(2.0)
+        for wronskians in (fam.wronskians[:3], fam.wronskians + fam.wronskians[:1]):
+            with pytest.raises(ValueError, match=r"wronskians must be empty or give one "
+                                                 r"closed form for each of the 4 orders"):
+                replace(fam, wronskians=wronskians)
+        assert replace(fam, wronskians=()).wronskians == ()
+
     @pytest.mark.parametrize("beta", [0.5, 2.0, 3.0, None])
     def test_shipped_derivatives_against_stencils(self, beta):
         # each analytic derivative, order by order, against the stencil of
@@ -213,6 +224,48 @@ class TestCheckEct:
         assert profile.zero_candidates[:2] == [[], []]
         assert profile.zero_candidates[2] == [pytest.approx(1.0, abs=1e-12)]
 
+    @staticmethod
+    def _draws(rng, n):
+        # the closed_form workload's ranges: |log beta| in [0.15, log 3],
+        # lo in [0.01, 2] and hi in [10, 100], both log-uniform
+        for _ in range(n):
+            beta = math.exp(rng.choice([-1.0, 1.0]) * rng.uniform(0.15, math.log(3.0)))
+            iv = (math.exp(rng.uniform(math.log(0.01), math.log(2.0))),
+                  math.exp(rng.uniform(math.log(10.0), math.log(100.0))))
+            yield amplitude_family(beta, iv)
+            yield constrained_family(iv)
+
+    def test_closed_form_scans_agree_with_the_determinants(self):
+        # the shipped families scan their closed-form Wronskians; the same
+        # family without them scans determinants of the derivative matrices,
+        # an independent evaluation of the same functions
+        verdicts = set()
+        for fam in self._draws(np.random.default_rng(2031), 24):
+            profile, verdict = check_ect(fam)
+            ref, ref_verdict = check_ect(replace(fam, wronskians=()))
+            assert verdict is ref_verdict
+            verdicts.add(verdict)
+            assert profile.sign_changes == ref.sign_changes
+            assert list(map(len, profile.zero_candidates)) \
+                == list(map(len, ref.zero_candidates))
+            for got, want in zip(profile.zero_candidates, ref.zero_candidates):
+                assert_allclose(got, want, rtol=1e-12, atol=0)
+        assert verdicts == {EctVerdict.ECT, EctVerdict.INCONCLUSIVE}
+
+    def test_beta_one_third_wronskian_is_exactly_zero(self):
+        # at beta = 1 the closed form W3 vanishes identically through its
+        # factor beta^2 - 1; the determinants are rounding noise about zero,
+        # with 203 sign changes and 105 zero candidates
+        fam = amplitude_family(1.0)
+        profile, verdict = check_ect(fam)
+        assert verdict is EctVerdict.INCONCLUSIVE
+        assert profile.sign_changes == [0, 1, 0, 0]
+        assert list(map(len, profile.zero_candidates)) == [0, 1, 0, 0]
+        assert not profile.values[3].any()
+        ref, ref_verdict = check_ect(replace(fam, wronskians=()))
+        assert ref_verdict is EctVerdict.INCONCLUSIVE
+        assert ref.sign_changes[:3] == [0, 1, 0] and ref.sign_changes[3] > 0
+
     def test_profile_csv(self):
         fam = amplitude_family(2.0, interval=(0.1, 10.0))
         profile, _ = check_ect(fam)
@@ -227,6 +280,7 @@ class TestGridPath:
     def families():
         fam = amplitude_family(2.0)
         return {"analytic": fam,
+                "determinant": replace(fam, wronskians=()),
                 "stencil": stencil_family(fam.members, fam.interval, fam.punctures),
                 "constrained": constrained_family(),
                 "cubic": stencil_family((lambda s: 1.0, lambda s: s, lambda s: (s - 1.0) ** 3),
@@ -258,20 +312,23 @@ class TestGridPath:
         with pytest.raises(ValueError, match="outside the family interval"):
             wronskian(fam, 1, np.array([0.5, 200.0]))
 
-    @pytest.mark.parametrize("name", ["analytic", "stencil", "cubic"])
+    @pytest.mark.parametrize("name", ["analytic", "determinant", "stencil", "cubic"])
     def test_refinement_is_plain_bisection(self, name):
-        # reference: the per-bracket scalar bisection, 80 halvings keeping the
-        # end whose sign W has at the bracket's left end
+        # reference: the per-bracket scalar bisection of the Wronskian the
+        # scan reads (the closed form if the family has one, else the
+        # determinant), 80 halvings keeping the end whose sign W has at the
+        # bracket's left end
         fam = self.families()[name]
         profile, _ = check_ect(fam)
         want = []
         for k, v in enumerate(profile.values):
+            w = fam.wronskians[k] if fam.wronskians else partial(wronskian, fam, k)
             cand = []
             for j in np.where(np.sign(v[:-1]) * np.sign(v[1:]) < 0)[0]:
                 a, b = float(profile.grid[j]), float(profile.grid[j + 1])
                 for _ in range(80):
                     mid = 0.5 * (a + b)
-                    if (wronskian(fam, k, mid) > 0) == (v[j] > 0):
+                    if (w(mid) > 0) == (v[j] > 0):
                         a = mid
                     else:
                         b = mid
@@ -313,6 +370,41 @@ class TestGridPath:
         matrices = 1 + _BISECT_STEPS // _BISECT_DEPTH + 1
         assert len(calls) == (16 if name == "analytic" else 4)
         assert max(calls.values()) <= per_matrix * matrices
+
+    @pytest.mark.parametrize("name", ["analytic", "constrained", "cubic"])
+    def test_closed_form_scan_takes_no_determinant(self, name, monkeypatch):
+        # a deterministic cost guard: a scan of closed forms reads each once
+        # over the grid, the last twice more for the slope probe, and each at
+        # most _BISECT_STEPS times per bracket, and builds no derivative
+        # matrix; the cubic's W2 = 6(s - 1) reaches the slope probe, and its
+        # constant W0 and W1 are broadcast over the grid
+        def refuse(*args, **kwargs):
+            raise AssertionError("determinant path reached")
+
+        fam = self.families()[name]
+        if name == "cubic":
+            fam = replace(fam, wronskians=(lambda s: 1.0, lambda s: 1.0,
+                                           lambda s: 6.0 * (s - 1.0)))
+        ref_profile, ref_verdict = check_ect(fam)
+        assert (ref_verdict is EctVerdict.ET_WITH_ACCURACY) == (name == "cubic")
+        calls = [0] * len(fam.wronskians)
+
+        def counted(k, w):
+            def h(s):
+                calls[k] += 1
+                return w(s)
+            return h
+
+        monkeypatch.setattr(ect, "_matrices", refuse)
+        monkeypatch.setattr(np.linalg, "det", refuse)
+        wrapped = replace(fam, wronskians=tuple(map(counted, range(len(calls)),
+                                                    fam.wronskians)))
+        profile, verdict = check_ect(wrapped)
+        assert verdict is ref_verdict
+        assert profile.zero_candidates == ref_profile.zero_candidates
+        for k, n in enumerate(calls):
+            brackets = len(profile.zero_candidates[k])
+            assert n <= 1 + 2 * (k == len(calls) - 1) + _BISECT_STEPS * brackets, k
 
 
 class TestBoundRealization:

@@ -9,12 +9,13 @@ verdicts say so.  Every family carries analytic derivatives of the orders
 its Wronskians read; finite differences are a test reference
 (``stencil_family`` in ``tests/oracles.py``), not a fallback.
 
-A family may also carry its leading Wronskians in closed form, as the two
-shipped families do (``amplitude_w0..w3`` and ``constrained_w1``).
-``check_ect`` then scans those on its grid and refines each sign change by
-scalar bisection of the closed form; a family without them is scanned
-through determinants of its derivative matrices.  ``wronskian`` is always
-the determinant, so the closed forms can be checked against it.
+A family carries its leading Wronskians as callables, one per order, and
+``check_ect`` scans those on its grid, refines each sign change by scalar
+bisection and reads the last for its slope probe.  The two shipped
+families carry closed forms (``amplitude_w0..w3`` and ``constrained_w1``).
+``wronskian`` is the determinant of the derivative matrices, independent of
+the callables, so the closed forms can be checked against it; a family
+scans its determinants with ``partial(wronskian, fam, k)`` for each order k.
 """
 
 from __future__ import annotations
@@ -44,19 +45,18 @@ class FunctionFamily:
     ``0 < lo < hi``: the families behind the bounds live on amplitudes
     s > 0, and the scan grid is log-spaced.  ``punctures`` are isolated
     points excluded from scan grids (removable factors of closed forms).
-    ``wronskians`` is empty, or one closed form per leading order:
-    ``wronskians[k]`` is W(g0..gk), taking a float (giving a float) or an
-    array (giving an array of its shape, or a scalar, which is broadcast).
-    ``check_ect`` scans and refines those when they are given, and the
-    determinants of the derivative matrices when they are not.  A family
-    that breaks these rules raises ``ValueError`` naming the field.
+    ``wronskians`` gives one callable per leading order: ``wronskians[k]``
+    is W(g0..gk), taking a float (giving a float) or an array (giving an
+    array of its shape, or a scalar, which is broadcast); ``check_ect``
+    reads only these.  A family that breaks these rules raises
+    ``ValueError`` naming the field.
     """
 
     members: tuple
     interval: tuple
     derivatives: tuple
+    wronskians: tuple
     punctures: tuple = ()
-    wronskians: tuple = ()
 
     def __post_init__(self):
         lo, hi = self.interval
@@ -67,9 +67,9 @@ class FunctionFamily:
                 or any(len(ds) < need for ds in self.derivatives):
             raise ValueError(f"derivatives must give each of the {len(self.members)} "
                              f"members its first {need} derivatives")
-        if self.wronskians and len(self.wronskians) != len(self.members):
-            raise ValueError(f"wronskians must be empty or give one closed form for each "
-                             f"of the {len(self.members)} orders, got {len(self.wronskians)}")
+        if len(self.wronskians) != len(self.members):
+            raise ValueError(f"wronskians must give one callable for each of the "
+                             f"{len(self.members)} orders, got {len(self.wronskians)}")
 
 
 def _matrices(fam: FunctionFamily, n: int, s) -> np.ndarray:
@@ -125,7 +125,7 @@ class WronskianProfile:
 def check_ect(fam: FunctionFamily):
     """Scan all leading Wronskians on ``ECT_GRID`` points over the family's
     interval and classify the family.  The Wronskians are the family's
-    closed forms if it has them, else determinants of derivative matrices.
+    ``wronskians``, each evaluated once over the grid.
 
     ECT: every order is bounded away from zero (min |Wk| > 1e-8 * scale).
     ET_withAccuracy: only the last order changes sign, exactly once, at a
@@ -137,19 +137,14 @@ def check_ect(fam: FunctionFamily):
     for p in fam.punctures:
         grid = grid[np.abs(grid - p) > PUNCTURE_RADIUS]
     orders = len(fam.members)
-    if fam.wronskians:
-        values = np.empty((orders, len(grid)))
-        for k, w in enumerate(fam.wronskians):
-            values[k] = w(grid)
-    else:
-        mats = _matrices(fam, orders, grid)
-        values = np.stack([np.linalg.det(mats[:, :k + 1, :k + 1]) for k in range(orders)])
+    values = np.empty((orders, len(grid)))
+    for k, w in enumerate(fam.wronskians):
+        values[k] = w(grid)
 
     profile = WronskianProfile(grid=grid, values=values)
     raw = np.sign(values)
     order, j = np.nonzero(raw[:, :-1] * raw[:, 1:] < 0)
-    refine = _bisect_closed_forms if fam.wronskians else _bisect
-    zeros = refine(fam, order, grid[j], grid[j + 1], values[order, j] > 0)
+    zeros = _bisect(fam, order, grid[j], grid[j + 1], values[order, j] > 0)
     bounded = []
     for k in range(orders):
         v = values[k]
@@ -170,26 +165,22 @@ def check_ect(fam: FunctionFamily):
     if all(bounded[:-1]) and profile.sign_changes[-1] == 1 \
             and len(profile.zero_candidates[-1]) == 1:
         z = profile.zero_candidates[-1][0]
-        h = 1e-6 * max(1.0, abs(z))
-        if fam.wronskians:
-            w_lo, w_hi = fam.wronskians[-1](z - h), fam.wronskians[-1](z + h)
-        else:
-            w_lo, w_hi = wronskian(fam, orders - 1, np.array([z - h, z + h]))
-        slope = (w_hi - w_lo) / (2 * h)
+        # a central difference whose points stay inside the interval
+        h = min(1e-6 * max(1.0, abs(z)), (z - lo) / 2, (hi - z) / 2)
+        slope = (fam.wronskians[-1](z + h) - fam.wronskians[-1](z - h)) / (2 * h)
         vscale = max(float(np.abs(values[-1]).max()), 1e-300)
         if abs(slope) > 1e-8 * vscale:
             return profile, EctVerdict.ET_WITH_ACCURACY
     return profile, EctVerdict.INCONCLUSIVE
 
 
-_BISECT_STEPS = 80  # halvings of each Wronskian bracket, _BISECT_DEPTH per round
-_BISECT_DEPTH = 5
+_BISECT_STEPS = 80  # most halvings of each Wronskian bracket
 
 
-def _bisect_closed_forms(fam: FunctionFamily, order, a, b, positive) -> np.ndarray:
-    """Bisected zeros of W_order in the brackets [a, b], as ``_bisect``, by
-    plain bisection of the family's closed forms on floats: at most
-    ``_BISECT_STEPS`` halvings per bracket, stopping once the midpoint
+def _bisect(fam: FunctionFamily, order, a, b, positive) -> np.ndarray:
+    """Bisected zeros of W_order in the brackets [a, b], with ``positive`` the
+    sign of W at a: plain bisection of the family's Wronskians on floats, at
+    most ``_BISECT_STEPS`` halvings per bracket, stopping once the midpoint
     rounds onto an end."""
     zeros = []
     for k, lo, hi, pos in zip(order.tolist(), a.tolist(), b.tolist(), positive.tolist()):
@@ -204,36 +195,6 @@ def _bisect_closed_forms(fam: FunctionFamily, order, a, b, positive) -> np.ndarr
                 hi = mid
         zeros.append(0.5 * (lo + hi))
     return np.array(zeros)
-
-
-def _bisect(fam: FunctionFamily, order, a, b, positive) -> np.ndarray:
-    """Bisected zeros of W_order in the brackets [a, b], with ``positive`` the
-    sign of W at a.  A round evaluates the midpoint tree of the next depth
-    steps, built as bisection builds it, and walks it: the result is plain
-    bisection's.  A midpoint rounding onto an end cannot move, so rounds stop
-    once all do."""
-    steps = [2 ** d for d in range(_BISECT_DEPTH, -1, -1)]  # leaves, ..., 2, 1
-    rows = np.arange(len(a))
-    n = int(order.max(initial=0)) + 1
-    groups = [(k, order == k) for k in np.unique(order)]
-    for _ in range(_BISECT_STEPS // _BISECT_DEPTH):
-        mid = 0.5 * (a + b)
-        if np.all((mid == a) | (mid == b)):
-            break
-        pts = np.empty((len(a), steps[0] + 1))
-        pts[:, 0], pts[:, -1] = a, b
-        for step in steps[:-1]:
-            pts[:, step // 2::step] = 0.5 * (pts[:, :-step:step] + pts[:, step::step])
-        mats = _matrices(fam, n, pts[:, 1:-1])
-        w = np.empty(mats.shape[:2])
-        for k, sel in groups:
-            w[sel] = np.linalg.det(mats[sel, :, :k + 1, :k + 1])
-        right = (w > 0) == positive[:, None]  # W has its sign at a: step right
-        lo = np.zeros(len(a), dtype=int)
-        for step in steps[1:]:
-            lo = lo + step * right[rows, lo + step - 1]
-        a, b = pts[rows, lo], pts[rows, lo + 1]
-    return 0.5 * (a + b)
 
 
 # ---------------------------------------------------------------------------

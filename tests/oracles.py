@@ -13,9 +13,12 @@ matrix and an offset for the tests that flow one zone.
 for the closed-form zone flow where its branch changes at w2 = 0.
 ``singular_points_reference`` solves each zone for its singular point on
 its own, the bit reference for the stacked solve of ``check_hypotheses``.
-``stencil_family`` gives a function family finite-difference derivatives,
-the reference for the analytic derivatives of the shipped families, and
-``deriv`` reads one derivative of a family at a point or over an array.
+``determinant_family`` gives a function family the determinants of its
+derivative matrices as its Wronskians, the reference scan for the shipped
+families' closed forms; ``stencil_family`` gives a family finite-difference
+derivatives and those determinants, the reference for the analytic
+derivatives, and ``deriv`` reads one derivative of a family at a point or
+over an array.
 ``mat``/``vec``, ``zone_arrays`` and ``field`` are the numpy forms of the
 records, of a zone at the system's eps and of the planar field; the
 package itself reads only the six floats per zone of ``PwlSystem._entries``.
@@ -32,7 +35,8 @@ accuracy reference for the float ``M1``.
 from __future__ import annotations
 
 import math
-from functools import lru_cache
+from dataclasses import replace
+from functools import lru_cache, partial
 
 import numpy as np
 from scipy.integrate import quad, solve_ivp
@@ -40,7 +44,7 @@ from scipy.linalg import expm
 from scipy.optimize import brentq
 
 from pwlcycles.core import Mat2, PwlSystem, Vec2
-from pwlcycles.ect import FunctionFamily
+from pwlcycles.ect import FunctionFamily, wronskian
 from pwlcycles.errors import PwlError
 from pwlcycles.flow import AffineFlow, _equilibria
 
@@ -473,14 +477,23 @@ def _stencil(g, k: int):
     return d
 
 
+def determinant_family(fam: FunctionFamily) -> FunctionFamily:
+    """``fam`` with the determinants of its derivative matrices,
+    ``wronskian(fam, k, s)``, as its Wronskians."""
+    return replace(fam, wronskians=tuple(partial(wronskian, fam, k)
+                                         for k in range(len(fam.members))))
+
+
 def stencil_family(members, interval, punctures=()) -> FunctionFamily:
     """The family of ``members`` with stencil derivatives of the orders its
-    Wronskians read, each calling the members themselves."""
+    Wronskians read, each calling the members themselves, and the
+    determinants of those as its Wronskians."""
     orders = range(1, len(members))
-    return FunctionFamily(members=tuple(members), interval=interval,
-                          derivatives=tuple(tuple(_stencil(g, k) for k in orders)
-                                            for g in members),
-                          punctures=tuple(punctures))
+    return determinant_family(FunctionFamily(
+        members=tuple(members), interval=interval,
+        derivatives=tuple(tuple(_stencil(g, k) for k in orders) for g in members),
+        wronskians=(None,) * len(members),  # placeholders, replaced by the determinants
+        punctures=tuple(punctures)))
 
 
 def _acos_reference(arg):

@@ -532,19 +532,14 @@ class TestPublicApi:
         import ast
         return {p.stem: ast.parse(p.read_text()) for p in sorted(folder.glob("*.py"))}
 
-    def test_every_public_definition_is_used(self):
-        # a guard against regrowth: each public module-level function or
-        # class in src/ is referenced by src/ code outside its own
-        # definition, exported, or a kept closed form.  References are
-        # names, attributes and imported names in the syntax tree, so a
-        # mention in a docstring or a comment does not count; the package's
-        # own imports are the exports, pinned above
+    @staticmethod
+    def _uses(trees):
+        """(top-level statement, the names it references) for each statement
+        of the modules other than ``__init__``, whose imports are the exports.
+        References are names, attributes and imported names in the syntax
+        tree, so a mention in a docstring or a comment does not count."""
         import ast
-        import pathlib
-
-        import pwlcycles
-        trees = self._trees(pathlib.Path(pwlcycles.__file__).parent)
-        uses = []  # (top-level statement, the names it references)
+        uses = []
         for mod, tree in trees.items():
             if mod == "__init__":
                 continue
@@ -558,6 +553,18 @@ class TestPublicApi:
                     elif isinstance(node, ast.alias):
                         names.add(node.name)
                 uses.append((stmt, names))
+        return uses
+
+    def test_every_public_definition_is_used(self):
+        # a guard against regrowth: each public module-level function or
+        # class in src/ is referenced by src/ code outside its own
+        # definition, exported, or a kept closed form
+        import ast
+        import pathlib
+
+        import pwlcycles
+        trees = self._trees(pathlib.Path(pwlcycles.__file__).parent)
+        uses = self._uses(trees)
         public = {(mod, stmt.name): stmt for mod, tree in trees.items() for stmt in tree.body
                   if isinstance(stmt, (ast.FunctionDef, ast.ClassDef))
                   and not stmt.name.startswith("_")}
@@ -566,6 +573,34 @@ class TestPublicApi:
                   if name not in pwlcycles.__all__
                   and (mod, name) not in self.KEPT_CLOSED_FORMS
                   and not any(name in names for other, names in uses if other is not stmt)]
+        assert unused == []
+
+    def test_every_private_definition_is_used(self):
+        # the private twin of the guard above: each private module-level
+        # function, class or constant in src/ is referenced by src/ code
+        # outside its own definition, so a helper or a constant that loses
+        # its last src/ reader leaves with it, even if a test still reads it
+        import ast
+        import pathlib
+
+        import pwlcycles
+        trees = self._trees(pathlib.Path(pwlcycles.__file__).parent)
+        uses = self._uses(trees)
+        private = {}
+        for mod, tree in trees.items():
+            for stmt in tree.body:
+                if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+                    names = [stmt.name]
+                elif isinstance(stmt, ast.Assign):
+                    names = [node.id for target in stmt.targets for node in ast.walk(target)
+                             if isinstance(node, ast.Name)]
+                else:
+                    names = []
+                private.update(((mod, name), stmt) for name in names
+                               if name.startswith("_") and not name.startswith("__"))
+        assert ("ect", "_bisect") in private and ("flow", "_NOISE") in private
+        unused = [f"{mod}.{name}" for (mod, name), stmt in private.items()
+                  if not any(name in names for other, names in uses if other is not stmt)]
         assert unused == []
 
     # conversions offered to the package's users that no src/ code calls

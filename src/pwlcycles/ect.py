@@ -10,8 +10,11 @@ its Wronskians read; finite differences are a test reference
 (``stencil_family`` in ``tests/oracles.py``), not a fallback.
 
 A family carries its leading Wronskians as callables, one per order, and
-``check_ect`` scans those on its grid, refines each sign change by scalar
-bisection and reads the last for its slope probe.  The two shipped
+``check_ect`` scans those on its grid and reads the last for its slope
+probe.  The sign-change scan, the bisection of each bracket and the slope
+probe are those of ``find_roots`` (``melnikov._sign_changes``, ``_bisect``
+and ``_slope``): a bracket is bisected to adjacent doubles, or onto a
+midpoint where the Wronskian is exactly 0.  The two shipped
 families carry closed forms (``amplitude_w0..w3`` and ``constrained_w1``).
 ``wronskian`` is the determinant of the derivative matrices, independent of
 the callables, so the closed forms can be checked against it; a family
@@ -27,7 +30,7 @@ from functools import partial
 
 import numpy as np
 
-from .melnikov import _ARC_TERM, _atan_of
+from .melnikov import _ARC_TERM, _atan_of, _bisect, _sign_changes, _slope
 
 PUNCTURE_RADIUS = 1e-6  # scan grids skip points this close to a puncture
 ECT_GRID = 1024        # points of the Wronskian scan of check_ect
@@ -142,20 +145,19 @@ def check_ect(fam: FunctionFamily):
         values[k] = w(grid)
 
     profile = WronskianProfile(grid=grid, values=values)
-    raw = np.sign(values)
-    order, j = np.nonzero(raw[:, :-1] * raw[:, 1:] < 0)
-    zeros = _bisect(fam, order, grid[j], grid[j + 1], values[order, j] > 0)
+    order, j = _sign_changes(values)
     bounded = []
     for k in range(orders):
         v = values[k]
         scale = max(float(np.abs(v).max()), 1e-300)
-        negligible = np.abs(v) <= 1e-10 * scale
         sgn = np.sign(v)
-        sgn[negligible] = 0.0
-        nz = sgn[sgn != 0.0]
-        changes = int(np.sum(nz[:-1] * nz[1:] < 0)) if len(nz) > 1 else 0
+        sgn[np.abs(v) <= 1e-10 * scale] = 0.0
+        # zeros and negligible values are dropped: a change across them counts
+        changes = len(_sign_changes(sgn[sgn != 0.0])[0])
         profile.sign_changes.append(changes)
-        cand = zeros[order == k].tolist()
+        w = fam.wronskians[k]
+        cand = [_bisect(w, float(grid[i]), float(grid[i + 1]), float(v[i]))
+                for i in j[order == k].tolist()]
         profile.zero_candidates.append(cand)
         bounded.append(float(np.abs(v).min()) > 1e-8 * scale and changes == 0
                        and not cand)
@@ -164,37 +166,11 @@ def check_ect(fam: FunctionFamily):
         return profile, EctVerdict.ECT
     if all(bounded[:-1]) and profile.sign_changes[-1] == 1 \
             and len(profile.zero_candidates[-1]) == 1:
-        z = profile.zero_candidates[-1][0]
-        # a central difference whose points stay inside the interval
-        h = min(1e-6 * max(1.0, abs(z)), (z - lo) / 2, (hi - z) / 2)
-        slope = (fam.wronskians[-1](z + h) - fam.wronskians[-1](z - h)) / (2 * h)
+        slope = _slope(fam.wronskians[-1], profile.zero_candidates[-1][0], lo, hi)
         vscale = max(float(np.abs(values[-1]).max()), 1e-300)
         if abs(slope) > 1e-8 * vscale:
             return profile, EctVerdict.ET_WITH_ACCURACY
     return profile, EctVerdict.INCONCLUSIVE
-
-
-_BISECT_STEPS = 80  # most halvings of each Wronskian bracket
-
-
-def _bisect(fam: FunctionFamily, order, a, b, positive) -> np.ndarray:
-    """Bisected zeros of W_order in the brackets [a, b], with ``positive`` the
-    sign of W at a: plain bisection of the family's Wronskians on floats, at
-    most ``_BISECT_STEPS`` halvings per bracket, stopping once the midpoint
-    rounds onto an end."""
-    zeros = []
-    for k, lo, hi, pos in zip(order.tolist(), a.tolist(), b.tolist(), positive.tolist()):
-        w = fam.wronskians[k]
-        for _ in range(_BISECT_STEPS):
-            mid = 0.5 * (lo + hi)
-            if mid == lo or mid == hi:
-                break
-            if (w(mid) > 0) == pos:
-                lo = mid
-            else:
-                hi = mid
-        zeros.append(0.5 * (lo + hi))
-    return np.array(zeros)
 
 
 # ---------------------------------------------------------------------------

@@ -11,9 +11,10 @@ stacked LAPACK solve for the two equilibria.  Events on the switching
 line x = 0 -- and on any horizontal section -- are located on a
 closed-form coordinate function: its critical times, also closed-form,
 split the time interval into monotone pieces, and the first sign change
-is bisected to adjacent doubles, so no event is skipped and no generic
-stepping error enters the simulation; on a spiral the envelope of the
-extrema skips the pieces that cannot hold one.  On an oscillatory arc a
+is bisected to adjacent doubles by ``melnikov._bisect``, the package's
+one bisection loop, so no event is skipped and no generic stepping error
+enters the simulation; on a spiral the envelope of the extrema skips the
+pieces that cannot hold one.  On an oscillatory arc a
 rounding bound of the coordinate (libm's exp, sin and cos within 1 ulp,
 as glibc documents them for x86_64, and first-order propagation, doubled)
 lets the bisection skip the midpoints whose computed sign is already
@@ -24,9 +25,10 @@ the bit; hyperbolic and nilpotent arcs and the sliding travel-time
 inversion have no bound and evaluate every midpoint.  Motion
 inside sliding/escaping segments of the switching line follows the
 Filippov law of ``sigma._SlidingSpeed``; its travel time is integrated in
-closed form and inverted by bisection.  ``simulate`` records samples of
-every segment and where they end, so ``Trajectory.segment_samples`` hands
-each segment its own; the first-return maps (``displacement``,
+closed form and inverted by the same bisection.  ``simulate`` records
+samples of every segment and where they end, so
+``Trajectory.segment_samples`` hands each segment its own; the
+first-return maps (``displacement``,
 ``melnikov_oracle`` and ``infinity.poincare_displacement``) drive the same
 engine without samples, so a zone arc costs one end-state evaluation, and
 the folds are found only when the orbit reaches a point of x = 0 that is
@@ -49,6 +51,7 @@ from .errors import (
     NonPositiveAmplitude,
     NoReturn,
 )
+from .melnikov import _bisect
 from .sigma import (
     RegionKind,
     Visibility,
@@ -188,55 +191,20 @@ def _abs_max(pair):
 # event location on a closed-form coordinate
 # ---------------------------------------------------------------------------
 
-def _refine_crossing(g, t_lo, t_hi, g_lo, g_hi=math.nan, band=math.inf, tol=0.0):
-    """Bisection of a bracketed sign change of g down to |t_hi-t_lo| < tol,
-    or to adjacent doubles, whichever comes first, from the end values
-    g_lo = g(t_lo) and g_hi = g(t_hi) the caller holds.
+def _certificates(g, t_lo, t_hi, g_lo, g_hi, band):
+    """(a, b) with t_lo <= a < root < b <= t_hi: the points nearest the
+    root found whose value lies beyond level = 2*band, on the t_lo and the
+    t_hi side, or the ends; ``_bisect`` evaluates only the midpoints
+    between them.
 
     ``band`` bounds |g - exact g| on the bracket, on which the exact g is
     monotone (``_Coordinate.band``).  A computed value beyond 2*band on
     either side of the root then fixes the computed sign of every midpoint
-    farther out, so ``_certificates`` looks for the nearest such values
-    and only the midpoints between them are evaluated: the result is that
-    of the bisection that evaluates every midpoint, to the bit.  The search
-    runs only when both end values lie beyond 2*band, so that the sign also
-    holds between an end and a rounded critical time just inside it;
-    otherwise, and with band = inf, every midpoint is evaluated.
-    """
-    up = g_lo > 0  # the sign every midpoint reads on the t_lo side of the root
-    # midpoints at or below a read as up and at or above b as not up, unevaluated;
-    # t_lo <= a < b <= t_hi throughout, so a midpoint strictly between them
-    # lies strictly inside the bracket
-    a, b = t_lo, t_hi
-    if abs(g_lo) > 2.0 * band and abs(g_hi) > 2.0 * band:
-        a, b = _certificates(g, t_lo, t_hi, g_lo, g_hi, 2.0 * band)
-    for _ in range(200):
-        if t_hi - t_lo < tol:
-            break
-        t_mid = 0.5 * (t_lo + t_hi)
-        if t_mid <= a:
-            if t_mid <= t_lo:  # adjacent doubles
-                break
-            t_lo = t_mid
-        elif t_mid >= b:
-            if t_mid >= t_hi:
-                break
-            t_hi = t_mid
-        else:
-            g_mid = g(t_mid)
-            if g_mid == 0.0:
-                return t_mid
-            if (g_mid > 0) == up:
-                t_lo = a = t_mid
-            else:
-                t_hi = b = t_mid
-    return 0.5 * (t_lo + t_hi)
-
-
-def _certificates(g, t_lo, t_hi, g_lo, g_hi, level):
-    """(a, b) with t_lo <= a < root < b <= t_hi: the points nearest the
-    root found whose value lies beyond ``level``, on the t_lo and the t_hi
-    side, or the ends.
+    farther out, so the bisection's result is that of the one that
+    evaluates every midpoint, to the bit.  The search runs only when both
+    end values lie beyond 2*band, so that the sign also holds between an
+    end and a rounded critical time just inside it; otherwise, and with
+    band = inf, it returns the ends.
 
     The first point is the root of the half cosine through the end values,
     exact on an undamped arc between two extrema; Illinois steps follow
@@ -246,8 +214,11 @@ def _certificates(g, t_lo, t_hi, g_lo, g_hi, level):
     the half cosine's when only one was.  Every point evaluated lies
     strictly inside (a, b), so inside the bracket.
     """
-    up = g_lo > 0
+    level = 2.0 * band
     a, b = t_lo, t_hi
+    if not (abs(g_lo) > level and abs(g_hi) > level):
+        return a, b
+    up = g_lo > 0
     x0, f0, x1, f1 = t_lo, g_lo, t_hi, g_hi  # the Illinois bracket, f0 scaled
     s = math.acos((g_lo + g_hi) / (g_hi - g_lo)) / math.pi
     x = t_lo + (t_hi - t_lo) * s
@@ -424,8 +395,8 @@ def first_component_zero(zone: AffineFlow, X0, direction: float, t_budget: float
                 return direction * t, "graze"
         elif ref * v < 0.0:
             v_lo = coord.value(t_lo) if v_lo is None else v_lo
-            return direction * _refine_crossing(coord.value, t_lo, t, v_lo, v,
-                                                coord.band(t_lo, t)), "cross"
+            a, b = _certificates(coord.value, t_lo, t, v_lo, v, coord.band(t_lo, t))
+            return direction * _bisect(coord.value, t_lo, t, v_lo, a, b), "cross"
         if t == t_budget:
             return None, "none"
         t_lo, v_lo, seen = t, v, seen + 1
@@ -702,7 +673,7 @@ def _slide(sys, folds, X, direction, t_budget, traj, t_abs, record):
                 if y_s == y_lim:  # rounded onto a limit the budget does not reach
                     return math.inf
                 return direction * law.time(y0, y_s) - t_budget
-            s = _refine_crossing(excess, 0.0, 1.0, excess(0.0), tol=np.finfo(float).eps)
+            s = _bisect(excess, 0.0, 1.0, excess(0.0), tol=np.finfo(float).eps)
             y, t_used, end = y0 + s * (y_lim - y0), t_budget, "t_max"
 
     if record:

@@ -14,7 +14,7 @@ import json
 import math
 from dataclasses import dataclass
 from enum import Enum
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, partial
 from typing import NamedTuple
 
 import numpy as np
@@ -330,15 +330,75 @@ def _feval(f, x: float) -> float:
     return v if isinstance(v, float) else float(np.ravel(v)[0])
 
 
+def _bisect(g, lo: float, hi: float, g_lo: float, a=None, b=None, tol: float = 0.0) -> float:
+    """Bisection of a bracketed sign change of g on floats, from g_lo = g(lo)
+    the caller holds: the package's one refinement of a bracket.
+
+    Midpoints at or below ``a`` read as g_lo's sign and at or above ``b``
+    as the other, unevaluated (by default a = lo and b = hi); a caller
+    passes points whose computed sign it has certified.  It stops once
+    hi - lo < tol*max(1, hi), at adjacent doubles, or after 200 halvings,
+    and returns the last midpoint, or one where g is exactly 0.  A NaN
+    reads as negative.
+    """
+    up = g_lo > 0  # the sign every midpoint reads on the lo side of the root
+    # lo <= a < b <= hi throughout, so a midpoint strictly between a and b
+    # lies strictly inside the bracket
+    a = lo if a is None else a
+    b = hi if b is None else b
+    for _ in range(200):
+        # tol*max(1, hi) without a call: most of the event search's halvings
+        # evaluate nothing, and a call each costs it about a tenth
+        if tol and hi - lo < tol * (hi if hi > 1.0 else 1.0):
+            break
+        mid = 0.5 * (lo + hi)
+        if mid <= a:
+            if mid <= lo:  # adjacent doubles
+                break
+            lo = mid
+        elif mid >= b:
+            if mid >= hi:
+                break
+            hi = mid
+        else:
+            g_mid = g(mid)
+            if g_mid == 0.0:
+                return mid
+            if (g_mid > 0) == up:
+                lo = a = mid
+            else:
+                hi = b = mid
+    return 0.5 * (lo + hi)
+
+
+def _sign_changes(vals: np.ndarray):
+    """Indices (one array per axis) of the entries of ``vals`` whose next
+    entry along the last axis has the strictly opposite sign, + to - or
+    - to +: a zero or a NaN makes no change."""
+    pos, neg = vals > 0, vals < 0
+    return ((pos[..., :-1] & neg[..., 1:]) | (neg[..., :-1] & pos[..., 1:])).nonzero()
+
+
+def _slope(g, z: float, lo: float, hi: float) -> float:
+    """Central difference of g at z in (lo, hi), with the step
+    h = min(1e-6*max(1, |z|), (z - lo)/2, (hi - z)/2), so both points stay
+    inside the interval."""
+    h = min(1e-6 * max(1.0, abs(z)), (z - lo) / 2, (hi - z) / 2)
+    return (g(z + h) - g(z - h)) / (2 * h)
+
+
 def find_roots(f, domain, opts: RootFindOptions | None = None):
-    """Sign-change bracketing on a log-spaced grid, refined by bisection.
+    """Sign-change bracketing on a log-spaced grid, refined by ``_bisect``.
 
     ``f`` is called once on the grid array, then on Python floats, for which
     it may return a float or a one-entry array.  The grid is shared by all
     calls on the same domain and grid size and is read-only: an ``f`` that
-    writes into it raises ValueError.  Returns a list of (root, RootFlag);
-    roots whose central-difference slope is below ``SUSPECT_REL`` times the
-    grid scale are flagged SUSPECT (possible multiplicity).
+    writes into it raises ValueError.  Each bracket is bisected until its
+    width is below ``refine_tol`` times max(1, its upper end), or to
+    adjacent doubles.  Returns a list of (root, RootFlag); roots whose
+    central-difference slope (``_slope``, both points inside the domain) is
+    below ``SUSPECT_REL`` times the grid scale are flagged SUSPECT
+    (possible multiplicity).
     """
     lo, hi = domain
     if not (0 < lo < hi < math.inf):
@@ -346,39 +406,20 @@ def find_roots(f, domain, opts: RootFindOptions | None = None):
     opts = opts or RootFindOptions()
     ys = _grid(lo, hi, opts.grid)
     vals = np.asarray(f(ys), dtype=float)
-    pos, neg = vals > 0, vals < 0
-    # strict sign changes, + to - or - to +: a zero or a NaN makes none
-    idx = ((pos[:-1] & neg[1:]) | (neg[:-1] & pos[1:])).nonzero()[0]
+    idx, = _sign_changes(vals)
     on_nodes = (vals == 0).nonzero()[0]
     if not (len(idx) or len(on_nodes)):
         return []
     # np.nanmax without its all-NaN warning, which cannot arise here
     scale = float(np.fmax.reduce(np.abs(vals))) / (hi - lo)
-    tol = opts.refine_tol
+    g = partial(_feval, f)
     roots = []
-    for i in idx:
-        a, b_ = float(ys[i]), float(ys[i + 1])
-        positive = float(vals[i]) > 0  # the sign of f at a, kept as a moves
-        for _ in range(200):
-            if b_ - a < tol * max(1.0, b_):
-                break
-            mid = 0.5 * (a + b_)
-            fm = _feval(f, mid)
-            if fm == 0.0:
-                a = b_ = mid
-                break
-            if (fm > 0) == positive:
-                a = mid
-            else:
-                b_ = mid
-        root = 0.5 * (a + b_)
-        h = 1e-6 * max(1.0, root)
-        if root - h < lo:  # keep the slope probe inside the domain
-            h = 0.5 * (root - lo)
-        slope = (_feval(f, root + h) - _feval(f, root - h)) / (2.0 * h)
+    for i in idx.tolist():
+        root = _bisect(g, float(ys[i]), float(ys[i + 1]), float(vals[i]), tol=opts.refine_tol)
+        slope = _slope(g, root, lo, hi)
         flag = RootFlag.SUSPECT if abs(slope) < SUSPECT_REL * max(scale, 1e-300) \
             else RootFlag.SIMPLE
-        roots.append((float(root), flag))
+        roots.append((root, flag))
     # exact zeros sitting on grid nodes
     for i in on_nodes:
         roots.append((float(ys[i]), RootFlag.SUSPECT))

@@ -250,8 +250,8 @@ def velocity_zeros(M, u, x0, direction, t_end, component, n=4000):
 
 def plain_bisection(g, t_lo, t_hi):
     """Bisection of a bracketed sign change of g down to adjacent doubles,
-    evaluating every midpoint: the refinement the event search must match
-    to the bit."""
+    evaluating every midpoint and stopping at an exact zero: the refinement
+    the event search and ``check_ect``'s brackets must match to the bit."""
     g_lo = g(t_lo)
     for _ in range(200):
         t_mid = 0.5 * (t_lo + t_hi)

@@ -598,7 +598,7 @@ class TestPublicApi:
                     names = []
                 private.update(((mod, name), stmt) for name in names
                                if name.startswith("_") and not name.startswith("__"))
-        assert ("ect", "_bisect") in private and ("flow", "_NOISE") in private
+        assert ("melnikov", "_bisect") in private and ("flow", "_NOISE") in private
         unused = [f"{mod}.{name}" for (mod, name), stmt in private.items()
                   if not any(name in names for other, names in uses if other is not stmt)]
         assert unused == []
@@ -670,6 +670,28 @@ class TestPublicApi:
                     if name in ("arccos", "acos"):
                         naming.add(f"{mod}.{getattr(stmt, 'name', stmt.lineno)}")
         assert naming == {"flow._certificates", "examples.example_two_nominal_m1"}
+
+    def test_one_home_for_the_bisection(self):
+        # a guard against a second bisection loop: the only function in src/
+        # with a loop that forms a midpoint 0.5 * (x + y) is melnikov._bisect,
+        # which find_roots, check_ect, the event search and the sliding
+        # travel-time inversion all refine their brackets with
+        import ast
+        import pathlib
+
+        import pwlcycles
+        bisecting = set()
+        for mod, tree in self._trees(pathlib.Path(pwlcycles.__file__).parent).items():
+            for stmt in tree.body:
+                for loop in ast.walk(stmt):
+                    if isinstance(loop, (ast.For, ast.While)) and any(
+                            isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mult)
+                            and getattr(node.left, "value", None) == 0.5
+                            and isinstance(node.right, ast.BinOp)
+                            and isinstance(node.right.op, ast.Add)
+                            for node in ast.walk(loop)):
+                        bisecting.add(f"{mod}.{getattr(stmt, 'name', stmt.lineno)}")
+        assert bisecting == {"melnikov._bisect"}
 
     def test_one_home_for_the_branch_rule(self):
         # a guard against a second copy of the zone flow's branch rule: only

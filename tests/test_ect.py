@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from oracles import deriv, determinant_family, stencil_family
+from oracles import deriv, determinant_family, plain_bisection, stencil_family
 from pwlcycles.ect import (
     EctVerdict,
     FunctionFamily,
@@ -22,7 +22,6 @@ from pwlcycles.ect import (
     wronskian,
 )
 from pwlcycles import ect
-from pwlcycles.ect import _BISECT_STEPS
 from pwlcycles.melnikov import ReducedParams, m1_reduced
 from pwlcycles.examples import example_one_params
 
@@ -336,34 +335,34 @@ class TestGridPath:
 
     @pytest.mark.parametrize("name", ["analytic", "determinant", "stencil", "cubic"])
     def test_refinement_is_plain_bisection(self, name):
-        # reference: the per-bracket scalar bisection of the Wronskian the
-        # scan reads (the closed form, or the determinant for the
-        # determinant and stencil families), 80 halvings keeping the end
-        # whose sign W has at the bracket's left end
+        # reference: the engine's plain bisection to adjacent doubles, which
+        # evaluates every midpoint and stops at an exact zero, of the
+        # Wronskian the scan reads (the closed form, or the determinant for
+        # the determinant and stencil families) in each bracket
         fam = self.families()[name]
         profile, _ = check_ect(fam)
-        want = []
-        for k, v in enumerate(profile.values):
-            w = fam.wronskians[k]
-            cand = []
-            for j in np.where(np.sign(v[:-1]) * np.sign(v[1:]) < 0)[0]:
-                a, b = float(profile.grid[j]), float(profile.grid[j + 1])
-                for _ in range(80):
-                    mid = 0.5 * (a + b)
-                    if (w(mid) > 0) == (v[j] > 0):
-                        a = mid
-                    else:
-                        b = mid
-                cand.append(0.5 * (a + b))
-            want.append(cand)
+        grid = profile.grid.tolist()
+        want = [[plain_bisection(fam.wronskians[k], grid[j], grid[j + 1])
+                 for j in np.where(np.sign(v[:-1]) * np.sign(v[1:]) < 0)[0]]
+                for k, v in enumerate(profile.values)]
         assert profile.zero_candidates == want
         assert sum(map(len, want)) >= 1
+
+    def test_candidate_stops_on_an_exact_zero(self):
+        # W1 = beta^2 s^2 - 1 with beta = 1.5 is exactly 0.0 at the double
+        # 0x1.5555555555555p-1, a bisection midpoint of its bracket; a
+        # refinement that bisects past it ends on 0x1.5555555555556p-1,
+        # where W1 = 2.2e-16
+        profile, _ = check_ect(amplitude_family(1.5))
+        (c,) = profile.zero_candidates[1]
+        assert c == float.fromhex("0x1.5555555555555p-1")
+        assert amplitude_w1(1.5, c) == 0.0
 
     @pytest.mark.parametrize("name", ["analytic", "constrained", "cubic"])
     def test_closed_form_scan_takes_no_determinant(self, name, monkeypatch):
         # a deterministic cost guard: a scan of closed forms reads each once
         # over the grid, the last twice more for the slope probe, and each at
-        # most _BISECT_STEPS times per bracket, and builds no derivative
+        # most 80 times per bracket, and builds no derivative
         # matrix; the cubic's W2 = 6(s - 1) reaches the slope probe, and its
         # constant W0 and W1 are broadcast over the grid
         def refuse(*args, **kwargs):
@@ -392,7 +391,7 @@ class TestGridPath:
         assert profile.zero_candidates == ref_profile.zero_candidates
         for k, n in enumerate(calls):
             brackets = len(profile.zero_candidates[k])
-            assert n <= 1 + 2 * (k == len(calls) - 1) + _BISECT_STEPS * brackets, k
+            assert n <= 1 + 2 * (k == len(calls) - 1) + 80 * brackets, k
 
 
 class TestBoundRealization:

@@ -717,8 +717,37 @@ class TestFindRoots:
             assert [fl for _, fl in roots] == [RootFlag.SIMPLE]
             assert roots[0][0] == pytest.approx(5.000222246516626e-7, rel=1e-3)
 
+    def test_slope_probe_stays_below_the_upper_end(self):
+        # a root 1e-9 below the domain's upper end put the probe's upper
+        # point at 10.000009998997445, where this f raises; the step is now
+        # at most half the distance to either end
+        root = 10.0 - 1e-9
+
+        def f(y):
+            if np.max(y) > 10.0:
+                raise ValueError("f read beyond the domain")
+            return y - root
+
+        assert find_roots(f, (1.0, 10.0)) == [(pytest.approx(root, rel=1e-12),
+                                               RootFlag.SIMPLE)]
+
+    def test_bisection_stops_at_adjacent_doubles(self):
+        # a deterministic cost guard: with a width tolerance below one ulp the
+        # bisection stops at adjacent doubles, one grid call, 42 midpoints and
+        # the two slope points; 203 calls when every halving past adjacent
+        # doubles evaluated an end again, up to the 200-halving cap
+        calls = []
+
+        def f(y):
+            calls.append(y)
+            return y * y - 2.0
+
+        roots = find_roots(f, (1.0, 10.0), RootFindOptions(refine_tol=1e-17))
+        assert roots == [(float.fromhex("0x1.6a09e667f3bccp+0"), RootFlag.SIMPLE)]
+        assert len(calls) == 45
+
     def test_slope_step_unchanged_inside_the_domain(self):
-        # the step shrinks only where root - 1e-6 max(1, root) < lo
+        # the step 1e-6 max(1, root) shrinks only within twice itself of an end
         p = example_one_params()
         seen = []
 
